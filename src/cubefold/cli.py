@@ -31,6 +31,7 @@ from .sampling import DistributionSpec, SpecValidationError, sample_independent
 
 PRECISION_ENV = "CUBEFOLD_PRECISION"
 SUITES = ("cells", "adjacency", "roundtrip", "measure", "uniformity")
+VERIFY_DEPTH = 6
 
 
 @dataclass
@@ -39,7 +40,7 @@ class RunConfig:
 
     command: str
     dimension: int = 2
-    depth: int = 1
+    depth: int | None = 1
     precision: int = 64
     seed: int = 0
     sample_count: int = 0
@@ -88,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("-d", "--dimension", type=int, default=2)
-    p_verify.add_argument("-n", "--depth", type=int, default=6)
+    p_verify.add_argument("-n", "--depth", type=int, default=None,
+                          help=f"cell depth (default {VERIFY_DEPTH}); not "
+                               "taken by uniformity")
     p_verify.add_argument("-N", "--samples", type=int, default=1_000_000)
     p_verify.add_argument("-k", "--grid", type=int, default=16)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -222,16 +225,18 @@ def _suite_uniformity(cfg):
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    if args.suite == "cells":
-        reports = _suite_cells(cfg.dimension, cfg.depth, cfg.seed)
-    elif args.suite == "adjacency":
-        reports = _suite_adjacency(cfg.dimension, cfg.depth, cfg.seed)
-    elif args.suite == "roundtrip":
-        reports = _suite_roundtrip(cfg.dimension, cfg.depth, cfg.seed)
-    elif args.suite == "measure":
-        reports = _suite_measure(cfg.dimension, cfg.depth, cfg.seed)
-    else:
+    if args.suite == "uniformity":
+        # the audit bins the 2-D map at a depth chosen from -k
+        if cfg.dimension != 2 or cfg.depth is not None:
+            raise ValueError("verify uniformity audits d=2 at its own depth; "
+                             "it takes no -n and no -d other than 2")
         reports = _suite_uniformity(cfg)
+    else:
+        depth = VERIFY_DEPTH if cfg.depth is None else cfg.depth
+        suite = {"cells": _suite_cells, "adjacency": _suite_adjacency,
+                 "roundtrip": _suite_roundtrip,
+                 "measure": _suite_measure}[args.suite]
+        reports = suite(cfg.dimension, depth, cfg.seed)
     all_pass = True
     for report in reports:
         print(report.to_json())

@@ -10,6 +10,20 @@ measure at every depth.
 For d=2 the root-level order is lower-left, upper-left, upper-right,
 lower-right (the classical U order), with child orientations
 swap / identity / identity / swap-and-reflect.
+
+`OrientationState` and `child_order` define one level of the
+subdivision.  The maps themselves walk digit tables instead (the state
+table form of Butz's algorithm, after Skilling 2004 and Hamilton &
+Rau-Chaplin 2008), which take L = max(1, 8 // d) digits per lookup; a
+depth that is not a multiple of L ends with one shorter step.  The flips
+of a state act on octants by XOR, so a table is keyed by the rotation
+and the next L digits only.  Each entry holds the L corner bits of the
+child cells on every axis, as seen from the unflipped state, together
+with the flips and the rotation the state has after those digits.  A
+second table inverts the corner bits back to digits for the forward map.
+Every table array holds d * 2**(d*L) <= 2048 one-byte entries, far below
+a 1 MiB limit; tables are built with numpy on first use for each (d, L)
+and cached.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +43,6 @@ MAX_DIMENSION = 8
 
 def _gray(i: int) -> int:
     return i ^ (i >> 1)
-
-
-def _gray_inverse(g: int) -> int:
-    i = g
-    while g:
-        g >>= 1
-        i ^= g
-    return i
 
 
 def _trailing_ones(i: int) -> int:
@@ -63,13 +70,20 @@ def _tables(d: int):
     return gc, entry, tuple(direction)
 
 
-def _rot_left(x: int, s: int, d: int) -> int:
-    s %= d
+def _rot_left(x, s, d: int):
+    s = s % d
     return ((x << s) | (x >> (d - s))) & ((1 << d) - 1)
 
 
-def _rot_right(x: int, s: int, d: int) -> int:
-    return _rot_left(x, d - s % d, d)
+def _child_move(rotation, gc, entry, direction, d: int):
+    """One level down from a state with `rotation` and no flips.
+
+    Given the child's row of `_tables`, returns its octant, the flips it
+    adds to the state and its rotation.  Works elementwise on integer
+    arrays as well as on ints.
+    """
+    s = rotation + 1
+    return _rot_left(gc, s, d), _rot_left(entry, s, d), (s + direction) % d
 
 
 @dataclass(frozen=True)
@@ -111,27 +125,6 @@ class OrientationState:
         )
 
 
-def _child_octant(state: OrientationState, digit: int) -> int:
-    d = state.dimension
-    gc, _, _ = _tables(d)
-    return _rot_left(gc[digit], state.rotation + 1, d) ^ state.flips
-
-
-def _child_state(state: OrientationState, digit: int) -> OrientationState:
-    d = state.dimension
-    _, entry, direction = _tables(d)
-    return OrientationState(
-        d,
-        (state.rotation + direction[digit] + 1) % d,
-        state.flips ^ _rot_left(entry[digit], state.rotation + 1, d),
-    )
-
-
-def _digit_for_octant(state: OrientationState, octant: int) -> int:
-    d = state.dimension
-    return _gray_inverse(_rot_right(octant ^ state.flips, state.rotation + 1, d))
-
-
 def child_order(state: OrientationState, dimension: int | None = None):
     """The 2**d children of a cell in traversal order.
 
@@ -143,8 +136,82 @@ def child_order(state: OrientationState, dimension: int | None = None):
             f"state has dimension {state.dimension}, asked for {dimension}"
         )
     d = state.dimension
-    return [(_child_octant(state, i), _child_state(state, i))
-            for i in range(1 << d)]
+    children = []
+    for row in zip(*_tables(d)):
+        octant, flips, rotation = _child_move(state.rotation, *row, d)
+        children.append((octant ^ state.flips,
+                         OrientationState(d, rotation, state.flips ^ flips)))
+    return children
+
+
+def _steps(d: int, depth: int) -> list[tuple[int, int]]:
+    """(first digit, digit count) of each table lookup over `depth` digits.
+
+    L = max(1, 8 // d) digits per lookup keeps d * L <= 8, so every key
+    part and table entry fits in a byte; a remainder takes one last step.
+    """
+    width = max(1, 8 // d)
+    full, rest = divmod(depth, width)
+    steps = [(k * width, width) for k in range(full)]
+    if rest:
+        steps.append((full * width, rest))
+    return steps
+
+
+class _DigitTable(NamedTuple):
+    """Transitions over `width` digits for one dimension d.
+
+    `cells`, `flips` and `rotations` are indexed by word * d + rotation,
+    where word packs the digits base 2**d, first digit highest.  `cells`
+    packs the corner bits of the cells the digits pass through, as seen
+    from a state without flips: axis a holds bits a*width .. a*width +
+    width - 1, the first digit's bit highest.  `flips` is XORed onto the
+    state's flips after the digits, `rotations` replaces its rotation.
+    `digits` inverts `cells`, indexed by cells * d + rotation.
+    `flip_cells` maps flips f to the cells pattern of f, which is XORed
+    onto `cells` for a flipped state.
+    """
+
+    cells: np.ndarray
+    flips: np.ndarray
+    rotations: np.ndarray
+    digits: np.ndarray
+    flip_cells: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _digit_table(d: int, width: int) -> _DigitTable:
+    gc, entry, direction = (np.array(t, dtype=np.int64) for t in _tables(d))
+    octant1, flips1, rotation1 = _child_move(
+        np.arange(d)[:, None], gc, entry, direction, d)
+    dmask = (1 << d) - 1
+    key = np.arange(d << (d * width))
+    word, first_rotation = np.divmod(key, d)
+    rotation = first_rotation
+    flips = np.zeros_like(key)
+    cells = np.zeros_like(key)
+    for level in range(width):
+        digit = (word >> (d * (width - 1 - level))) & dmask
+        octant = octant1[rotation, digit] ^ flips
+        for axis in range(d):
+            cells |= ((octant >> axis) & 1) << (axis * width + width - 1 - level)
+        flips ^= flips1[rotation, digit]
+        rotation = rotation1[rotation, digit]
+    digits = np.empty(key.shape, dtype=np.uint8)
+    digits[cells * d + first_rotation] = word
+    all_flips = np.arange(1 << d)
+    flip_cells = sum(((all_flips >> axis) & 1) << (axis * width)
+                     for axis in range(d))
+    flip_cells *= (1 << width) - 1
+    return _DigitTable(cells.astype(np.uint8), flips.astype(np.uint8),
+                       rotation.astype(np.uint8), digits,
+                       flip_cells.astype(np.uint8))
+
+
+@lru_cache(maxsize=None)
+def _digit_lists(d: int, width: int) -> tuple[list, ...]:
+    """`_digit_table` as Python int lists, for the scalar maps."""
+    return tuple(a.tolist() for a in _digit_table(d, width))
 
 
 _ADDRESS_RE = re.compile(r"^\d+(\.\d+)*$")
@@ -236,28 +303,44 @@ def point_to_address(pt: CubePoint, depth: int) -> CellAddress:
     p = pt.precision
     if p < depth:
         raise PrecisionError(f"point precision {p} < depth {depth}")
-    state = OrientationState.identity(pt.dimension)
+    d = pt.dimension
+    if d > MAX_DIMENSION:
+        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
+    mantissas = [c.mantissa for c in pt.coords]
+    rotation = flips = 0
     digits = []
-    for k in range(1, depth + 1):
-        octant = 0
-        for a, c in enumerate(pt.coords):
-            octant |= ((c.mantissa >> (p - k)) & 1) << a
-        j = _digit_for_octant(state, octant)
-        digits.append(j)
-        state = _child_state(state, j)
-    return CellAddress(pt.dimension, tuple(digits))
+    for start, width in _steps(d, depth):
+        cells, t_flips, rotations, t_digits, flip_cells = _digit_lists(d, width)
+        low, mask = p - start - width, (1 << width) - 1
+        packed = 0
+        for axis, m in enumerate(mantissas):
+            packed |= ((m >> low) & mask) << (axis * width)
+        word = t_digits[(packed ^ flip_cells[flips]) * d + rotation]
+        key = word * d + rotation
+        flips ^= t_flips[key]
+        rotation = rotations[key]
+        digits.extend((word >> (d * k)) & ((1 << d) - 1)
+                      for k in reversed(range(width)))
+    return CellAddress(d, tuple(digits))
 
 
 def address_to_rect(a: CellAddress) -> DyadicRect:
     """The half-open cube cell named by the address; side 2**-depth."""
     d = a.dimension
-    state = OrientationState.identity(d)
     mant = [0] * d
-    for j in a.digits:
-        octant = _child_octant(state, j)
+    rotation = flips = 0
+    for start, width in _steps(d, a.depth):
+        cells, t_flips, rotations, _, flip_cells = _digit_lists(d, width)
+        word = 0
+        for j in a.digits[start:start + width]:
+            word = (word << d) | j
+        key = word * d + rotation
+        packed = cells[key] ^ flip_cells[flips]
+        mask = (1 << width) - 1
         for axis in range(d):
-            mant[axis] = (mant[axis] << 1) | ((octant >> axis) & 1)
-        state = _child_state(state, j)
+            mant[axis] = (mant[axis] << width) | ((packed >> (axis * width)) & mask)
+        flips ^= t_flips[key]
+        rotation = rotations[key]
     lower = CubePoint(tuple(UnitScalar(m, a.depth) for m in mant))
     return DyadicRect(lower, (a.depth,) * d)
 
@@ -322,42 +405,52 @@ def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoin
     return inverse_map(t, target_depth, target_dimension)
 
 
+def _spread(cells: np.ndarray, width: int, depth: int, d: int) -> np.ndarray:
+    """Packed table cells as uint64, axis a's bits moved to bit a * depth."""
+    cells = cells.astype(np.uint64)
+    out = np.zeros_like(cells)
+    mask = np.uint64((1 << width) - 1)
+    for axis in range(d):
+        out |= ((cells >> np.uint64(axis * width)) & mask) << np.uint64(axis * depth)
+    return out
+
+
 def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.ndarray:
     """Vectorized inverse over depth-n segment cell indices.
 
     Returns an (N, d) uint64 array of lower-corner mantissas at precision
     `depth` per coordinate.  Must agree with inverse_map on every index;
-    requires dimension * depth <= 64.
+    requires dimension * depth <= 64.  All coordinates build up in one
+    uint64 per index, axis a in bits a*depth .. (a+1)*depth - 1, one
+    table lookup per step of `_steps`.
     """
     d = dimension
     if not 1 <= d <= MAX_DIMENSION:
         raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
     if d * depth > 64:
         raise PrecisionError("dimension * depth must be <= 64 for batch use")
-    gc, entry, direction = _tables(d)
-    gc_a = np.array(gc, dtype=np.uint64)
-    entry_a = np.array(entry, dtype=np.uint64)
-    dir_a = np.array(direction, dtype=np.uint64)
-    mask = np.uint64((1 << d) - 1)
-    du = np.uint64(d)
-
-    q = np.asarray(indices, dtype=np.uint64)
-    e = np.zeros_like(q)
-    r = np.zeros_like(q)
-    coords = np.zeros((d, q.shape[0]), dtype=np.uint64)
-
-    def rot_left(x, s):
-        s = s % du
-        return ((x << s) | (x >> (du - s))) & mask
-
-    one = np.uint64(1)
-    for k in range(depth):
-        shift = np.uint64(d * (depth - 1 - k))
-        w = (q >> shift) & mask
-        s = (r + one) % du
-        octant = rot_left(gc_a[w], s) ^ e
-        e = e ^ rot_left(entry_a[w], s)
-        r = (r + dir_a[w] + one) % du
-        for axis in range(d):
-            coords[axis] = (coords[axis] << one) | ((octant >> np.uint64(axis)) & one)
+    # A signed view keeps the table keys in intp; an arithmetic shift
+    # followed by the mask still reads the right digits.
+    q = np.asarray(indices, dtype=np.uint64).view(np.int64)
+    acc = np.zeros(q.shape, dtype=np.uint64)
+    # flips are kept spread as one bit per axis at bit a * depth, so that
+    # multiplying by 2**width - 1 repeats each flip over a step's bits
+    spread = {}
+    rotation = flips = 0
+    for start, width in _steps(d, depth):
+        table = _digit_table(d, width)
+        if width not in spread:
+            spread[width] = (_spread(table.cells, width, depth, d),
+                             _spread(table.flips, 1, depth, d))
+        cells, flip_bits = spread[width]
+        word = (q >> (d * (depth - start - width))) & ((1 << (d * width)) - 1)
+        key = word * d + rotation
+        acc = (acc << np.uint64(width)) | (
+            cells[key] ^ (flips * np.uint64((1 << width) - 1)))
+        flips = flips ^ flip_bits[key]
+        rotation = table.rotations[key]
+    coords = np.empty((d, q.shape[0]), dtype=np.uint64)
+    mask = np.uint64((1 << depth) - 1)
+    for axis in range(d):
+        coords[axis] = (acc >> np.uint64(axis * depth)) & mask
     return coords.T

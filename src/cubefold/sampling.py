@@ -10,6 +10,7 @@ quantile is exact wherever the inputs are.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,14 +164,35 @@ class DistributionSpec:
             )
         return self._tables
 
-    def quantile_batch(self, u: np.ndarray) -> np.ndarray:
-        """Float counterpart of `quantile`, vectorized over u in (0, 1)."""
+    def cell_elements(self, cells: np.ndarray, depth: int) -> np.ndarray:
+        """Index of the CDF element holding each depth-n cell's midpoint.
+
+        The midpoint of cell c is (2c + 1) / 2**(depth + 1); element i
+        holds it iff it is the first with c <= c_i, where c_i is the
+        largest c whose midpoint is <= F at the element's top.  The
+        choice is exact in integers for uint64 cells, up to depth 64.
+        """
+        limits = [math.floor(e[4] * (1 << depth) - Fraction(1, 2))
+                  for e in self._events]
+        never = sum(1 for c in limits if c < 0)
+        bounds = np.array(limits[never:], dtype=np.uint64)
+        return np.searchsorted(bounds, cells, side="left") + never
+
+    def quantile_batch(self, u: np.ndarray,
+                       element: np.ndarray | None = None) -> np.ndarray:
+        """Float counterpart of `quantile`, vectorized over u in (0, 1).
+
+        `element` names the CDF element each u falls in, when the caller
+        has chosen it exactly (see `cell_elements`); otherwise it is found
+        by comparing u with the float CDF values, and u must lie in (0, 1).
+        """
         f_hi, f_lo, loc, slope = self._batch_tables()
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0) or np.any(u >= 1):
-            raise RangeError("quantile arguments must be in (0, 1)")
-        idx = np.searchsorted(f_hi, u, side="left")
-        return loc[idx] + (u - f_lo[idx]) * slope[idx]
+        if element is None:
+            if np.any(u <= 0) or np.any(u >= 1):
+                raise RangeError("quantile arguments must be in (0, 1)")
+            element = np.searchsorted(f_hi, u, side="left")
+        return loc[element] + (u - f_lo[element]) * slope[element]
 
     @classmethod
     def from_dict(cls, doc: dict, name: str = "") -> "DistributionSpec":
@@ -252,7 +274,9 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
 
     Per draw: one n*depth-bit uniform scalar is split into n coordinates
     and each coordinate is pushed through its spec's quantile, evaluated
-    at the open-cell midpoint so the argument stays inside (0, 1).
+    at the open-cell midpoint so the argument stays inside (0, 1).  The
+    CDF element is chosen from the integer cell; only the interpolation
+    inside it is float, so a midpoint that rounds to 1.0 is still valid.
     Chunk streams derive from the seed by counter, not scheduling order.
     """
     specs = tuple(specs)
@@ -281,8 +305,10 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
         rng = np.random.default_rng(child)
         q = _draw_bits(rng, n * depth, size)
         coords = inverse_map_batch(q, depth, n)
-        for axis in range(n):
-            u = coords[:, axis].astype(float) * scale + half_cell
-            out[start:start + size, axis] = specs[axis].quantile_batch(u)
+        for axis, spec in enumerate(specs):
+            cells = coords[:, axis]
+            u = cells.astype(float) * scale + half_cell
+            out[start:start + size, axis] = spec.quantile_batch(
+                u, spec.cell_elements(cells, depth))
         start += size
     return SampleBatch(out, seed, depth, specs)

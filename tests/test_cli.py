@@ -88,6 +88,21 @@ def test_verify_uniformity_records_seed(capsys):
     assert record["seed"] == 7 and record["passed"]
 
 
+@pytest.mark.parametrize("flags", [["-d", "3"], ["-d", "1"], ["-n", "8"],
+                                   ["-d", "2", "-n", "6"]])
+def test_verify_uniformity_rejects_dimension_and_depth(capsys, flags):
+    code, out, err = run(capsys, "verify", "uniformity", "-N", "30000",
+                         "-k", "8", *flags)
+    assert code == 2 and not out
+    assert "uniformity" in err
+
+
+def test_verify_suites_default_depth_6(capsys):
+    code, out, _ = run(capsys, "verify", "cells", "-d", "1")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["scope"] == "exhaustive d=1 depth=6"
+
+
 def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cubefold.curve import (
     CellAddress,
@@ -19,7 +20,13 @@ from cubefold.curve import (
     parse_interval,
     point_to_address,
 )
-from cubefold.dyadic import PrecisionError, RangeError, UnitScalar, make_point
+from cubefold.dyadic import (
+    CubePoint,
+    PrecisionError,
+    RangeError,
+    UnitScalar,
+    make_point,
+)
 from helpers import brute_force_cells, brute_force_locate
 
 
@@ -101,6 +108,8 @@ def test_point_to_address_matches_brute_force_depth2():
 def test_point_to_address_needs_precision():
     with pytest.raises(PrecisionError):
         point_to_address(make_point([1, 1], 2), 3)
+    with pytest.raises(RangeError):
+        point_to_address(make_point([0] * 9, 1), 1)
 
 
 def test_address_to_rect_examples():
@@ -138,12 +147,19 @@ def test_address_interval_exhaustive_roundtrip(d, max_depth):
 
 
 def test_cells_match_brute_force_enumeration():
-    for d, depth in [(1, 5), (2, 4), (3, 3)]:
+    # every d; where a table step holds several digits, the depth also
+    # takes a shorter last step
+    for d, depth in [(1, 5), (1, 9), (2, 4), (2, 6), (3, 3), (4, 3), (5, 2),
+                     (6, 2), (7, 1), (8, 1)]:
         cells = brute_force_cells(d, depth)
         for digits, corner in cells.items():
             rect = address_to_rect(CellAddress(d, digits))
             assert tuple(c.mantissa for c in rect.lower.coords) == corner
             assert point_to_address(rect.lower, depth).digits == digits
+        indices = [sum(j << (d * (depth - 1 - k)) for k, j in enumerate(digits))
+                   for digits in cells]
+        batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
+        assert list(map(tuple, batch.tolist())) == list(cells.values())
 
 
 @pytest.mark.parametrize("d,depth", [(1, 6), (2, 6), (3, 4)])
@@ -231,13 +247,45 @@ def test_inverse_map_needs_precision():
 
 def test_batch_matches_scalar():
     rng = random.Random(7)
-    for d in (1, 2, 3, 5, 8):
-        depth = min(4, 64 // d)
+    for d, depth in [(1, 4), (2, 4), (3, 4), (5, 4), (8, 4), (1, 64), (2, 32),
+                     (3, 21), (4, 16), (8, 8)]:
         qs = [rng.randrange((1 << d) ** depth) for _ in range(50)]
         batch = inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d)
         for q, row in zip(qs, batch):
             pt = inverse_map(UnitScalar(q, d * depth), depth, d)
             assert tuple(c.mantissa for c in pt.coords) == tuple(int(v) for v in row)
+
+
+def _segment_cells():
+    # d, depth <= 64 // d, and 64-bit words whose top d * depth bits are
+    # segment cell indices
+    return st.integers(1, 8).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(0, 64 // d),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_cells())
+@example((1, 64, [0, 2**64 - 1]))
+@example((2, 32, [2**64 - 1, 2**63]))
+@example((3, 21, [2**64 - 1, 2**63]))
+@example((4, 16, [2**64 - 1]))
+@example((8, 8, [2**64 - 1, 2**56]))
+def test_batch_scalar_and_forward_maps_agree(case):
+    d, depth, words = case
+    bits = d * depth
+    indices = [w >> (64 - bits) for w in words]
+    batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
+    for q, row in zip(indices, batch.tolist()):
+        pt = inverse_map(UnitScalar(q, bits), depth, d)
+        assert [c.mantissa for c in pt.coords] == row
+        cell = interval_to_address(SegmentInterval(d, depth, q))
+        assert point_to_address(pt, depth) == cell
+        # a point inside the cell, off its lower corner, lies in it too
+        low = random.Random(q).getrandbits
+        inner = CubePoint(tuple(UnitScalar((m << 5) | low(5), depth + 5)
+                                for m in row))
+        assert point_to_address(inner, depth) == cell
 
 
 def test_compose_identity_at_cell_level():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubefold import sampling
 from cubefold.curve import forward_map
 from cubefold.dyadic import PrecisionError, RangeError, UnitScalar
 from cubefold.sampling import (
@@ -128,6 +129,14 @@ def test_quantile_batch_matches_scalar():
         batch = spec.quantile_batch(np.array([float(u) for u in us]))
         for u, b in zip(us, batch):
             assert abs(float(spec.quantile(u)) - b) < 1e-9
+        # elements chosen exactly from depth-n cells, top cells included
+        for depth in (8, 64):
+            cells = [rng.getrandbits(depth) for _ in range(50)] + [2**depth - 1]
+            mids = [Fraction(2 * c + 1, 2 ** (depth + 1)) for c in cells]
+            element = spec.cell_elements(np.array(cells, dtype=np.uint64), depth)
+            batch = spec.quantile_batch([float(m) for m in mids], element)
+            for m, b in zip(mids, batch):
+                assert abs(float(spec.quantile(m)) - b) < 1e-9
 
 
 def test_validation_names_offending_field():
@@ -244,6 +253,20 @@ def test_pairwise_independence_contingency_4x4():
             table[i, j] = np.sum((bins[:, 0] == i) & (bins[:, 1] == j))
     stat, dof = chi_squared_contingency(table)
     assert dof == 9 and stat < chi2_threshold(9, 0.999)
+
+
+@pytest.mark.parametrize("spec,cell", [
+    (UNIFORM, 2**64 - 1), (COIN, 2**64 - 1), (UNIFORM, 2**64 - 2**10),
+    # the float midpoint 1/2 + 2**-65 rounds onto the coin's boundary
+    (COIN, 2**63),
+], ids=["uniform-top", "coin-top", "uniform-top-2^10", "coin-half"])
+def test_sample_independent_cell_midpoint_rounding(monkeypatch, spec, cell):
+    monkeypatch.setattr(sampling, "_draw_bits", lambda rng, nbits, size:
+                        np.full(size, cell, dtype=np.uint64))
+    batch = sample_independent(0, 3, [spec])
+    assert batch.depth == 64
+    expect = float(spec.quantile(Fraction(2 * cell + 1, 2**65)))
+    assert batch.samples[:, 0].tolist() == [expect] * 3
 
 
 def test_sample_batch_deterministic_and_csv():
