@@ -20,8 +20,6 @@ from .dyadic import (
     RangeError,
     UnitScalar,
     is_on_grid,
-    make_scalar,
-    refine,
 )
 from .measure import (
     CellUnion,
@@ -33,8 +31,6 @@ from .measure import (
 from .sampling import (
     DistributionSpec,
     SampleBatch,
-    cdf_eval,
-    quantile,
     sample_independent,
     split_uniform,
 )

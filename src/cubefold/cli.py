@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,42 +28,8 @@ from .dyadic import (
 from .measure import CellUnion, VerificationReport, pushforward
 from .sampling import DistributionSpec, SpecValidationError, sample_independent
 
-PRECISION_ENV = "CUBEFOLD_PRECISION"
 SUITES = ("cells", "adjacency", "roundtrip", "measure", "uniformity")
 VERIFY_DEPTH = 6
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation settings shared by the command handlers."""
-
-    command: str
-    dimension: int = 2
-    depth: int | None = 1
-    precision: int = 64
-    seed: int = 0
-    sample_count: int = 0
-    grid_size: int = 16
-    input_path: str | None = None
-    output_path: str | None = None
-    output_format: str = "csv"
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls(command=args.command, precision=_default_precision())
-        for field, attr in (("dimension", "dimension"), ("depth", "depth"),
-                            ("seed", "seed"), ("sample_count", "samples"),
-                            ("sample_count", "draws"), ("grid_size", "grid"),
-                            ("input_path", "spec"), ("output_path", "output")):
-            if hasattr(args, attr):
-                setattr(cfg, field, getattr(args, attr))
-        if cfg.command in ("map", "unmap"):
-            cfg.precision = max(cfg.precision, cfg.dimension * cfg.depth)
-        return cfg
-
-
-def _default_precision() -> int:
-    return int(os.environ.get(PRECISION_ENV, "64"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,14 +77,11 @@ def _parse_point(tokens, dimension, depth) -> CubePoint:
             f"expected {dimension} coordinates, got {len(tokens)}"
         )
     coords = [parse_scalar(t) for t in tokens]
-    floor = depth
-    if PRECISION_ENV in os.environ:
-        floor = max(floor, _default_precision())
-    precision = max(max(c.precision for c in coords), floor)
+    precision = max(max(c.precision for c in coords), depth)
     return CubePoint(tuple(c.refine(precision) for c in coords))
 
 
-def _parse_segment_value(text, dimension, depth) -> UnitScalar:
+def _parse_segment_value(text, dimension) -> UnitScalar:
     try:
         iv = curve.parse_interval(text, dimension)
         return iv.left()
@@ -128,49 +90,50 @@ def _parse_segment_value(text, dimension, depth) -> UnitScalar:
     return parse_scalar(text)
 
 
-def _cmd_map(cfg: RunConfig, args) -> int:
-    pt = _parse_point(args.coords, cfg.dimension, cfg.depth)
-    if pt.precision < cfg.precision:
-        pt = pt.refine(cfg.precision)
-    t = curve.forward_map(pt, cfg.depth)
-    base = 1 << cfg.dimension
-    print(f"{t.mantissa}/{base}^{cfg.depth} ({float(t)!r})")
+def _cmd_map(args) -> int:
+    pt = _parse_point(args.coords, args.dimension, args.depth)
+    t = curve.forward_map(pt, args.depth)
+    base = 1 << args.dimension
+    print(f"{t.mantissa}/{base}^{args.depth} ({float(t)!r})")
     return 0
 
 
-def _cmd_unmap(cfg: RunConfig, args) -> int:
-    t = _parse_segment_value(args.value, cfg.dimension, cfg.depth)
-    bits = cfg.dimension * cfg.depth
+def _cmd_unmap(args) -> int:
+    t = _parse_segment_value(args.value, args.dimension)
+    bits = args.dimension * args.depth
     if t.precision < bits:
         t = t.refine(bits)
-    pt = curve.inverse_map(t, cfg.depth, cfg.dimension)
+    pt = curve.inverse_map(t, args.depth, args.dimension)
     exact = " ".join(format_scalar(c) for c in pt.coords)
     approx = " ".join(repr(float(c)) for c in pt.coords)
     print(f"{exact} ({approx})")
     return 0
 
 
-def _suite_cells(d, depth, seed):
-    failures = 0
-    base = 1 << d
-    for q in range(base ** depth):
-        iv = curve.SegmentInterval(d, depth, q)
-        addr = curve.interval_to_address(iv)
-        if curve.address_to_interval(addr).index != q:
-            failures += 1
-            continue
-        rect = curve.address_to_rect(addr)
-        if rect.volume() != iv.length():
-            failures += 1
+def _cell_corners(d, depth):
+    """Lower corners of every depth-n cube cell, in segment order, as int64.
+
+    The batch kernel's limits are checked before the index range is built.
+    """
+    curve._check_batch(depth, d)
+    idx = np.arange(1 << (d * depth), dtype=np.uint64)
+    return curve.inverse_map_batch(idx, depth, d).astype(np.int64)
+
+
+def _suite_cells(d, depth):
+    # Corners lie on the 2^depth grid, which has exactly as many points as
+    # there are segment cells, so distinct corners make the map a bijection
+    # between equal-measure cells.
+    corners = _cell_corners(d, depth)
+    hits = np.bincount(np.ravel_multi_index(corners.T, (1 << depth,) * d),
+                       minlength=len(corners))
+    collisions = len(corners) - np.count_nonzero(hits)
     yield VerificationReport.from_statistic(
-        "cells", f"exhaustive d={d} depth={depth}", failures, 0)
+        "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
 
 
-def _suite_adjacency(d, depth, seed):
-    base = 1 << d
-    idx = np.arange(base ** depth, dtype=np.uint64)
-    corners = curve.inverse_map_batch(idx, depth, d).astype(np.int64)
-    diff = np.abs(np.diff(corners, axis=0))
+def _suite_adjacency(d, depth):
+    diff = np.abs(np.diff(_cell_corners(d, depth), axis=0))
     violations = int(np.count_nonzero(diff.sum(axis=1) != 1))
     yield VerificationReport.from_statistic(
         "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
@@ -219,24 +182,20 @@ def _suite_measure(d, depth, seed, unions=200):
         yield measure.rect_measure_check(half, min(depth, 6))
 
 
-def _suite_uniformity(cfg):
-    yield measure.monte_carlo_uniformity(cfg.sample_count, cfg.grid_size,
-                                         cfg.seed)
-
-
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     if args.suite == "uniformity":
         # the audit bins the 2-D map at a depth chosen from -k
-        if cfg.dimension != 2 or cfg.depth is not None:
+        if args.dimension != 2 or args.depth is not None:
             raise ValueError("verify uniformity audits d=2 at its own depth; "
                              "it takes no -n and no -d other than 2")
-        reports = _suite_uniformity(cfg)
+        reports = [measure.monte_carlo_uniformity(args.samples, args.grid,
+                                                  args.seed)]
     else:
-        depth = VERIFY_DEPTH if cfg.depth is None else cfg.depth
+        depth = VERIFY_DEPTH if args.depth is None else args.depth
         suite = {"cells": _suite_cells, "adjacency": _suite_adjacency,
-                 "roundtrip": _suite_roundtrip,
-                 "measure": _suite_measure}[args.suite]
-        reports = suite(cfg.dimension, depth, cfg.seed)
+                 "roundtrip": partial(_suite_roundtrip, seed=args.seed),
+                 "measure": partial(_suite_measure, seed=args.seed)}[args.suite]
+        reports = suite(args.dimension, depth)
     all_pass = True
     for report in reports:
         print(report.to_json())
@@ -257,12 +216,11 @@ def _load_specs(path):
             for i, e in enumerate(entries)]
 
 
-def _cmd_sample(cfg: RunConfig, args) -> int:
-    specs = _load_specs(cfg.input_path)
-    batch = sample_independent(cfg.seed, cfg.sample_count, specs,
-                               depth=args.depth)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", newline="") as fh:
+def _cmd_sample(args) -> int:
+    specs = _load_specs(args.spec)
+    batch = sample_independent(args.seed, args.draws, specs, depth=args.depth)
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             batch.write_csv(fh)
     else:
         batch.write_csv(sys.stdout)
@@ -273,15 +231,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
         if args.command == "map":
-            return _cmd_map(cfg, args)
+            return _cmd_map(args)
         if args.command == "unmap":
-            return _cmd_unmap(cfg, args)
+            return _cmd_unmap(args)
         if args.command == "verify":
-            return _cmd_verify(cfg, args)
+            return _cmd_verify(args)
         if args.command == "sample":
-            return _cmd_sample(cfg, args)
+            return _cmd_sample(args)
     except (SpecValidationError, PrecisionError, RangeError, ValueError,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -415,6 +415,13 @@ def _spread(cells: np.ndarray, width: int, depth: int, d: int) -> np.ndarray:
     return out
 
 
+def _check_batch(depth: int, d: int) -> None:
+    if not 1 <= d <= MAX_DIMENSION:
+        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
+    if d * depth > 64:
+        raise PrecisionError("dimension * depth must be <= 64 for batch use")
+
+
 def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.ndarray:
     """Vectorized inverse over depth-n segment cell indices.
 
@@ -425,10 +432,7 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     table lookup per step of `_steps`.
     """
     d = dimension
-    if not 1 <= d <= MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
-    if d * depth > 64:
-        raise PrecisionError("dimension * depth must be <= 64 for batch use")
+    _check_batch(depth, d)
     # A signed view keeps the table keys in intp; an arithmetic shift
     # followed by the mask still reads the right digits.
     q = np.asarray(indices, dtype=np.uint64).view(np.int64)

@@ -84,15 +84,6 @@ class UnitScalar:
         return format_scalar(self)
 
 
-def make_scalar(mantissa: int, precision: int) -> UnitScalar:
-    """Construct the exact value mantissa / 2**precision in [0, 1)."""
-    return UnitScalar(mantissa, precision)
-
-
-def refine(s: UnitScalar, new_precision: int) -> UnitScalar:
-    return s.refine(new_precision)
-
-
 _RATIONAL_RE = re.compile(r"^(\d+)/2\^(\d+)$")
 _BINARY_RE = re.compile(r"^0b0\.([01]*)$")
 
@@ -165,7 +156,8 @@ class DyadicRect:
         for c, k in zip(self.lower.coords, self.side_exponents):
             if k < 0:
                 raise RangeError(f"side exponent {k} must be >= 0")
-            if c.as_fraction() + Fraction(1, 1 << k) > 1:
+            # x + 2^-k > 1, in integers: m * 2^k + 2^p > 2^(p + k)
+            if (c.mantissa << k) + (1 << c.precision) > 1 << (c.precision + k):
                 raise RangeError("box must be contained in [0,1)^d")
 
     @property

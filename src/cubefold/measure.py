@@ -21,7 +21,6 @@ from .curve import (
     SegmentInterval,
     address_to_interval,
     inverse_map_batch,
-    interval_to_address,
     point_to_address,
 )
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar
@@ -77,10 +76,8 @@ class CellUnion:
         if self.space == SEGMENT:
             rest = frozenset(range(total)) - self.members
             return CellUnion(SEGMENT, self.dimension, self.depth, rest)
-        everything = {
-            interval_to_address(SegmentInterval(self.dimension, self.depth, q)).digits
-            for q in range(total)
-        }
+        everything = itertools.product(range(1 << self.dimension),
+                                       repeat=self.depth)
         return CellUnion(CUBE, self.dimension, self.depth,
                          frozenset(everything) - self.members)
 

@@ -214,14 +214,6 @@ class DistributionSpec:
         return doc
 
 
-def cdf_eval(spec: DistributionSpec, t) -> Fraction:
-    return spec.cdf(t)
-
-
-def quantile(spec: DistributionSpec, u) -> Fraction:
-    return spec.quantile(u)
-
-
 def split_uniform(u: UnitScalar, n: int, depth: int) -> CubePoint:
     """Split one uniform scalar into n coordinates via the inverse map."""
     if not 1 <= n <= MAX_DIMENSION:
@@ -252,8 +244,8 @@ class SampleBatch:
     def write_csv(self, fileobj):
         writer = csv.writer(fileobj)
         writer.writerow(self.column_names())
-        for row in self.samples:
-            writer.writerow([repr(float(v)) for v in row])
+        # csv writes a float as its repr, which reads back bit-exactly
+        writer.writerows(self.samples.tolist())
 
 
 _CHUNK = 1 << 15

@@ -9,41 +9,17 @@ dependency beyond the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BinnedCounts:
-    """Observed counts over a fixed binning; shape () means flat."""
-
-    counts: tuple[int, ...]
-    shape: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if len(self.counts) == 0:
-            raise ValueError("need at least one bin")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-        if self.shape and math.prod(self.shape) != len(self.counts):
-            raise ValueError("shape does not match count vector")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def chi_squared(observed, expected) -> tuple[float, int]:
     """Pearson statistic sum (obs-exp)^2/exp and dof = bins - 1.
 
-    `observed` is a BinnedCounts or a flat sequence; `expected` per-bin
-    values, all strictly positive, summing to the same total.
+    `observed` is a flat sequence of counts; `expected` per-bin values,
+    all strictly positive, summing to the same total.
     """
-    if isinstance(observed, BinnedCounts):
-        obs = np.asarray(observed.counts, dtype=float)
-    else:
-        obs = np.asarray(observed, dtype=float)
+    obs = np.asarray(observed, dtype=float)
     exp = np.asarray(expected, dtype=float)
     if obs.shape != exp.shape:
         raise ValueError("observed and expected must have equal length")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cubefold import curve
 from cubefold.cli import main
 
 
@@ -62,6 +63,28 @@ def test_verify_cells(capsys):
     assert code == 0
     record = json.loads(out.splitlines()[0])
     assert record["passed"] and record["name"] == "cells"
+
+
+def test_verify_cells_counts_corner_collisions(capsys, monkeypatch):
+    real = curve.inverse_map_batch
+
+    def colliding(indices, depth, dimension):
+        corners = real(indices, depth, dimension)
+        corners[7] = corners[3]
+        return corners
+
+    monkeypatch.setattr(curve, "inverse_map_batch", colliding)
+    code, out, _ = run(capsys, "verify", "cells", "-d", "2", "-n", "4")
+    assert code == 1
+    record = json.loads(out.splitlines()[0])
+    assert not record["passed"] and record["statistic"] >= 1
+
+
+def test_verify_cells_beyond_batch_precision_exits_2(capsys):
+    # 8 * 9 = 72 index bits: rejected before any cell is enumerated
+    code, out, err = run(capsys, "verify", "cells", "-d", "8", "-n", "9")
+    assert code == 2 and not out
+    assert "<= 64" in err
 
 
 def test_verify_adjacency(capsys):
@@ -157,7 +180,8 @@ def test_sample_missing_file_exits_2(capsys):
     assert err
 
 
-def test_precision_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CUBEFOLD_PRECISION", "8")
-    code, out, _ = run(capsys, "map", "-d", "2", "-n", "2", "1/2^2", "3/2^2")
+def test_map_refines_coarse_coordinates(capsys):
+    # 1-bit coordinates at depth 2; frozen from helpers.brute_force_cells
+    code, out, _ = run(capsys, "map", "-d", "2", "-n", "2", "1/2^1", "1/2^1")
     assert code == 0
+    assert out.split()[0] == "8/4^2"

@@ -11,30 +11,28 @@ from cubefold.dyadic import (
     format_scalar,
     is_on_grid,
     make_point,
-    make_scalar,
     parse_scalar,
-    refine,
 )
 
 
 def test_make_scalar_zero():
-    assert make_scalar(0, 4).as_fraction() == 0
+    assert UnitScalar(0, 4).as_fraction() == 0
 
 
 def test_make_scalar_half():
-    assert make_scalar(8, 4).as_fraction() == Fraction(1, 2)
+    assert UnitScalar(8, 4).as_fraction() == Fraction(1, 2)
 
 
 def test_make_scalar_rejects_one():
     with pytest.raises(RangeError):
-        make_scalar(2**20, 20)
+        UnitScalar(2**20, 20)
 
 
 def test_make_scalar_rejects_negative():
     with pytest.raises(RangeError):
-        make_scalar(-1, 4)
+        UnitScalar(-1, 4)
     with pytest.raises(RangeError):
-        make_scalar(0, -1)
+        UnitScalar(0, -1)
 
 
 @pytest.mark.parametrize("m,p,q,expect", [
@@ -43,31 +41,31 @@ def test_make_scalar_rejects_negative():
     (5, 3, 6, (40, 6)),
 ])
 def test_refine_examples(m, p, q, expect):
-    s = refine(make_scalar(m, p), q)
+    s = UnitScalar(m, p).refine(q)
     assert (s.mantissa, s.precision) == expect
 
 
 def test_refine_rejects_precision_decrease():
     with pytest.raises(PrecisionError):
-        refine(make_scalar(1, 3), 2)
+        UnitScalar(1, 3).refine(2)
 
 
 @given(st.integers(0, 2**12 - 1), st.integers(12, 40))
 def test_refine_preserves_value(m, q):
-    s = make_scalar(m, 12)
-    assert refine(s, q) == s
-    assert refine(s, q).as_fraction() == s.as_fraction()
+    s = UnitScalar(m, 12)
+    assert s.refine(q) == s
+    assert s.refine(q).as_fraction() == s.as_fraction()
 
 
 def test_value_equality_across_precisions():
-    assert make_scalar(1, 1) == make_scalar(2, 2) == make_scalar(4, 3)
-    assert hash(make_scalar(1, 1)) == hash(make_scalar(4, 3))
+    assert UnitScalar(1, 1) == UnitScalar(2, 2) == UnitScalar(4, 3)
+    assert hash(UnitScalar(1, 1)) == hash(UnitScalar(4, 3))
 
 
 @given(st.integers(0, 255), st.integers(0, 8), st.integers(0, 255), st.integers(0, 8))
 def test_order_is_representation_independent(m1, e1, m2, e2):
     p1, p2 = 8 + e1, 8 + e2
-    a, b = make_scalar(m1 << e1, p1), make_scalar(m2 << e2, p2)
+    a, b = UnitScalar(m1 << e1, p1), UnitScalar(m2 << e2, p2)
     assert (a < b) == (a.as_fraction() < b.as_fraction())
     assert (a == b) == (a.as_fraction() == b.as_fraction())
 
@@ -110,7 +108,7 @@ def test_is_on_grid_monotone_in_level(m, n):
 
 def test_cube_point_requires_shared_precision():
     with pytest.raises(PrecisionError):
-        CubePoint((make_scalar(1, 2), make_scalar(1, 3)))
+        CubePoint((UnitScalar(1, 2), UnitScalar(1, 3)))
 
 
 def test_rect_volume_and_containment():
@@ -123,3 +121,25 @@ def test_rect_volume_and_containment():
 def test_rect_must_fit_in_cube():
     with pytest.raises(RangeError):
         DyadicRect(make_point([3], 2), (1,))  # 3/4 + 1/2 > 1
+    with pytest.raises(RangeError):
+        DyadicRect(make_point([1, 0], 1), (0, 0))  # 1/2 + 1 > 1
+    # ending exactly at 1 fits, at every corner precision
+    DyadicRect(make_point([3], 2), (2,))
+    DyadicRect(make_point([1, 0], 1), (1, 0))
+    DyadicRect(make_point([0], 0), (0,))
+    # side exponent above the corner's precision
+    DyadicRect(make_point([1], 1), (5,))  # [1/2, 1/2 + 1/32)
+    DyadicRect(make_point([7], 3), (7,))  # ends at 7/8 + 1/128
+    with pytest.raises(RangeError):
+        DyadicRect(make_point([7], 3), (2,))  # 7/8 + 1/4 > 1
+
+
+@given(st.integers(0, 20), st.integers(0, 30), st.data())
+def test_rect_fit_matches_fraction_sum(p, k, data):
+    m = data.draw(st.integers(0, (1 << p) - 1))
+    fits = Fraction(m, 1 << p) + Fraction(1, 1 << k) <= 1
+    if fits:
+        DyadicRect(make_point([m], p), (k,))
+    else:
+        with pytest.raises(RangeError):
+            DyadicRect(make_point([m], p), (k,))

@@ -98,6 +98,7 @@ def test_complement_consistency():
     for depth in (2, 3, 4):
         cu = _random_cube_union(rng, 2, depth, rng.randint(0, 15))
         comp = cu.complement()
+        assert not comp.members & cu.members
         assert pushforward(comp).measure() == 1 - pushforward(cu).measure()
         seg = pushforward(cu)
         assert seg.complement().measure() == 1 - seg.measure()

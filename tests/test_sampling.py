@@ -12,8 +12,6 @@ from cubefold.dyadic import PrecisionError, RangeError, UnitScalar
 from cubefold.sampling import (
     DistributionSpec,
     SpecValidationError,
-    cdf_eval,
-    quantile,
     sample_independent,
     split_uniform,
 )
@@ -31,32 +29,32 @@ POINT_MASS = DistributionSpec(atoms=[("0", "1")])
 
 
 def test_cdf_uniform():
-    assert cdf_eval(UNIFORM, Fraction(3, 10)) == Fraction(3, 10)
+    assert UNIFORM.cdf(Fraction(3, 10)) == Fraction(3, 10)
 
 
 def test_cdf_point_mass_right_continuous():
-    assert cdf_eval(POINT_MASS, -1) == 0
-    assert cdf_eval(POINT_MASS, 0) == 1
+    assert POINT_MASS.cdf(-1) == 0
+    assert POINT_MASS.cdf(0) == 1
 
 
 def test_cdf_two_atoms():
-    assert cdf_eval(COIN, Fraction(1, 2)) == Fraction(1, 2)
+    assert COIN.cdf(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_quantile_uniform_is_identity():
-    assert quantile(UNIFORM, Fraction(7, 10)) == Fraction(7, 10)
+    assert UNIFORM.quantile(Fraction(7, 10)) == Fraction(7, 10)
 
 
 def test_quantile_two_atoms_sup_form():
-    assert quantile(COIN, Fraction(3, 10)) == 0
-    assert quantile(COIN, Fraction(7, 10)) == 1
-    assert quantile(COIN, Fraction(1, 2)) == 0  # plateau boundary: sup form
+    assert COIN.quantile(Fraction(3, 10)) == 0
+    assert COIN.quantile(Fraction(7, 10)) == 1
+    assert COIN.quantile(Fraction(1, 2)) == 0  # plateau boundary: sup form
 
 
 def test_quantile_rejects_endpoints():
     for u in (0, 1):
         with pytest.raises(RangeError):
-            quantile(UNIFORM, u)
+            UNIFORM.quantile(u)
 
 
 def _random_spec(rng):
@@ -280,6 +278,17 @@ def test_sample_batch_deterministic_and_csv():
     header = buf_a.getvalue().splitlines()[0]
     assert header == "uniform,coin"
     assert len(buf_a.getvalue().splitlines()) == 11
+
+
+def test_write_csv_values_are_float_repr():
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300,
+              0.1, 1 / 3, 123456789.125, -2.5]
+    batch = sampling.SampleBatch(np.array(values).reshape(-1, 2), 0, 1,
+                                 (UNIFORM, COIN))
+    buf = io.StringIO()
+    batch.write_csv(buf)
+    rows = [f"{values[i]!r},{values[i + 1]!r}" for i in range(0, 10, 2)]
+    assert buf.getvalue() == "\r\n".join(["uniform,coin"] + rows) + "\r\n"
 
 
 def test_sample_independent_rejects_excess_bits():
