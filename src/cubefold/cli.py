@@ -30,6 +30,10 @@ from .sampling import DistributionSpec, SpecValidationError, sample_independent
 
 SUITES = ("cells", "adjacency", "roundtrip", "measure", "uniformity")
 VERIFY_DEPTH = 6
+# cells * d bound of the exhaustive suites, checked before any allocation:
+# the corners and the kernel's temporaries take about 64 bytes per cell
+# coordinate, so a suite at the bound peaks near 1 GiB (d=1 depth=24)
+MAX_CELL_COORDS = 1 << 24
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,9 +117,14 @@ def _cmd_unmap(args) -> int:
 def _cell_corners(d, depth):
     """Lower corners of every depth-n cube cell, in segment order, as int64.
 
-    The batch kernel's limits are checked before the index range is built.
+    The batch kernel's limits and the cell bound are checked before the
+    index range is built.
     """
     curve._check_batch(depth, d)
+    if d << (d * depth) > MAX_CELL_COORDS:
+        raise RangeError(
+            f"d={d} depth={depth} has 2^{d * depth} cells of {d} coordinates; "
+            f"exhaustive suites take cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
     idx = np.arange(1 << (d * depth), dtype=np.uint64)
     return curve.inverse_map_batch(idx, depth, d).astype(np.int64)
 
@@ -195,7 +204,8 @@ def _cmd_verify(args) -> int:
         suite = {"cells": _suite_cells, "adjacency": _suite_adjacency,
                  "roundtrip": partial(_suite_roundtrip, seed=args.seed),
                  "measure": partial(_suite_measure, seed=args.seed)}[args.suite]
-        reports = suite(args.dimension, depth)
+        # a suite that raises part way prints no record
+        reports = list(suite(args.dimension, depth))
     all_pass = True
     for report in reports:
         print(report.to_json())

@@ -229,7 +229,7 @@ def split_uniform(u: UnitScalar, n: int, depth: int) -> CubePoint:
 class SampleBatch:
     """Per-coordinate sample columns plus the provenance to rebuild them."""
 
-    samples: np.ndarray  # shape (count, n)
+    samples: np.ndarray  # float64, shape (count, n)
     seed: int
     depth: int
     specs: tuple[DistributionSpec, ...]
@@ -237,15 +237,30 @@ class SampleBatch:
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[1] != len(self.specs):
             raise RangeError("one sample column per distribution required")
+        if self.samples.dtype != np.float64:
+            raise RangeError(f"samples must be float64, got {self.samples.dtype}")
 
     def column_names(self):
         return [s.name or f"coord{i + 1}" for i, s in enumerate(self.specs)]
 
     def write_csv(self, fileobj):
-        writer = csv.writer(fileobj)
-        writer.writerow(self.column_names())
-        # csv writes a float as its repr, which reads back bit-exactly
-        writer.writerows(self.samples.tolist())
+        """Write a header and one CSV row per draw, rows ended by CRLF.
+
+        Each value is its `repr`, which reads back bit-exactly; the bytes
+        are those `csv.writer` gives for the rows as Python floats.  Rows
+        go out in blocks of `_CHUNK`, and in each block a column formats
+        every distinct bit pattern once (bits keep 0.0 and -0.0 apart).
+        """
+        csv.writer(fileobj).writerow(self.column_names())
+        bits = self.samples.view(np.uint64)
+        for start in range(0, len(bits), _CHUNK):
+            columns = []
+            for col in bits[start:start + _CHUNK].T:
+                distinct, inverse = np.unique(col, return_inverse=True)
+                text = np.array(list(map(repr, distinct.view(float).tolist())),
+                                dtype=object)
+                columns.append(text[inverse].tolist())
+            fileobj.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 _CHUNK = 1 << 15

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +88,38 @@ def test_verify_cells_beyond_batch_precision_exits_2(capsys):
     code, out, err = run(capsys, "verify", "cells", "-d", "8", "-n", "9")
     assert code == 2 and not out
     assert "<= 64" in err
+
+
+@pytest.mark.parametrize("suite", ["cells", "adjacency"])
+@pytest.mark.parametrize("depth", ["27", "13"])
+def test_exhaustive_suites_reject_cell_bound_before_allocating(capsys, suite,
+                                                               depth):
+    # 2 * 2^26 and 2 * 2^54 cell coordinates exceed the 2^24 bound; 2^54
+    # indices once ended in a numpy MemoryError traceback
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", suite, "-d", "2", "-n", depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out
+    assert "cells * d <= 2^24" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("suite", ["cells", "adjacency"])
+@pytest.mark.parametrize("d,depth", [("2", "6"), ("3", "5"), ("8", "2")])
+def test_exhaustive_suites_pass_within_cell_bound(capsys, suite, d, depth):
+    code, out, _ = run(capsys, "verify", suite, "-d", d, "-n", depth)
+    assert code == 0
+    assert json.loads(out)["scope"] == f"exhaustive d={d} depth={depth}"
+
+
+def test_verify_usage_error_prints_no_partial_record(capsys):
+    # the measure suite's first record passes at depth 0, its second raises
+    code, out, err = run(capsys, "verify", "measure", "-d", "2", "-n", "0")
+    assert code == 2 and out == ""
+    assert "depth-0" in err
 
 
 def test_verify_adjacency(capsys):
@@ -185,3 +220,18 @@ def test_map_refines_coarse_coordinates(capsys):
     code, out, _ = run(capsys, "map", "-d", "2", "-n", "2", "1/2^1", "1/2^1")
     assert code == 0
     assert out.split()[0] == "8/4^2"
+
+
+# sha256 of `cubefold sample --spec tests/data/coin_uniform.json -N 40000
+# --seed 5`, frozen from the csv.writer.writerows writer; 40000 rows cross
+# a write block boundary.  CI checks the installed command against it too.
+COIN_UNIFORM_SHA256 = ("25228a5659e09e4f9d7c80faea052c8b"
+                       "7ceedb4e4fb94f9606244651a671ecb4")
+
+
+def test_sample_csv_bytes_frozen(tmp_path):
+    spec = Path(__file__).parent / "data" / "coin_uniform.json"
+    out = tmp_path / "out.csv"
+    assert main(["sample", "--spec", str(spec), "-N", "40000", "--seed", "5",
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COIN_UNIFORM_SHA256

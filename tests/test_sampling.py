@@ -1,4 +1,6 @@
+import csv
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubefold import sampling
 from cubefold.curve import forward_map
-from cubefold.dyadic import PrecisionError, RangeError, UnitScalar
+from cubefold.dyadic import CubePoint, PrecisionError, RangeError, UnitScalar
 from cubefold.sampling import (
     DistributionSpec,
     SpecValidationError,
@@ -289,6 +291,64 @@ def test_write_csv_values_are_float_repr():
     batch.write_csv(buf)
     rows = [f"{values[i]!r},{values[i + 1]!r}" for i in range(0, 10, 2)]
     assert buf.getvalue() == "\r\n".join(["uniform,coin"] + rows) + "\r\n"
+
+
+@st.composite
+def _sample_columns(draw, rows):
+    """A float64 sample of `rows` rows, heavily repeated values per column.
+
+    Each column draws from a small pool; the first also holds 0.0 and -0.0,
+    so bit patterns that compare equal as values must stay apart.
+    """
+    n = draw(st.integers(1, 8))
+    names = draw(st.lists(st.text(alphabet='ab ,"\'', max_size=4),
+                          min_size=n, max_size=n))
+    extremes = st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308,
+                                math.inf, -math.inf, 0.0, -0.0, 1e300])
+    pools = [[0.0, -0.0]] + [[] for _ in range(n - 1)]
+    for pool in pools:
+        pool += draw(st.lists(st.floats() | extremes, min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    samples = np.column_stack(
+        [np.array(pool)[rng.integers(0, len(pool), rows)] for pool in pools])
+    return samples, names
+
+
+@pytest.mark.parametrize("rows", [0, 1, sampling._CHUNK - 1, sampling._CHUNK,
+                                  sampling._CHUNK + 1, 2 * sampling._CHUNK + 3])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_write_csv_matches_csv_writer(rows, data):
+    samples, names = data.draw(_sample_columns(rows))
+    specs = tuple(DistributionSpec(pieces=[("0", "1", "0", "1")], name=name)
+                  for name in names)
+    batch = sampling.SampleBatch(samples, 0, 1, specs)
+    expect = io.StringIO()
+    reference = csv.writer(expect)
+    reference.writerow(batch.column_names())
+    reference.writerows(samples.tolist())
+    got = io.StringIO()
+    batch.write_csv(got)
+    assert got.getvalue().encode() == expect.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sample_cells_match_forward_map(data):
+    # a uniform variate at depth <= 52 is its exact cell midpoint, so its
+    # cell read back per axis must map forward to the n*depth-bit draw
+    n = data.draw(st.integers(1, 8))
+    depth = data.draw(st.integers(1, min(64 // n, 52)))
+    draws = data.draw(st.lists(st.integers(0, 2 ** (n * depth) - 1),
+                               min_size=1, max_size=8))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_draw_bits", lambda rng, nbits, size:
+                   np.array(draws, dtype=np.uint64))
+        batch = sample_independent(0, len(draws), [UNIFORM] * n, depth=depth)
+    for q, row in zip(draws, batch.samples.tolist()):
+        cells = [math.floor(x * 2**depth) for x in row]
+        pt = CubePoint(tuple(UnitScalar(c, depth) for c in cells))
+        assert forward_map(pt, depth) == UnitScalar(q, n * depth)
 
 
 def test_sample_independent_rejects_excess_bits():
