@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .dyadic import (
 from .measure import CellUnion, VerificationReport, pushforward
 from .sampling import DistributionSpec, SpecValidationError, sample_independent
 
-SUITES = ("cells", "adjacency", "roundtrip", "measure", "uniformity")
 VERIFY_DEPTH = 6
 # cells * d bound of the exhaustive suites, checked before any allocation:
 # the corners and the kernel's temporaries take about 64 bytes per cell
@@ -36,43 +34,23 @@ VERIFY_DEPTH = 6
 MAX_CELL_COORDS = 1 << 24
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cubefold",
-        description="Measure-preserving folding of the unit cube onto the "
-                    "unit segment.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dimension(text):
+    d = int(text)
+    if not 1 <= d <= curve.MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"dimension must be in 1..{curve.MAX_DIMENSION}, got {d}")
+    return d
 
-    p_map = sub.add_parser("map", help="map a cube point to the segment")
-    p_map.add_argument("-d", "--dimension", type=int, default=2)
-    p_map.add_argument("-n", "--depth", type=int, default=1)
-    p_map.add_argument("coords", nargs="+",
-                       help="d coordinates, each m/2^p or 0b0.bits")
 
-    p_unmap = sub.add_parser("unmap", help="map a segment value to the cube")
-    p_unmap.add_argument("-d", "--dimension", type=int, default=2)
-    p_unmap.add_argument("-n", "--depth", type=int, default=1)
-    p_unmap.add_argument("value", help="segment value, q/4^n or m/2^p")
+def _depth(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"depth must be >= 0, got {n}")
+    return n
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("-d", "--dimension", type=int, default=2)
-    p_verify.add_argument("-n", "--depth", type=int, default=None,
-                          help=f"cell depth (default {VERIFY_DEPTH}); not "
-                               "taken by uniformity")
-    p_verify.add_argument("-N", "--samples", type=int, default=1_000_000)
-    p_verify.add_argument("-k", "--grid", type=int, default=16)
-    p_verify.add_argument("--seed", type=int, default=0)
 
-    p_sample = sub.add_parser("sample", help="draw variates from a spec file")
-    p_sample.add_argument("--spec", required=True, help="JSON distribution file")
-    p_sample.add_argument("-N", "--draws", type=int, default=100)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--depth", type=int, default=None)
-    p_sample.add_argument("-o", "--output", default=None,
-                          help="CSV output path (default stdout)")
-    return parser
+# argparse names a type that fails int() in "invalid int value: ..."
+_dimension.__name__ = _depth.__name__ = "int"
 
 
 def _parse_point(tokens, dimension, depth) -> CubePoint:
@@ -87,11 +65,9 @@ def _parse_point(tokens, dimension, depth) -> CubePoint:
 
 def _parse_segment_value(text, dimension) -> UnitScalar:
     try:
-        iv = curve.parse_interval(text, dimension)
-        return iv.left()
+        return curve.parse_interval(text, dimension).left()
     except ValueError:
-        pass
-    return parse_scalar(text)
+        return parse_scalar(text)
 
 
 def _cmd_map(args) -> int:
@@ -104,9 +80,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_unmap(args) -> int:
     t = _parse_segment_value(args.value, args.dimension)
-    bits = args.dimension * args.depth
-    if t.precision < bits:
-        t = t.refine(bits)
+    t = t.refine(max(t.precision, args.dimension * args.depth))
     pt = curve.inverse_map(t, args.depth, args.dimension)
     exact = " ".join(format_scalar(c) for c in pt.coords)
     approx = " ".join(repr(float(c)) for c in pt.coords)
@@ -129,7 +103,7 @@ def _cell_corners(d, depth):
     return curve.inverse_map_batch(idx, depth, d).astype(np.int64)
 
 
-def _suite_cells(d, depth):
+def _suite_cells(d, depth, args):
     # Corners lie on the 2^depth grid, which has exactly as many points as
     # there are segment cells, so distinct corners make the map a bijection
     # between equal-measure cells.
@@ -141,33 +115,28 @@ def _suite_cells(d, depth):
         "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
 
 
-def _suite_adjacency(d, depth):
+def _suite_adjacency(d, depth, args):
     diff = np.abs(np.diff(_cell_corners(d, depth), axis=0))
     violations = int(np.count_nonzero(diff.sum(axis=1) != 1))
     yield VerificationReport.from_statistic(
         "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
 
 
-def _suite_roundtrip(d, depth, seed, trials=1000):
-    rng = random.Random(seed)
+def _suite_roundtrip(d, depth, args, trials=1000):
+    rng = random.Random(args.seed)
     bits = d * depth
     failures = 0
     for _ in range(trials):
         t = UnitScalar(rng.getrandbits(bits), bits)
-        pt = curve.inverse_map(t, depth, d)
-        cell = curve.interval_to_address(
-            curve.SegmentInterval(d, depth, t.mantissa))
-        if curve.point_to_address(pt, depth) != cell:
-            failures += 1
-        if curve.forward_map(pt, depth) != UnitScalar(t.mantissa, bits):
+        if curve.forward_map(curve.inverse_map(t, depth, d), depth) != t:
             failures += 1
     yield VerificationReport.from_statistic(
         "roundtrip", f"random d={d} depth={depth} trials={trials}",
-        failures, 0, seed)
+        failures, 0, args.seed)
 
 
-def _suite_measure(d, depth, seed, unions=200):
-    rng = random.Random(seed)
+def _suite_measure(d, depth, args, unions=200):
+    rng = random.Random(args.seed)
     base = 1 << d
     total = base ** depth
     failures = 0
@@ -184,33 +153,33 @@ def _suite_measure(d, depth, seed, unions=200):
             failures += 1
     yield VerificationReport.from_statistic(
         "measure-unions", f"random d={d} depth={depth} unions={unions}",
-        failures, 0, seed)
+        failures, 0, args.seed)
     if d == 2:
         half = DyadicRect(
             CubePoint((UnitScalar(0, 1), UnitScalar(0, 1))), (1, 0))
         yield measure.rect_measure_check(half, min(depth, 6))
 
 
+def _suite_uniformity(d, depth, args):
+    # the audit bins the 2-D map at a depth chosen from -k
+    if d != 2 or args.depth is not None:
+        raise ValueError("verify uniformity audits d=2 at its own depth; "
+                         "it takes no -n and no -d other than 2")
+    yield measure.monte_carlo_uniformity(args.samples, args.grid, args.seed)
+
+
+SUITES = {"cells": _suite_cells, "adjacency": _suite_adjacency,
+          "roundtrip": _suite_roundtrip, "measure": _suite_measure,
+          "uniformity": _suite_uniformity}
+
+
 def _cmd_verify(args) -> int:
-    if args.suite == "uniformity":
-        # the audit bins the 2-D map at a depth chosen from -k
-        if args.dimension != 2 or args.depth is not None:
-            raise ValueError("verify uniformity audits d=2 at its own depth; "
-                             "it takes no -n and no -d other than 2")
-        reports = [measure.monte_carlo_uniformity(args.samples, args.grid,
-                                                  args.seed)]
-    else:
-        depth = VERIFY_DEPTH if args.depth is None else args.depth
-        suite = {"cells": _suite_cells, "adjacency": _suite_adjacency,
-                 "roundtrip": partial(_suite_roundtrip, seed=args.seed),
-                 "measure": partial(_suite_measure, seed=args.seed)}[args.suite]
-        # a suite that raises part way prints no record
-        reports = list(suite(args.dimension, depth))
-    all_pass = True
+    depth = VERIFY_DEPTH if args.depth is None else args.depth
+    # a suite that raises part way prints no record
+    reports = list(SUITES[args.suite](args.dimension, depth, args))
     for report in reports:
         print(report.to_json())
-        all_pass = all_pass and report.passed
-    return 0 if all_pass else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _load_specs(path):
@@ -237,23 +206,59 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cubefold",
+        description="Measure-preserving folding of the unit cube onto the "
+                    "unit segment.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def cell_command(name, handler, help, depth=1, depth_help=None):
+        """A subcommand taking -d and -n, run by `handler`."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-d", "--dimension", type=_dimension, default=2)
+        p.add_argument("-n", "--depth", type=_depth, default=depth,
+                       help=depth_help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_map = cell_command("map", _cmd_map, "map a cube point to the segment")
+    p_map.add_argument("coords", nargs="+",
+                       help="d coordinates, each m/2^p or 0b0.bits")
+    p_unmap = cell_command("unmap", _cmd_unmap, "map a segment value to the cube")
+    p_unmap.add_argument("value", help="segment value, q/4^n or m/2^p")
+    p_verify = cell_command(
+        "verify", _cmd_verify, "run a verification suite", None,
+        f"cell depth (default {VERIFY_DEPTH}); not taken by uniformity")
+    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("-N", "--samples", type=int, default=1_000_000)
+    p_verify.add_argument("-k", "--grid", type=int, default=16)
+    p_verify.add_argument("--seed", type=int, default=0)
+
+    p_sample = sub.add_parser("sample", help="draw variates from a spec file")
+    p_sample.add_argument("--spec", required=True, help="JSON distribution file")
+    p_sample.add_argument("-N", "--draws", type=int, default=100)
+    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--depth", type=int, default=None)
+    p_sample.add_argument("-o", "--output", default=None,
+                          help="CSV output path (default stdout)")
+    p_sample.set_defaults(handler=_cmd_sample)
+    return parser
+
+
+# built once per process; parse_args leaves it unchanged
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        if args.command == "map":
-            return _cmd_map(args)
-        if args.command == "unmap":
-            return _cmd_unmap(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
+        return args.handler(args)
     except (SpecValidationError, PrecisionError, RangeError, ValueError,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ and the next L digits only.  Each entry holds the L corner bits of the
 child cells on every axis, as seen from the unflipped state, together
 with the flips and the rotation the state has after those digits.  A
 second table inverts the corner bits back to digits for the forward map.
+Every map walks the tables on the segment index q itself: a step over
+digits start .. start + L - 1 reads (or, forward, sets) the word
+q >> d*(depth - start - L) & (2**(d*L) - 1); digit tuples appear only
+in `interval_to_address` and `address_to_interval`.
 Every table array holds d * 2**(d*L) <= 2048 one-byte entries, far below
 a 1 MiB limit; tables are built with numpy on first use for each (d, L)
 and cached.
@@ -39,6 +43,13 @@ import numpy as np
 from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar
 
 MAX_DIMENSION = 8
+
+
+def _check_cell(d: int, depth: int) -> None:
+    if not 1 <= d <= MAX_DIMENSION:
+        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
+    if depth < 0:
+        raise RangeError("depth must be >= 0")
 
 
 def _gray(i: int) -> int:
@@ -225,8 +236,7 @@ class CellAddress:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.dimension <= MAX_DIMENSION:
-            raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
+        _check_cell(self.dimension, self.depth)
         hi = 1 << self.dimension
         for j in self.digits:
             if not 0 <= j < hi:
@@ -262,10 +272,7 @@ class SegmentInterval:
     index: int
 
     def __post_init__(self):
-        if not 1 <= self.dimension <= MAX_DIMENSION:
-            raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
-        if self.depth < 0:
-            raise RangeError("depth must be >= 0")
+        _check_cell(self.dimension, self.depth)
         if not 0 <= self.index < (1 << (self.dimension * self.depth)):
             raise RangeError(
                 f"index {self.index} out of range at depth {self.depth}"
@@ -296,55 +303,6 @@ def parse_interval(text: str, dimension: int) -> SegmentInterval:
     return SegmentInterval(dimension, depth, q)
 
 
-def point_to_address(pt: CubePoint, depth: int) -> CellAddress:
-    """Locate the unique depth-n half-open cell containing the point."""
-    if depth < 0:
-        raise RangeError("depth must be >= 0")
-    p = pt.precision
-    if p < depth:
-        raise PrecisionError(f"point precision {p} < depth {depth}")
-    d = pt.dimension
-    if d > MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
-    mantissas = [c.mantissa for c in pt.coords]
-    rotation = flips = 0
-    digits = []
-    for start, width in _steps(d, depth):
-        cells, t_flips, rotations, t_digits, flip_cells = _digit_lists(d, width)
-        low, mask = p - start - width, (1 << width) - 1
-        packed = 0
-        for axis, m in enumerate(mantissas):
-            packed |= ((m >> low) & mask) << (axis * width)
-        word = t_digits[(packed ^ flip_cells[flips]) * d + rotation]
-        key = word * d + rotation
-        flips ^= t_flips[key]
-        rotation = rotations[key]
-        digits.extend((word >> (d * k)) & ((1 << d) - 1)
-                      for k in reversed(range(width)))
-    return CellAddress(d, tuple(digits))
-
-
-def address_to_rect(a: CellAddress) -> DyadicRect:
-    """The half-open cube cell named by the address; side 2**-depth."""
-    d = a.dimension
-    mant = [0] * d
-    rotation = flips = 0
-    for start, width in _steps(d, a.depth):
-        cells, t_flips, rotations, _, flip_cells = _digit_lists(d, width)
-        word = 0
-        for j in a.digits[start:start + width]:
-            word = (word << d) | j
-        key = word * d + rotation
-        packed = cells[key] ^ flip_cells[flips]
-        mask = (1 << width) - 1
-        for axis in range(d):
-            mant[axis] = (mant[axis] << width) | ((packed >> (axis * width)) & mask)
-        flips ^= t_flips[key]
-        rotation = rotations[key]
-    lower = CubePoint(tuple(UnitScalar(m, a.depth) for m in mant))
-    return DyadicRect(lower, (a.depth,) * d)
-
-
 def address_to_interval(a: CellAddress) -> SegmentInterval:
     """Positional base-2**d reading of the digit path."""
     q = 0
@@ -370,21 +328,61 @@ def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
     The limit value lies within (2**d)**-depth of the result; refining
     the depth never moves the output by that much or more.
     """
-    return address_to_interval(point_to_address(pt, depth)).left()
+    d, p = pt.dimension, pt.precision
+    _check_cell(d, depth)
+    if p < depth:
+        raise PrecisionError(f"point precision {p} < depth {depth}")
+    mantissas = [c.mantissa for c in pt.coords]
+    rotation = flips = q = 0
+    for start, width in _steps(d, depth):
+        _, t_flips, rotations, t_digits, flip_cells = _digit_lists(d, width)
+        low, mask = p - start - width, (1 << width) - 1
+        packed = 0
+        for axis, m in enumerate(mantissas):
+            packed |= ((m >> low) & mask) << (axis * width)
+        word = t_digits[(packed ^ flip_cells[flips]) * d + rotation]
+        q |= word << (d * (depth - start - width))
+        key = word * d + rotation
+        flips ^= t_flips[key]
+        rotation = rotations[key]
+    return UnitScalar(q, d * depth)
 
 
 def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
     """Lower corner of the cube cell matched to t's segment cell."""
-    if not 1 <= dimension <= MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
-    bits = dimension * depth
+    d = dimension
+    _check_cell(d, depth)
+    bits = d * depth
     if t.precision < bits:
         raise PrecisionError(
             f"scalar precision {t.precision} < {dimension}*{depth} bits"
         )
     q = t.mantissa >> (t.precision - bits)
-    addr = interval_to_address(SegmentInterval(dimension, depth, q))
-    return address_to_rect(addr).lower
+    mant = [0] * d
+    rotation = flips = 0
+    for start, width in _steps(d, depth):
+        cells, t_flips, rotations, _, flip_cells = _digit_lists(d, width)
+        word = (q >> (d * (depth - start - width))) & ((1 << (d * width)) - 1)
+        key = word * d + rotation
+        packed = cells[key] ^ flip_cells[flips]
+        mask = (1 << width) - 1
+        for axis in range(d):
+            mant[axis] = (mant[axis] << width) | ((packed >> (axis * width)) & mask)
+        flips ^= t_flips[key]
+        rotation = rotations[key]
+    return CubePoint(tuple(UnitScalar(m, depth) for m in mant))
+
+
+def point_to_address(pt: CubePoint, depth: int) -> CellAddress:
+    """Locate the unique depth-n half-open cell containing the point."""
+    q = forward_map(pt, depth).mantissa
+    return interval_to_address(SegmentInterval(pt.dimension, depth, q))
+
+
+def address_to_rect(a: CellAddress) -> DyadicRect:
+    """The half-open cube cell named by the address; side 2**-depth."""
+    lower = inverse_map(address_to_interval(a).left(), a.depth, a.dimension)
+    return DyadicRect(lower, (a.depth,) * a.dimension)
 
 
 def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoint:
@@ -416,8 +414,7 @@ def _spread(cells: np.ndarray, width: int, depth: int, d: int) -> np.ndarray:
 
 
 def _check_batch(depth: int, d: int) -> None:
-    if not 1 <= d <= MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
+    _check_cell(d, depth)
     if d * depth > 64:
         raise PrecisionError("dimension * depth must be <= 64 for batch use")
 

@@ -20,8 +20,8 @@ from .curve import (
     CellAddress,
     SegmentInterval,
     address_to_interval,
+    forward_map,
     inverse_map_batch,
-    point_to_address,
 )
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar
 from .stats import chi2_threshold, chi_squared
@@ -155,7 +155,7 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
         pt = CubePoint(tuple(
             UnitScalar(b + o, depth) for b, o in zip(base, offsets)
         ))
-        indices.add(address_to_interval(point_to_address(pt, depth)).index)
+        indices.add(forward_map(pt, depth).mantissa)
     image = CellUnion.of_segment(d, depth, indices)
     exact = image.measure() == rect.volume()
     expected_cells = 1

@@ -30,8 +30,6 @@ class SpecValidationError(ValueError):
 
 def _as_fraction(value, field: str) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SpecValidationError(field, f"not an exact number: {value!r}") from exc
@@ -144,10 +142,8 @@ class DistributionSpec:
         u = Fraction(u)
         if not 0 < u < 1:
             raise RangeError(f"quantile argument must be in (0, 1), got {u}")
-        for kind, lo, hi, f_lo, f_hi in self._events:
+        for _, lo, hi, f_lo, f_hi in self._events:
             if f_lo < u <= f_hi:
-                if kind == "atom" or f_hi == f_lo:
-                    return lo
                 return lo + (u - f_lo) * (hi - lo) / (f_hi - f_lo)
         raise AssertionError("validated CDF must reach 1")  # pragma: no cover
 
@@ -158,7 +154,7 @@ class DistributionSpec:
                 np.array([float(e[4]) for e in ev]),           # f_hi, sorted
                 np.array([float(e[3]) for e in ev]),           # f_lo
                 np.array([float(e[1]) for e in ev]),           # location
-                np.array([0.0 if e[0] == "atom" or e[4] == e[3]
+                np.array([0.0 if e[4] == e[3]
                           else float((e[2] - e[1]) / (e[4] - e[3]))
                           for e in ev]),                       # dt/dF
             )

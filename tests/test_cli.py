@@ -1,12 +1,18 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import cubefold
 from cubefold import curve
 from cubefold.cli import main
+from cubefold.dyadic import UnitScalar
 
 
 def run(capsys, *argv):
@@ -138,6 +144,19 @@ def test_verify_roundtrip_and_measure(capsys):
             assert record["passed"]
 
 
+def test_verify_roundtrip_counts_each_failing_trial_once(capsys, monkeypatch):
+    real = curve.forward_map
+
+    def next_cell(pt, depth):
+        t = real(pt, depth)
+        return UnitScalar((t.mantissa + 1) % (1 << t.precision), t.precision)
+
+    monkeypatch.setattr(curve, "forward_map", next_cell)
+    code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "3")
+    assert code == 1
+    assert json.loads(out)["statistic"] == 1000
+
+
 def test_verify_uniformity_records_seed(capsys):
     code, out, _ = run(capsys, "verify", "uniformity", "-N", "30000",
                        "-k", "8", "--seed", "7")
@@ -235,3 +254,79 @@ def test_sample_csv_bytes_frozen(tmp_path):
     assert main(["sample", "--spec", str(spec), "-N", "40000", "--seed", "5",
                  "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COIN_UNIFORM_SHA256
+
+
+def run_exit(capsys, *argv):
+    """Like `run`, also for usage errors that argparse ends with SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["map", "1/2^1", "1/2^1"], ["unmap", "1/4^1"], ["verify", "cells"],
+    ["verify", "adjacency"], ["verify", "roundtrip"], ["verify", "measure"]],
+    ids=["map", "unmap", "cells", "adjacency", "roundtrip", "measure"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("-n", "-1", "argument -n/--depth: depth must be >= 0, got -1"),
+    ("--depth", "-3", "argument -n/--depth: depth must be >= 0, got -3"),
+    ("-d", "0", "argument -d/--dimension: dimension must be in 1..8, got 0"),
+    ("-d", "9", "argument -d/--dimension: dimension must be in 1..8, got 9")],
+    ids=["n-1", "depth-3", "d0", "d9"])
+def test_bad_dimension_or_depth_exits_2_naming_the_flag(capsys, command, flag,
+                                                        value, message):
+    code, out, err = run_exit(capsys, command[0], flag, value, *command[1:])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_non_integer_depth_keeps_argparse_message(capsys):
+    code, out, err = run_exit(capsys, "map", "-n", "abc", "0/2^1", "0/2^1")
+    assert code == 2 and out == ""
+    assert "argument -n/--depth: invalid int value: 'abc'" in err
+
+
+def _fresh(*argv):
+    """stdout and exit code of the command in a new interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cubefold.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cubefold.cli", *argv],
+                          capture_output=True, env=env, check=False)
+    return proc.returncode, proc.stdout.decode()  # CSV rows keep their CRLF
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path,
+                                                    monkeypatch):
+    main(["verify", "cells", "-d", "1", "-n", "1"])  # the parser exists now
+    capsys.readouterr()
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = str(Path(__file__).parent / "data" / "coin_uniform.json")
+    out_file = tmp_path / "f.csv"
+    sample = ["sample", "--spec", spec, "-N", "7", "--seed", "3"]
+    steps = [  # (overriding call, later call on the defaults)
+        (["verify", "cells", "-d", "1", "-n", "3"], ["verify", "cells", "-d", "1"]),
+        (sample + ["-o", str(out_file)], sample),
+        (["map", "-d", "3", "-n", "2", "1/2^2", "1/2^2", "3/2^2"],
+         ["map", "-n", "2", "1/2^2", "3/2^2"]),
+    ]
+    later = []
+    for first, second in steps:
+        assert main(first) == 0
+        capsys.readouterr()
+        later.append((main(second), capsys.readouterr().out))
+    assert built == []
+    assert json.loads(later[0][1])["scope"] == "exhaustive d=1 depth=6"
+    assert later[1][1] == out_file.read_bytes().decode()
+    assert later[2][1].split()[0].endswith("/4^2")
+    for (_, second), result in zip(steps, later):
+        assert result == _fresh(*second)

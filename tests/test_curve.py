@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cubefold import curve
 from cubefold.curve import (
     CellAddress,
     OrientationState,
@@ -105,11 +106,25 @@ def test_point_to_address_matches_brute_force_depth2():
     assert digits == (1, 2)  # one-based (2, 3), frozen from the oracle
 
 
-def test_point_to_address_needs_precision():
+def _no_walk(monkeypatch):
+    def walked(*args):
+        raise AssertionError("the table walk started before the checks")
+    monkeypatch.setattr(curve, "_steps", walked)
+
+
+def test_point_to_address_needs_precision(monkeypatch):
+    _no_walk(monkeypatch)
     with pytest.raises(PrecisionError):
         point_to_address(make_point([1, 1], 2), 3)
+    with pytest.raises(PrecisionError):
+        forward_map(make_point([1, 1, 1], 4), 5)
     with pytest.raises(RangeError):
         point_to_address(make_point([0] * 9, 1), 1)
+    with pytest.raises(RangeError, match="dimension must be in 1..8"):
+        forward_map(make_point([0] * 9, 1), 1)
+    for fn in (forward_map, point_to_address):
+        with pytest.raises(RangeError, match=r"^depth must be >= 0$"):
+            fn(make_point([1, 1], 2), -1)
 
 
 def test_address_to_rect_examples():
@@ -240,9 +255,20 @@ def test_inverse_map_cell_roundtrip_exhaustive():
             assert point_to_address(pt, depth) == expect
 
 
-def test_inverse_map_needs_precision():
+def test_inverse_map_needs_precision(monkeypatch):
+    # the origin needs no table, so it comes before the walk is disabled
+    origin = inverse_map(UnitScalar(5, 3), 0, 3)
+    assert [(c.mantissa, c.precision) for c in origin.coords] == [(0, 0)] * 3
+    _no_walk(monkeypatch)
     with pytest.raises(PrecisionError):
         inverse_map(UnitScalar(1, 3), 2, 2)
+    with pytest.raises(PrecisionError):
+        inverse_map(UnitScalar(1, 63), 8, 8)
+    with pytest.raises(RangeError, match=r"^depth must be >= 0$"):
+        inverse_map(UnitScalar(1, 4), -1, 2)
+    for dimension in (0, 9):
+        with pytest.raises(RangeError, match="dimension must be in 1..8"):
+            inverse_map(UnitScalar(0, 64), 1, dimension)
 
 
 def test_batch_matches_scalar():
