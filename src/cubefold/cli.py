@@ -66,8 +66,13 @@ def _parse_point(tokens, dimension, depth) -> CubePoint:
 def _parse_segment_value(text, dimension) -> UnitScalar:
     try:
         return curve.parse_interval(text, dimension).left()
-    except ValueError:
-        return parse_scalar(text)
+    except ValueError as exc:
+        try:
+            return parse_scalar(text)
+        except RangeError:
+            raise  # an m/2^p or binary value out of range
+        except ValueError:
+            raise exc from None
 
 
 def _cmd_map(args) -> int:
@@ -137,19 +142,13 @@ def _suite_roundtrip(d, depth, args, trials=1000):
 
 def _suite_measure(d, depth, args, unions=200):
     rng = random.Random(args.seed)
-    base = 1 << d
-    total = base ** depth
+    total = 1 << (d * depth)
     failures = 0
     for _ in range(unions):
         count = rng.randint(0, min(total, 64))
-        digits = set()
-        for _ in range(count):
-            q = rng.randrange(total)
-            digits.add(curve.interval_to_address(
-                curve.SegmentInterval(d, depth, q)).digits)
-        cu = CellUnion.of_cube(d, depth, digits)
-        image = pushforward(cu)
-        if image.measure() != cu.measure():
+        cu = CellUnion(measure.CUBE, d, depth,
+                       frozenset(rng.randrange(total) for _ in range(count)))
+        if pushforward(cu).measure() != cu.measure():
             failures += 1
     yield VerificationReport.from_statistic(
         "measure-unions", f"random d={d} depth={depth} unions={unions}",
@@ -171,9 +170,18 @@ def _suite_uniformity(d, depth, args):
 SUITES = {"cells": _suite_cells, "adjacency": _suite_adjacency,
           "roundtrip": _suite_roundtrip, "measure": _suite_measure,
           "uniformity": _suite_uniformity}
+# verify flags only some suites take: dest -> (flag, default, those suites)
+SUITE_FLAGS = {"samples": ("-N/--samples", 1_000_000, ("uniformity",)),
+               "grid": ("-k/--grid", 16, ("uniformity",)),
+               "seed": ("--seed", 0, ("roundtrip", "measure", "uniformity"))}
 
 
 def _cmd_verify(args) -> int:
+    for dest, (flag, default, suites) in SUITE_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.suite not in suites:
+            raise ValueError(f"verify {args.suite} takes no {flag}")
     depth = VERIFY_DEPTH if args.depth is None else args.depth
     # a suite that raises part way prints no record
     reports = list(SUITES[args.suite](args.dimension, depth, args))
@@ -232,9 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", _cmd_verify, "run a verification suite", None,
         f"cell depth (default {VERIFY_DEPTH}); not taken by uniformity")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("-N", "--samples", type=int, default=1_000_000)
-    p_verify.add_argument("-k", "--grid", type=int, default=16)
-    p_verify.add_argument("--seed", type=int, default=0)
+    for dest, (flag, default, suites) in SUITE_FLAGS.items():
+        p_verify.add_argument(*flag.split("/"), dest=dest, type=int, help=(
+            f"default {default}; taken by {', '.join(suites)} only"))
 
     p_sample = sub.add_parser("sample", help="draw variates from a spec file")
     p_sample.add_argument("--spec", required=True, help="JSON distribution file")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curve import (
     CellAddress,
-    SegmentInterval,
+    _check_cell,
     address_to_interval,
     forward_map,
     inverse_map_batch,
@@ -34,8 +34,9 @@ SEGMENT = "segment"
 class CellUnion:
     """Finite union of distinct same-depth cells of one space.
 
-    Cube members are zero-based digit tuples, segment members interval
-    indices; measure is exactly count * (2**d)**-depth either way.
+    Members are cell indices q < 2**(d*depth) on both sides: the segment
+    cell [q, q+1) * b**-depth, or the cube cell whose digit path, read base
+    b = 2**d, is q.  Measure is exactly count * b**-depth either way.
     """
 
     space: str
@@ -46,23 +47,22 @@ class CellUnion:
     def __post_init__(self):
         if self.space not in (CUBE, SEGMENT):
             raise RangeError(f"unknown space {self.space!r}")
-        if self.depth < 0:
-            raise RangeError("depth must be >= 0")
-        for m in self.members:
-            if self.space == CUBE:
-                CellAddress(self.dimension, m)  # validates digits
-                if len(m) != self.depth:
-                    raise RangeError("member depth mismatch")
-            else:
-                SegmentInterval(self.dimension, self.depth, m)
+        _check_cell(self.dimension, self.depth)
+        total = 1 << (self.dimension * self.depth)
+        if self.members and not 0 <= min(self.members) <= max(self.members) < total:
+            raise RangeError(f"cell index out of range at depth {self.depth}")
 
     @classmethod
     def of_cube(cls, dimension: int, depth: int, addresses) -> "CellUnion":
-        members = frozenset(
-            a.digits if isinstance(a, CellAddress) else tuple(a)
-            for a in addresses
-        )
-        return cls(CUBE, dimension, depth, members)
+        """Cube union of digit paths, each a CellAddress or a digit sequence."""
+        indices = set()
+        for a in addresses:
+            a = CellAddress(dimension,
+                            a.digits if isinstance(a, CellAddress) else tuple(a))
+            if a.depth != depth:
+                raise RangeError("member depth mismatch")
+            indices.add(address_to_interval(a).index)
+        return cls(CUBE, dimension, depth, frozenset(indices))
 
     @classmethod
     def of_segment(cls, dimension: int, depth: int, indices) -> "CellUnion":
@@ -72,31 +72,22 @@ class CellUnion:
         return Fraction(len(self.members), 1 << (self.dimension * self.depth))
 
     def complement(self) -> "CellUnion":
-        total = 1 << (self.dimension * self.depth)
-        if self.space == SEGMENT:
-            rest = frozenset(range(total)) - self.members
-            return CellUnion(SEGMENT, self.dimension, self.depth, rest)
-        everything = itertools.product(range(1 << self.dimension),
-                                       repeat=self.depth)
-        return CellUnion(CUBE, self.dimension, self.depth,
-                         frozenset(everything) - self.members)
+        rest = frozenset(range(1 << (self.dimension * self.depth))) - self.members
+        return CellUnion(self.space, self.dimension, self.depth, rest)
 
 
 def pushforward(cu: CellUnion) -> CellUnion:
-    """Image of a cube cell union on the segment, member by member.
+    """Image of a cube cell union on the segment.
 
-    Measure equality holds by construction; injectivity and the equality
-    are re-asserted rather than trusted.
+    A cube cell maps onto the segment cell with the same digit path, so
+    the image has the same indices.  Injectivity and measure equality are
+    re-asserted rather than trusted.
     """
     if cu.space != CUBE:
         raise RangeError("pushforward expects a cube-side union")
-    images = {
-        address_to_interval(CellAddress(cu.dimension, digits)).index
-        for digits in cu.members
-    }
-    if len(images) != len(cu.members):
+    out = CellUnion(SEGMENT, cu.dimension, cu.depth, cu.members)
+    if len(out.members) != len(cu.members):
         raise AssertionError("cell map failed to be injective")
-    out = CellUnion.of_segment(cu.dimension, cu.depth, images)
     if out.measure() != cu.measure():
         raise AssertionError("pushforward changed total measure")
     return out

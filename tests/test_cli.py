@@ -67,6 +67,23 @@ def test_unmap_malformed_value_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("value,message", [
+    ("16/4^2", "index 16 out of range at depth 2"),
+    ("6/8^2", "interval base 8 does not match dimension 2"),
+    ("16/2^2", "mantissa 16 out of range for precision 2")])
+def test_unmap_bad_value_keeps_its_own_error(capsys, value, message):
+    code, out, err = run(capsys, "unmap", "-d", "2", "-n", "2", value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("value", ["3/2^2", "0b0.11", "24/2^5"])
+def test_unmap_scalar_forms_match_the_interval_form(capsys, value):
+    # 3/4 is the segment cell 12/4^2
+    assert run(capsys, "unmap", "-d", "2", "-n", "2", value) == \
+        run(capsys, "unmap", "-d", "2", "-n", "2", "12/4^2")
+
+
 def test_verify_cells(capsys):
     code, out, _ = run(capsys, "verify", "cells", "-d", "2", "-n", "4")
     assert code == 0
@@ -172,6 +189,25 @@ def test_verify_uniformity_rejects_dimension_and_depth(capsys, flags):
                          "-k", "8", *flags)
     assert code == 2 and not out
     assert "uniformity" in err
+
+
+@pytest.mark.parametrize("suite,flags,flag", [
+    ("cells", ["--seed", "3"], "--seed"),
+    ("adjacency", ["--seed", "0"], "--seed"),
+    ("cells", ["-k", "5", "-N", "7"], "-N/--samples"),
+    ("adjacency", ["-k", "5"], "-k/--grid"),
+    ("roundtrip", ["-N", "7"], "-N/--samples"),
+    ("measure", ["-k", "5", "--seed", "1"], "-k/--grid")])
+def test_verify_rejects_flags_the_suite_ignores(capsys, suite, flags, flag):
+    code, out, err = run(capsys, "verify", suite, "-d", "2", "-n", "3", *flags)
+    assert code == 2 and out == ""
+    assert f"verify {suite} takes no {flag}" in err
+
+
+def test_verify_seeded_suites_default_to_seed_0(capsys):
+    for suite in ("roundtrip", "measure"):
+        assert run(capsys, "verify", suite, "-n", "3") == \
+            run(capsys, "verify", suite, "-n", "3", "--seed", "0")
 
 
 def test_verify_suites_default_depth_6(capsys):

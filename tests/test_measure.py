@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubefold.curve import SegmentInterval, interval_to_address
+from cubefold.curve import SegmentInterval, interval_to_address, inverse_map_batch
 from cubefold.dyadic import DyadicRect, RangeError, UnitScalar, make_point
 from cubefold.measure import (
+    CUBE,
+    SEGMENT,
     CellUnion,
     VerificationReport,
     _bin_counts,
@@ -15,6 +18,7 @@ from cubefold.measure import (
     rect_measure_check,
 )
 from cubefold.stats import chi2_threshold, chi_squared
+from helpers import brute_force_cells
 
 
 def _random_cube_union(rng, d, depth, count):
@@ -85,23 +89,58 @@ def test_disjoint_unions_have_disjoint_images():
         a = _random_cube_union(rng, 2, 4, 20)
         b_members = set()
         while len(b_members) < 10:
-            digits = interval_to_address(
-                SegmentInterval(2, 4, rng.randrange(256))).digits
-            if digits not in a.members:
-                b_members.add(digits)
+            q = rng.randrange(256)
+            if q not in a.members:
+                b_members.add(interval_to_address(
+                    SegmentInterval(2, 4, q)).digits)
         b = CellUnion.of_cube(2, 4, b_members)
         assert not (pushforward(a).members & pushforward(b).members)
 
 
 def test_complement_consistency():
     rng = random.Random(8)
-    for depth in (2, 3, 4):
-        cu = _random_cube_union(rng, 2, depth, rng.randint(0, 15))
+    for d, depth in itertools.product((2, 1, 3), (2, 3, 4)):
+        cu = _random_cube_union(rng, d, depth, rng.randint(0, 15))
         comp = cu.complement()
         assert not comp.members & cu.members
         assert pushforward(comp).measure() == 1 - pushforward(cu).measure()
         seg = pushforward(cu)
         assert seg.complement().measure() == 1 - seg.measure()
+
+
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 6), (2, 0), (2, 4), (3, 3),
+                                     (8, 0), (8, 1)])
+def test_pushforward_lands_on_brute_force_cells(d, depth):
+    # each image index, inverted by the batch kernel, is the lower corner
+    # that child_order recursion gives the cube cell it came from
+    cells = brute_force_cells(d, depth)
+    paths = sorted(cells)
+    rng = random.Random(d * 100 + depth)
+    for _ in range(5):
+        chosen = rng.sample(paths, rng.randint(0, min(len(paths), 40)))
+        image = pushforward(CellUnion.of_cube(d, depth, chosen))
+        indices = np.array(sorted(image.members), dtype=np.uint64)
+        corners = inverse_map_batch(indices, depth, d)
+        assert sorted(map(tuple, corners.tolist())) == \
+            sorted(cells[p] for p in chosen)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CellUnion(CUBE, 2, 2, frozenset({16})),
+    lambda: CellUnion(SEGMENT, 2, 2, frozenset({-1})),
+    lambda: CellUnion.of_segment(3, 1, [8]),
+    lambda: CellUnion.of_cube(2, 2, [(0, 4)]),
+    lambda: CellUnion.of_cube(2, 2, [(0,)]),
+    lambda: CellUnion.of_cube(2, 2, [(0, 1, 2)]),
+    lambda: CellUnion(CUBE, 0, 1, frozenset()),
+    lambda: CellUnion(SEGMENT, 9, 1, frozenset()),
+    lambda: CellUnion(CUBE, 2, -1, frozenset()),
+    lambda: CellUnion("torus", 2, 1, frozenset({0})),
+], ids=["index-16", "index-neg", "segment-index-8", "digit-4", "short-path",
+        "long-path", "d0", "d9", "depth-1", "unknown-space"])
+def test_cell_union_rejects_bad_cells(build):
+    with pytest.raises(RangeError):
+        build()
 
 
 def test_pushforward_rejects_segment_union():
