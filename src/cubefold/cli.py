@@ -28,9 +28,10 @@ from .measure import CellUnion, VerificationReport, pushforward
 from .sampling import DistributionSpec, SpecValidationError, sample_independent
 
 VERIFY_DEPTH = 6
-# cells * d bound of the exhaustive suites, checked before any allocation:
-# the corners and the kernel's temporaries take about 64 bytes per cell
-# coordinate, so a suite at the bound peaks near 1 GiB (d=1 depth=24)
+# cells * d bound of the exhaustive suites, checked before any allocation.
+# They stream the corners in blocks of curve.BLOCK cells; what grows with
+# the cell count is the one-byte-per-cell `seen` array of `cells`, 16 MiB
+# at the bound (d=1 depth=24), where a suite peaks below 50 MiB RSS
 MAX_CELL_COORDS = 1 << 24
 
 
@@ -93,36 +94,47 @@ def _cmd_unmap(args) -> int:
     return 0
 
 
-def _cell_corners(d, depth):
-    """Lower corners of every depth-n cube cell, in segment order, as int64.
+def _corner_blocks(d, depth):
+    """Lower corners of every depth-n cube cell, in segment order, as int64
+    arrays of up to curve.BLOCK cells each, computed as they are read.
 
-    The batch kernel's limits and the cell bound are checked before the
-    index range is built.
+    The batch kernel's limits and the cell bound are checked at the call,
+    before anything is allocated.
     """
     curve._check_batch(depth, d)
     if d << (d * depth) > MAX_CELL_COORDS:
         raise RangeError(
             f"d={d} depth={depth} has 2^{d * depth} cells of {d} coordinates; "
             f"exhaustive suites take cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
-    idx = np.arange(1 << (d * depth), dtype=np.uint64)
-    return curve.inverse_map_batch(idx, depth, d).astype(np.int64)
+    total = 1 << (d * depth)
+    return (curve.inverse_map_batch(
+                np.arange(lo, min(lo + curve.BLOCK, total), dtype=np.uint64),
+                depth, d).astype(np.int64)
+            for lo in range(0, total, curve.BLOCK))
 
 
 def _suite_cells(d, depth, args):
     # Corners lie on the 2^depth grid, which has exactly as many points as
     # there are segment cells, so distinct corners make the map a bijection
     # between equal-measure cells.
-    corners = _cell_corners(d, depth)
-    hits = np.bincount(np.ravel_multi_index(corners.T, (1 << depth,) * d),
-                       minlength=len(corners))
-    collisions = len(corners) - np.count_nonzero(hits)
+    blocks = _corner_blocks(d, depth)  # checks the bound before `seen`
+    seen = np.zeros(1 << (d * depth), dtype=bool)
+    for corners in blocks:
+        seen[np.ravel_multi_index(corners.T, (1 << depth,) * d)] = True
+    collisions = len(seen) - np.count_nonzero(seen)
     yield VerificationReport.from_statistic(
         "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
 
 
 def _suite_adjacency(d, depth, args):
-    diff = np.abs(np.diff(_cell_corners(d, depth), axis=0))
-    violations = int(np.count_nonzero(diff.sum(axis=1) != 1))
+    # the last corner of each block is carried into the next block's check
+    violations, last = 0, None
+    for corners in _corner_blocks(d, depth):
+        if last is not None:
+            violations += int(np.abs(corners[0] - last).sum() != 1)
+        diff = np.abs(np.diff(corners, axis=0))
+        violations += int(np.count_nonzero(diff.sum(axis=1) != 1))
+        last = corners[-1]
     yield VerificationReport.from_statistic(
         "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
 

@@ -27,7 +27,10 @@ q >> d*(depth - start - L) & (2**(d*L) - 1); digit tuples appear only
 in `interval_to_address` and `address_to_interval`.
 Every table array holds d * 2**(d*L) <= 2048 one-byte entries, far below
 a 1 MiB limit; tables are built with numpy on first use for each (d, L)
-and cached.
+and cached.  The batch kernel reads them as uint64 tables spread to the
+depth (axis a's bits at bit a * depth), cached per (d, L, depth).  Its
+consumers call it once per block of `BLOCK` indices, so that each uint64
+temporary over a block's indices takes BLOCK * 8 bytes = 128 KiB.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ import numpy as np
 from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar
 
 MAX_DIMENSION = 8
+# indices per batch-kernel call in the streaming consumers
+BLOCK = 1 << 14
 
 
 def _check_cell(d: int, depth: int) -> None:
@@ -410,7 +415,17 @@ def _spread(cells: np.ndarray, width: int, depth: int, d: int) -> np.ndarray:
     mask = np.uint64((1 << width) - 1)
     for axis in range(d):
         out |= ((cells >> np.uint64(axis * width)) & mask) << np.uint64(axis * depth)
+    out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def _spread_table(d: int, width: int, depth: int):
+    """`_digit_table(d, width)`'s cells and flips spread to `depth`, and
+    its rotations, for the batch kernel."""
+    table = _digit_table(d, width)
+    return (_spread(table.cells, width, depth, d),
+            _spread(table.flips, 1, depth, d), table.rotations)
 
 
 def _check_batch(depth: int, d: int) -> None:
@@ -436,20 +451,15 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     acc = np.zeros(q.shape, dtype=np.uint64)
     # flips are kept spread as one bit per axis at bit a * depth, so that
     # multiplying by 2**width - 1 repeats each flip over a step's bits
-    spread = {}
     rotation = flips = 0
     for start, width in _steps(d, depth):
-        table = _digit_table(d, width)
-        if width not in spread:
-            spread[width] = (_spread(table.cells, width, depth, d),
-                             _spread(table.flips, 1, depth, d))
-        cells, flip_bits = spread[width]
+        cells, flip_bits, rotations = _spread_table(d, width, depth)
         word = (q >> (d * (depth - start - width))) & ((1 << (d * width)) - 1)
         key = word * d + rotation
         acc = (acc << np.uint64(width)) | (
             cells[key] ^ (flips * np.uint64((1 << width) - 1)))
         flips = flips ^ flip_bits[key]
-        rotation = table.rotations[key]
+        rotation = rotations[key]
     coords = np.empty((d, q.shape[0]), dtype=np.uint64)
     mask = np.uint64((1 << depth) - 1)
     for axis in range(d):

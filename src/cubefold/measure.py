@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curve import (
+    BLOCK,
     CellAddress,
     _check_cell,
     address_to_interval,
@@ -181,7 +182,8 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
     Draws uniform segment scalars, inverts them into the square, bins the
     results and compares against the flat expectation.  Chunks derive
     their streams from the seed, never from scheduling order, so counts
-    are reproducible under any partitioning.
+    are reproducible under any partitioning.  Each chunk is binned in
+    blocks of `BLOCK` draws.
     """
     if grid_k < 1:
         raise RangeError("grid must be at least 1x1")
@@ -210,7 +212,9 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
             q = _draw(rng, size, depth)
         else:
             q = rng.integers(0, 1 << (2 * depth), size=size, dtype=np.uint64)
-        counts += _bin_counts(np.asarray(q, dtype=np.uint64), grid_k, depth)
+        q = np.asarray(q, dtype=np.uint64)
+        for lo in range(0, size, BLOCK):
+            counts += _bin_counts(q[lo:lo + BLOCK], grid_k, depth)
 
     if nbins == 1:
         return VerificationReport.from_statistic(

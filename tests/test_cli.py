@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cubefold
@@ -136,6 +137,41 @@ def test_exhaustive_suites_pass_within_cell_bound(capsys, suite, d, depth):
     code, out, _ = run(capsys, "verify", suite, "-d", d, "-n", depth)
     assert code == 0
     assert json.loads(out)["scope"] == f"exhaustive d={d} depth={depth}"
+
+
+@pytest.mark.parametrize("suite", ["cells", "adjacency"])
+def test_exhaustive_suites_see_the_first_cell_of_block_two(capsys, monkeypatch,
+                                                           suite):
+    # -d 2 -n 8 has 4 blocks; cell BLOCK, the first of the second block,
+    # gets the corner of cell 0
+    real = curve.inverse_map_batch
+
+    def corrupted(indices, depth, dimension):
+        corners = real(indices, depth, dimension)
+        corners[indices == curve.BLOCK] = real(np.zeros(1, np.uint64), depth,
+                                               dimension)[0]
+        return corners
+
+    monkeypatch.setattr(curve, "inverse_map_batch", corrupted)
+    code, out, _ = run(capsys, "verify", suite, "-d", "2", "-n", "8")
+    assert code == 1
+    assert json.loads(out)["statistic"] >= 1
+
+
+def test_adjacency_checks_the_step_between_blocks(capsys, monkeypatch):
+    # every cell from BLOCK on moves by the same offset, so consecutive
+    # cells still share a face everywhere except across the first block end
+    real = curve.inverse_map_batch
+
+    def shifted(indices, depth, dimension):
+        corners = real(indices, depth, dimension)
+        corners[indices >= curve.BLOCK, 0] += np.uint64(1 << depth)
+        return corners
+
+    monkeypatch.setattr(curve, "inverse_map_batch", shifted)
+    code, out, _ = run(capsys, "verify", "adjacency", "-d", "2", "-n", "8")
+    assert code == 1
+    assert json.loads(out)["statistic"] == 1
 
 
 def test_verify_usage_error_prints_no_partial_record(capsys):

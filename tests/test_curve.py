@@ -282,6 +282,23 @@ def test_batch_matches_scalar():
             assert tuple(c.mantissa for c in pt.coords) == tuple(int(v) for v in row)
 
 
+def test_batch_spread_tables_depend_on_depth():
+    # each pair shares d and so the step width L, but not the depth; the
+    # calls alternate, so tables reused across depths would show in one of
+    # them.  The first depth of each pair puts d * depth at 64.
+    rng = random.Random(11)
+    pairs = [((1, 64), (1, 16)), ((2, 32), (2, 8)), ((4, 16), (4, 5)),
+             ((8, 8), (8, 3))]
+    for _ in range(2):
+        for pair in pairs:
+            for d, depth in pair:
+                qs = [rng.randrange((1 << d) ** depth) for _ in range(16)]
+                batch = inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d)
+                for q, row in zip(qs, batch.tolist()):
+                    pt = inverse_map(UnitScalar(q, d * depth), depth, d)
+                    assert [c.mantissa for c in pt.coords] == row
+
+
 def _segment_cells():
     # d, depth <= 64 // d, and 64-bit words whose top d * depth bits are
     # segment cell indices

@@ -5,7 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubefold.curve import SegmentInterval, interval_to_address, inverse_map_batch
+from cubefold import measure
+from cubefold.curve import (
+    BLOCK,
+    SegmentInterval,
+    interval_to_address,
+    inverse_map_batch,
+)
 from cubefold.dyadic import DyadicRect, RangeError, UnitScalar, make_point
 from cubefold.measure import (
     CUBE,
@@ -220,3 +226,48 @@ def test_bin_counts_are_exactly_uniform_over_all_cells():
     assert list(counts) == [16] * 16
     stat, dof = chi_squared(counts, np.full(16, 16.0))
     assert stat == 0.0 and dof == 15
+
+
+# records of the whole-chunk binning, before it went per block: the two
+# benchmark shapes, a tail that is not a multiple of BLOCK, and 8 chunks
+FROZEN_UNIFORMITY = {
+    (250000, 16, 3): '{"name": "uniformity", "passed": true, "scope": '
+    '"N=250000 grid=16x16 depth=8", "seed": 3, "statistic": 262.792192, '
+    '"threshold": 330.51974363403815}',
+    (250000, 32, 3): '{"name": "uniformity", "passed": true, "scope": '
+    '"N=250000 grid=32x32 depth=8", "seed": 3, "statistic": 1060.125696, '
+    '"threshold": 1168.4971641798852}',
+    (300001, 8, 11): '{"name": "uniformity", "passed": true, "scope": '
+    '"N=300001 grid=8x8 depth=8", "seed": 11, "statistic": 60.04416985276716, '
+    '"threshold": 103.44237731984913}',
+    (1000000, 16, 7): '{"name": "uniformity", "passed": true, "scope": '
+    '"N=1000000 grid=16x16 depth=8", "seed": 7, "statistic": '
+    '218.42380799999998, "threshold": 330.51974363403815}',
+}
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_UNIFORMITY))
+def test_monte_carlo_records_frozen(args):
+    assert monte_carlo_uniformity(*args).to_json() == FROZEN_UNIFORMITY[args]
+
+
+@pytest.mark.parametrize("sample_count", [
+    1600, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, measure._CHUNK + 7])
+def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
+                                                             sample_count):
+    chunks, seen = [], []
+
+    def draw(rng, size, depth):
+        chunks.append(rng.integers(0, 1 << (2 * depth), size=size,
+                                   dtype=np.uint64))
+        return chunks[-1]
+
+    def recording_chi_squared(counts, expected):
+        seen.append(counts.copy())
+        return chi_squared(counts, expected)
+
+    monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
+    monte_carlo_uniformity(sample_count, 4, seed=sample_count, _draw=draw)
+    assert sum(map(len, chunks)) == sample_count
+    whole = sum(_bin_counts(q, 4, 8) for q in chunks)
+    assert len(seen) == 1 and seen[0].tolist() == whole.tolist()
