@@ -27,10 +27,18 @@ q >> d*(depth - start - L) & (2**(d*L) - 1); digit tuples appear only
 in `interval_to_address` and `address_to_interval`.
 Every table array holds d * 2**(d*L) <= 2048 one-byte entries, far below
 a 1 MiB limit; tables are built with numpy on first use for each (d, L)
-and cached.  The batch kernel reads them as uint64 tables spread to the
-depth (axis a's bits at bit a * depth), cached per (d, L, depth).  Its
-consumers call it once per block of `BLOCK` indices, so that each uint64
-temporary over a block's indices takes BLOCK * 8 bytes = 128 KiB.
+and cached.  The batch kernel builds one pair of tables per step from
+them, cached per (d, depth) and keyed by rotation * 2**(d*L) + word.  A
+uint64 `comb` entry holds the step's corner bits at their final place
+(axis a's at bit a * depth + low, low = depth - start - L) and, in the
+bits below, the flips the step adds, repeated over every later bit of
+each axis; XOR applies both.  An int64 `nxt` entry holds the next
+rotation already scaled to the next step's key.  So a step is one mask,
+one add, one XOR and two gathers on the same key, and the flips need no
+state of their own.  The tables of one (d, depth) take at most 240 KiB,
+at d=8 depth 8.  The kernel's consumers call it once per block of
+`BLOCK` indices, so that each uint64 temporary over a block's indices
+takes BLOCK * 8 bytes = 128 KiB.
 """
 
 from __future__ import annotations
@@ -415,17 +423,37 @@ def _spread(cells: np.ndarray, width: int, depth: int, d: int) -> np.ndarray:
     mask = np.uint64((1 << width) - 1)
     for axis in range(d):
         out |= ((cells >> np.uint64(axis * width)) & mask) << np.uint64(axis * depth)
-    out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
-def _spread_table(d: int, width: int, depth: int):
-    """`_digit_table(d, width)`'s cells and flips spread to `depth`, and
-    its rotations, for the batch kernel."""
-    table = _digit_table(d, width)
-    return (_spread(table.cells, width, depth, d),
-            _spread(table.flips, 1, depth, d), table.rotations)
+def _batch_steps(d: int, depth: int) -> tuple:
+    """Per-step tables of the batch kernel, one (shift, mask, comb, nxt)
+    per step of `_steps(d, depth)`.
+
+    Both tables are keyed by rotation * 2**(d*width) + word.  A `comb`
+    entry holds, in disjoint bits, the step's corner bits at their final
+    place (axis a's at bit a * depth + low, low = depth - start - width)
+    and the flips the step adds, one bit per axis times 2**low - 1, so
+    that they cover every later bit of the axis.  `nxt` holds the next
+    rotation times the next step's 2**(d*width); the last step has none.
+    """
+    steps = _steps(d, depth)
+    out = []
+    for k, (start, width) in enumerate(steps):
+        table = _digit_table(d, width)
+        rotation, word = np.divmod(np.arange(d << (d * width)), 1 << (d * width))
+        row = word * d + rotation  # the `_digit_table` index of each key
+        low = depth - start - width
+        comb = (_spread(table.cells[row], width, depth, d) << np.uint64(low)
+                | _spread(table.flips[row], 1, depth, d) * np.uint64((1 << low) - 1))
+        comb.flags.writeable = False
+        nxt = None
+        if k + 1 < len(steps):
+            nxt = table.rotations[row].astype(np.int64) << (d * steps[k + 1][1])
+            nxt.flags.writeable = False
+        out.append((d * low, (1 << (d * width)) - 1, comb, nxt))
+    return tuple(out)
 
 
 def _check_batch(depth: int, d: int) -> None:
@@ -440,26 +468,26 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     Returns an (N, d) uint64 array of lower-corner mantissas at precision
     `depth` per coordinate.  Must agree with inverse_map on every index;
     requires dimension * depth <= 64.  All coordinates build up in one
-    uint64 per index, axis a in bits a*depth .. (a+1)*depth - 1, one
-    table lookup per step of `_steps`.
+    uint64 per index, axis a in bits a*depth .. (a+1)*depth - 1.  Each
+    step of `_steps` reads its word of the index, adds the rotation key
+    the previous step left, XORs the `comb` entry of `_batch_steps` into
+    the coordinates (its corner bits, and the flips it adds to every
+    later bit) and gathers the next rotation key from `nxt`.
     """
     d = dimension
     _check_batch(depth, d)
     # A signed view keeps the table keys in intp; an arithmetic shift
-    # followed by the mask still reads the right digits.
+    # followed by the mask still reads the right digits, also on the
+    # first step when d * depth = 64.
     q = np.asarray(indices, dtype=np.uint64).view(np.int64)
     acc = np.zeros(q.shape, dtype=np.uint64)
-    # flips are kept spread as one bit per axis at bit a * depth, so that
-    # multiplying by 2**width - 1 repeats each flip over a step's bits
-    rotation = flips = 0
-    for start, width in _steps(d, depth):
-        cells, flip_bits, rotations = _spread_table(d, width, depth)
-        word = (q >> (d * (depth - start - width))) & ((1 << (d * width)) - 1)
-        key = word * d + rotation
-        acc = (acc << np.uint64(width)) | (
-            cells[key] ^ (flips * np.uint64((1 << width) - 1)))
-        flips = flips ^ flip_bits[key]
-        rotation = rotations[key]
+    key_rot = 0
+    for shift, mask, comb, nxt in _batch_steps(d, depth):
+        key = (q >> shift) & mask
+        key += key_rot
+        acc ^= comb[key]
+        if nxt is not None:
+            key_rot = nxt[key]
     coords = np.empty((d, q.shape[0]), dtype=np.uint64)
     mask = np.uint64((1 << depth) - 1)
     for axis in range(d):

@@ -35,9 +35,10 @@ SEGMENT = "segment"
 class CellUnion:
     """Finite union of distinct same-depth cells of one space.
 
-    Members are cell indices q < 2**(d*depth) on both sides: the segment
-    cell [q, q+1) * b**-depth, or the cube cell whose digit path, read base
-    b = 2**d, is q.  Measure is exactly count * b**-depth either way.
+    Members are cell indices q < 2**(d*depth), Python or numpy integers,
+    on both sides: the segment cell [q, q+1) * b**-depth, or the cube cell
+    whose digit path, read base b = 2**d, is q.  Measure is exactly
+    count * b**-depth either way.
     """
 
     space: str
@@ -49,6 +50,12 @@ class CellUnion:
         if self.space not in (CUBE, SEGMENT):
             raise RangeError(f"unknown space {self.space!r}")
         _check_cell(self.dimension, self.depth)
+        # the types first: a float passes the range check, a str or a
+        # tuple breaks it
+        for kind in set(map(type, self.members)):
+            if not issubclass(kind, (int, np.integer)):
+                bad = next(m for m in self.members if type(m) is kind)
+                raise RangeError(f"cell index {bad!r} is not an integer")
         total = 1 << (self.dimension * self.depth)
         if self.members and not 0 <= min(self.members) <= max(self.members) < total:
             raise RangeError(f"cell index out of range at depth {self.depth}")

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
-Everything here avoids the code paths under test: cell enumeration uses
-only child_order recursion, and the quantile oracle only evaluates the
-CDF forward on mesh points.
+Everything here avoids the code paths under test: cell enumeration and
+the single-cell walk use only child_order, never the digit tables or the
+maps, and the quantile oracle only evaluates the CDF forward on mesh
+points.
 """
 
 from fractions import Fraction
@@ -26,6 +27,18 @@ def brute_force_cells(d: int, depth: int) -> dict:
 
     rec(OrientationState.identity(d), [0] * d, [], 0)
     return out
+
+
+def brute_force_corner(d: int, depth: int, q: int) -> tuple:
+    """Integer lower corner (scale 2**depth) of segment cell q at `depth`,
+    by walking child_order down q's digit path, one digit per level."""
+    state = OrientationState.identity(d)
+    corner = [0] * d
+    for level in range(depth):
+        digit = (q >> (d * (depth - 1 - level))) & ((1 << d) - 1)
+        octant, state = child_order(state)[digit]
+        corner = [(c << 1) | ((octant >> a) & 1) for a, c in enumerate(corner)]
+    return tuple(corner)
 
 
 def brute_force_locate(cells: dict, point, depth: int):

@@ -28,7 +28,7 @@ from cubefold.dyadic import (
     UnitScalar,
     make_point,
 )
-from helpers import brute_force_cells, brute_force_locate
+from helpers import brute_force_cells, brute_force_corner, brute_force_locate
 
 
 def test_declared_root_table_d2():
@@ -329,6 +329,35 @@ def test_batch_scalar_and_forward_maps_agree(case):
         inner = CubePoint(tuple(UnitScalar((m << 5) | low(5), depth + 5)
                                 for m in row))
         assert point_to_address(inner, depth) == cell
+
+
+def _deep_segment_cells():
+    # depths that take three or more table steps of L = max(1, 8 // d)
+    # digits, so that a flip is carried past the next step
+    def depths(d):
+        return st.integers(2 * max(1, 8 // d) + 1, 64 // d)
+    return st.integers(1, 8).flatmap(lambda d: st.tuples(
+        st.just(d), depths(d),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_deep_segment_cells())
+@example((1, 64, [2**64 - 1, 2**63, 0x0123456789ABCDEF]))
+@example((2, 32, [2**64 - 1, 0xFEDCBA9876543210]))
+@example((3, 21, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((4, 16, [2**64 - 1, 0xFEDCBA9876543210]))
+@example((5, 12, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((8, 8, [2**64 - 1, 0xFEDCBA9876543210]))
+@example((2, 9, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((3, 7, [2**64 - 1, 0xFEDCBA9876543210]))
+def test_batch_matches_child_order_walk_over_three_or_more_steps(case):
+    d, depth, words = case
+    assert len(curve._steps(d, depth)) >= 3
+    indices = [w >> (64 - d * depth) for w in words]
+    batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
+    assert batch.tolist() == [list(brute_force_corner(d, depth, q))
+                              for q in indices]
 
 
 def test_compose_identity_at_cell_level():

@@ -142,11 +142,25 @@ def test_pushforward_lands_on_brute_force_cells(d, depth):
     lambda: CellUnion(SEGMENT, 9, 1, frozenset()),
     lambda: CellUnion(CUBE, 2, -1, frozenset()),
     lambda: CellUnion("torus", 2, 1, frozenset({0})),
+    lambda: CellUnion(SEGMENT, 2, 2, frozenset({1.5})),
+    lambda: CellUnion(SEGMENT, 2, 2, frozenset({(0, 1)})),
+    lambda: CellUnion(CUBE, 2, 2, frozenset({"3"})),
+    lambda: CellUnion(SEGMENT, 2, 2, frozenset({2, np.float64(3.0)})),
 ], ids=["index-16", "index-neg", "segment-index-8", "digit-4", "short-path",
-        "long-path", "d0", "d9", "depth-1", "unknown-space"])
+        "long-path", "d0", "d9", "depth-1", "unknown-space", "float-member",
+        "tuple-member", "str-member", "numpy-float-member"])
 def test_cell_union_rejects_bad_cells(build):
     with pytest.raises(RangeError):
         build()
+
+
+def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
+    with pytest.raises(RangeError, match=r"^cell index '3' is not an integer$"):
+        CellUnion(SEGMENT, 2, 2, frozenset({0, "3"}))
+    members = frozenset({np.int64(3), np.uint8(2), 15})
+    cu = CellUnion(CUBE, 2, 2, members)
+    assert cu.measure() == Fraction(3, 16)
+    assert pushforward(cu).members == members
 
 
 def test_pushforward_rejects_segment_union():
