@@ -207,6 +207,8 @@ def _load_specs(path):
         doc = json.load(fh)
     if isinstance(doc, dict) and "distributions" in doc:
         entries = doc["distributions"]
+        if not isinstance(entries, list):
+            raise SpecValidationError("distributions", "expected a list")
     elif isinstance(doc, list):
         entries = doc
     else:

@@ -12,33 +12,28 @@ lower-right (the classical U order), with child orientations
 swap / identity / identity / swap-and-reflect.
 
 `OrientationState` and `child_order` define one level of the
-subdivision.  The maps themselves walk digit tables instead (the state
-table form of Butz's algorithm, after Skilling 2004 and Hamilton &
-Rau-Chaplin 2008), which take L = max(1, 8 // d) digits per lookup; a
-depth that is not a multiple of L ends with one shorter step.  The flips
-of a state act on octants by XOR, so a table is keyed by the rotation
-and the next L digits only.  Each entry holds the L corner bits of the
-child cells on every axis, as seen from the unflipped state, together
-with the flips and the rotation the state has after those digits.  A
-second table inverts the corner bits back to digits for the forward map.
-Every map walks the tables on the segment index q itself: a step over
-digits start .. start + L - 1 reads (or, forward, sets) the word
-q >> d*(depth - start - L) & (2**(d*L) - 1); digit tuples appear only
-in `interval_to_address` and `address_to_interval`.
-Every table array holds d * 2**(d*L) <= 2048 one-byte entries, far below
-a 1 MiB limit; tables are built with numpy on first use for each (d, L)
-and cached.  The batch kernel builds one pair of tables per step from
-them, cached per (d, depth) and keyed by rotation * 2**(d*L) + word.  A
-uint64 `comb` entry holds the step's corner bits at their final place
-(axis a's at bit a * depth + low, low = depth - start - L) and, in the
-bits below, the flips the step adds, repeated over every later bit of
-each axis; XOR applies both.  An int64 `nxt` entry holds the next
-rotation already scaled to the next step's key.  So a step is one mask,
-one add, one XOR and two gathers on the same key, and the flips need no
-state of their own.  The tables of one (d, depth) take at most 240 KiB,
-at d=8 depth 8.  The kernel's consumers call it once per block of
-`BLOCK` indices, so that each uint64 temporary over a block's indices
-takes BLOCK * 8 bytes = 128 KiB.
+subdivision.  The maps walk digit tables built from it (the state table
+form of Butz's algorithm, after Skilling 2004 and Hamilton & Rau-Chaplin
+2008), L = max(1, 8 // d) digits per lookup; a depth that is not a
+multiple of L ends with one shorter step.  A state's flips act on
+octants by XOR, so every table is keyed by rotation * 2**(d*L) + word,
+the word being the next L digits of the segment index q, read at
+q >> d*(depth - start - L).  An entry holds the L child octants in
+visit order, first highest, as the unflipped state sees them, and the
+flips and rotation after them; `digits` inverts the octants.  The
+scalar maps gather all octants in one integer and convert between
+octant and axis order once, through binary digit strings.  Tables are
+lists of d * 2**(d*L) <= 2048 entries below 256, built on first use per
+(d, L) and cached.  The batch kernel turns them into one pair per step,
+cached per (d, depth): a uint64 `comb` entry holds the step's corner
+bits in axis order at their final place (axis a's at bit a * depth +
+low, low = depth - start - L) and, in the bits below, the flips the
+step adds, repeated over every later bit of each axis; an int64 `nxt`
+entry holds the next rotation already scaled to the next step's key.
+A step is one mask, one add, one XOR and two gathers on one key.  The
+tables of one (d, depth) take at most 240 KiB, at d=8 depth 8; the
+kernel's consumers call it per block of `BLOCK` indices, so each uint64
+temporary over a block takes 128 KiB.
 """
 
 from __future__ import annotations
@@ -168,39 +163,35 @@ def child_order(state: OrientationState, dimension: int | None = None):
     return children
 
 
-def _steps(d: int, depth: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _steps(d: int, depth: int) -> tuple[tuple[int, int], ...]:
     """(first digit, digit count) of each table lookup over `depth` digits.
 
-    L = max(1, 8 // d) digits per lookup keeps d * L <= 8, so every key
-    part and table entry fits in a byte; a remainder takes one last step.
+    L = max(1, 8 // d) digits per lookup keeps d * L <= 8, so every word
+    and table entry fits in a byte; a remainder takes one last step.
     """
     width = max(1, 8 // d)
     full, rest = divmod(depth, width)
-    steps = [(k * width, width) for k in range(full)]
-    if rest:
-        steps.append((full * width, rest))
-    return steps
+    steps = tuple((k * width, width) for k in range(full))
+    return steps + ((full * width, rest),) if rest else steps
 
 
 class _DigitTable(NamedTuple):
     """Transitions over `width` digits for one dimension d.
 
-    `cells`, `flips` and `rotations` are indexed by word * d + rotation,
-    where word packs the digits base 2**d, first digit highest.  `cells`
-    packs the corner bits of the cells the digits pass through, as seen
-    from a state without flips: axis a holds bits a*width .. a*width +
-    width - 1, the first digit's bit highest.  `flips` is XORed onto the
-    state's flips after the digits, `rotations` replaces its rotation.
-    `digits` inverts `cells`, indexed by cells * d + rotation.
-    `flip_cells` maps flips f to the cells pattern of f, which is XORed
-    onto `cells` for a flipped state.
+    Every list is indexed by rotation * 2**(d*width) + word, where word
+    packs the digits base 2**d, first digit highest.  `cells` holds the
+    octants of the cells the digits pass through, as `child_order` yields
+    them from the state with that rotation and no flips, packed the same
+    way.  `flips` is XORed onto the state's flips after the digits,
+    `rotations` replaces its rotation.  `digits` inverts `cells` under
+    the same key.
     """
 
-    cells: np.ndarray
-    flips: np.ndarray
-    rotations: np.ndarray
-    digits: np.ndarray
-    flip_cells: np.ndarray
+    cells: list
+    flips: list
+    rotations: list
+    digits: list
 
 
 @lru_cache(maxsize=None)
@@ -208,34 +199,20 @@ def _digit_table(d: int, width: int) -> _DigitTable:
     gc, entry, direction = (np.array(t, dtype=np.int64) for t in _tables(d))
     octant1, flips1, rotation1 = _child_move(
         np.arange(d)[:, None], gc, entry, direction, d)
-    dmask = (1 << d) - 1
-    key = np.arange(d << (d * width))
-    word, first_rotation = np.divmod(key, d)
+    bits = d * width
+    first_rotation, word = np.divmod(np.arange(d << bits), 1 << bits)
     rotation = first_rotation
-    flips = np.zeros_like(key)
-    cells = np.zeros_like(key)
+    flips = np.zeros_like(word)
+    cells = np.zeros_like(word)
     for level in range(width):
-        digit = (word >> (d * (width - 1 - level))) & dmask
-        octant = octant1[rotation, digit] ^ flips
-        for axis in range(d):
-            cells |= ((octant >> axis) & 1) << (axis * width + width - 1 - level)
+        digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
+        cells = (cells << d) | (octant1[rotation, digit] ^ flips)
         flips ^= flips1[rotation, digit]
         rotation = rotation1[rotation, digit]
-    digits = np.empty(key.shape, dtype=np.uint8)
-    digits[cells * d + first_rotation] = word
-    all_flips = np.arange(1 << d)
-    flip_cells = sum(((all_flips >> axis) & 1) << (axis * width)
-                     for axis in range(d))
-    flip_cells *= (1 << width) - 1
-    return _DigitTable(cells.astype(np.uint8), flips.astype(np.uint8),
-                       rotation.astype(np.uint8), digits,
-                       flip_cells.astype(np.uint8))
-
-
-@lru_cache(maxsize=None)
-def _digit_lists(d: int, width: int) -> tuple[list, ...]:
-    """`_digit_table` as Python int lists, for the scalar maps."""
-    return tuple(a.tolist() for a in _digit_table(d, width))
+    digits = np.empty_like(word)
+    digits[(first_rotation << bits) | cells] = word
+    return _DigitTable(cells.tolist(), flips.tolist(), rotation.tolist(),
+                       digits.tolist())
 
 
 _ADDRESS_RE = re.compile(r"^\d+(\.\d+)*$")
@@ -345,17 +322,22 @@ def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
     _check_cell(d, depth)
     if p < depth:
         raise PrecisionError(f"point precision {p} < depth {depth}")
-    mantissas = [c.mantissa for c in pt.coords]
+    # The point's octants, first highest, as binary digits behind a
+    # leading "0": axis a's bit of level k is character k*d + d - a.
+    text = bytearray(b"0" * (d * depth + 1))
+    for axis, c in enumerate(pt.coords):
+        text[d - axis::d] = bin(c.mantissa >> (p - depth) | 1 << depth)[3:].encode()
+    octants = int(text, 2)
     rotation = flips = q = 0
     for start, width in _steps(d, depth):
-        _, t_flips, rotations, t_digits, flip_cells = _digit_lists(d, width)
-        low, mask = p - start - width, (1 << width) - 1
-        packed = 0
-        for axis, m in enumerate(mantissas):
-            packed |= ((m >> low) & mask) << (axis * width)
-        word = t_digits[(packed ^ flip_cells[flips]) * d + rotation]
-        q |= word << (d * (depth - start - width))
-        key = word * d + rotation
+        _, t_flips, rotations, t_digits = _digit_table(d, width)
+        w = d * width
+        cells = (octants >> d * (depth - start - width)) & ((1 << w) - 1)
+        # the state's flips act on every octant of the word
+        cells ^= flips * ((1 << w) - 1) // ((1 << d) - 1)
+        word = t_digits[rotation << w | cells]
+        q = q << w | word
+        key = rotation << w | word
         flips ^= t_flips[key]
         rotation = rotations[key]
     return UnitScalar(q, d * depth)
@@ -371,19 +353,19 @@ def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
             f"scalar precision {t.precision} < {dimension}*{depth} bits"
         )
     q = t.mantissa >> (t.precision - bits)
-    mant = [0] * d
-    rotation = flips = 0
+    rotation = flips = octants = 0
     for start, width in _steps(d, depth):
-        cells, t_flips, rotations, _, flip_cells = _digit_lists(d, width)
-        word = (q >> (d * (depth - start - width))) & ((1 << (d * width)) - 1)
-        key = word * d + rotation
-        packed = cells[key] ^ flip_cells[flips]
-        mask = (1 << width) - 1
-        for axis in range(d):
-            mant[axis] = (mant[axis] << width) | ((packed >> (axis * width)) & mask)
+        cells, t_flips, rotations, _ = _digit_table(d, width)
+        w = d * width
+        key = rotation << w | (q >> d * (depth - start - width)) & ((1 << w) - 1)
+        # the state's flips act on every octant of the word
+        octants = octants << w | cells[key] ^ flips * ((1 << w) - 1) // ((1 << d) - 1)
         flips ^= t_flips[key]
         rotation = rotations[key]
-    return CubePoint(tuple(UnitScalar(m, depth) for m in mant))
+    # axis a's bit of level k is character k*d + d-1-a of the octants
+    text = bin(octants | 1 << bits)[3:]
+    return CubePoint(tuple(UnitScalar(int(text[d - 1 - axis::d] or "0", 2), depth)
+                           for axis in range(d)))
 
 
 def point_to_address(pt: CubePoint, depth: int) -> CellAddress:
@@ -416,13 +398,14 @@ def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoin
     return inverse_map(t, target_depth, target_dimension)
 
 
-def _spread(cells: np.ndarray, width: int, depth: int, d: int) -> np.ndarray:
-    """Packed table cells as uint64, axis a's bits moved to bit a * depth."""
-    cells = cells.astype(np.uint64)
-    out = np.zeros_like(cells)
-    mask = np.uint64((1 << width) - 1)
-    for axis in range(d):
-        out |= ((cells >> np.uint64(axis * width)) & mask) << np.uint64(axis * depth)
+def _spread(words, width: int, depth: int, d: int) -> np.ndarray:
+    """Words of `width` octants, first highest, as uint64 in axis order:
+    axis a's `width` bits at bit a * depth, first highest."""
+    words = np.array(words, dtype=np.uint64)
+    out = np.zeros_like(words)
+    for bit in range(d * width):
+        level, axis = divmod(bit, d)
+        out |= ((words >> np.uint64(bit)) & np.uint64(1)) << np.uint64(axis * depth + level)
     return out
 
 
@@ -431,26 +414,24 @@ def _batch_steps(d: int, depth: int) -> tuple:
     """Per-step tables of the batch kernel, one (shift, mask, comb, nxt)
     per step of `_steps(d, depth)`.
 
-    Both tables are keyed by rotation * 2**(d*width) + word.  A `comb`
-    entry holds, in disjoint bits, the step's corner bits at their final
-    place (axis a's at bit a * depth + low, low = depth - start - width)
-    and the flips the step adds, one bit per axis times 2**low - 1, so
-    that they cover every later bit of the axis.  `nxt` holds the next
-    rotation times the next step's 2**(d*width); the last step has none.
+    Both tables are keyed like `_digit_table`.  A `comb` entry holds, in
+    disjoint bits, the step's corner bits at their final place (axis a's
+    at bit a * depth + low, low = depth - start - width) and the flips
+    the step adds, one bit per axis times 2**low - 1, so that they cover
+    every later bit of the axis.  `nxt` holds the next rotation times the
+    next step's 2**(d*width); the last step has none.
     """
     steps = _steps(d, depth)
     out = []
     for k, (start, width) in enumerate(steps):
         table = _digit_table(d, width)
-        rotation, word = np.divmod(np.arange(d << (d * width)), 1 << (d * width))
-        row = word * d + rotation  # the `_digit_table` index of each key
         low = depth - start - width
-        comb = (_spread(table.cells[row], width, depth, d) << np.uint64(low)
-                | _spread(table.flips[row], 1, depth, d) * np.uint64((1 << low) - 1))
+        comb = (_spread(table.cells, width, depth, d) << np.uint64(low)
+                | _spread(table.flips, 1, depth, d) * np.uint64((1 << low) - 1))
         comb.flags.writeable = False
         nxt = None
         if k + 1 < len(steps):
-            nxt = table.rotations[row].astype(np.int64) << (d * steps[k + 1][1])
+            nxt = np.array(table.rotations, dtype=np.int64) << (d * steps[k + 1][1])
             nxt.flags.writeable = False
         out.append((d * low, (1 << (d * width)) - 1, comb, nxt))
     return tuple(out)

@@ -31,8 +31,23 @@ class SpecValidationError(ValueError):
 def _as_fraction(value, field: str) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise SpecValidationError(field, f"not an exact number: {value!r}") from exc
+
+
+def _as_float(value: Fraction, field: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SpecValidationError(field, f"{value} does not fit a float64") from exc
+
+
+def _objects(doc: dict, field: str) -> list:
+    """doc[field], which must be a list of objects; empty when absent."""
+    items = doc.get(field, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise SpecValidationError(field, "expected a list of objects")
+    return items
 
 
 @dataclass(frozen=True)
@@ -153,9 +168,10 @@ class DistributionSpec:
             self._tables = (
                 np.array([float(e[4]) for e in ev]),           # f_hi, sorted
                 np.array([float(e[3]) for e in ev]),           # f_lo
-                np.array([float(e[1]) for e in ev]),           # location
+                np.array([_as_float(e[1], "at" if e[0] == "atom" else "from")
+                          for e in ev]),                       # location
                 np.array([0.0 if e[4] == e[3]
-                          else float((e[2] - e[1]) / (e[4] - e[3]))
+                          else _as_float((e[2] - e[1]) / (e[4] - e[3]), "to")
                           for e in ev]),                       # dt/dF
             )
         return self._tables
@@ -194,9 +210,9 @@ class DistributionSpec:
     def from_dict(cls, doc: dict, name: str = "") -> "DistributionSpec":
         if not isinstance(doc, dict):
             raise SpecValidationError("distribution", "expected an object")
-        atoms = [(a.get("at"), a.get("mass")) for a in doc.get("atoms", [])]
+        atoms = [(a.get("at"), a.get("mass")) for a in _objects(doc, "atoms")]
         pieces = [(p.get("from"), p.get("to"), p.get("cdf_from"), p.get("cdf_to"))
-                  for p in doc.get("pieces", [])]
+                  for p in _objects(doc, "pieces")]
         return cls(atoms, pieces, name=doc.get("name", name))
 
     def to_dict(self) -> dict:
@@ -212,12 +228,6 @@ class DistributionSpec:
 
 def split_uniform(u: UnitScalar, n: int, depth: int) -> CubePoint:
     """Split one uniform scalar into n coordinates via the inverse map."""
-    if not 1 <= n <= MAX_DIMENSION:
-        raise RangeError(f"coordinate count must be in 1..{MAX_DIMENSION}")
-    if u.precision < n * depth:
-        raise PrecisionError(
-            f"need {n * depth} bits of precision, scalar has {u.precision}"
-        )
     return inverse_map(u, depth, n)
 
 

@@ -300,6 +300,27 @@ def test_sample_invalid_spec_names_field(tmp_path, capsys):
     assert "mass-sum" in err
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"distributions": 5}, "distributions"),
+    ({"atoms": [1]}, "atoms"),
+    ({"atoms": "ab"}, "atoms"),
+    ({"pieces": [[0, 1, 0, 1]]}, "pieces"),
+    ({"atoms": [{"at": float("inf"), "mass": "1"}]}, "at"),
+    # exact, but no float64 holds the location or the piece's dt/dF
+    ({"atoms": [{"at": "1e400", "mass": "1"}]}, "at"),
+    ({"pieces": [{"from": "0", "to": "1e400", "cdf_from": "0", "cdf_to": "1"}]},
+     "to"),
+], ids=["distributions-int", "atom-int", "atoms-str", "piece-list", "at-inf",
+        "at-1e400", "slope-1e400"])
+def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
+                                                         field):
+    spec = _write_spec(tmp_path / "spec.json", doc)
+    code, out, err = run(capsys, "sample", "--spec", spec, "-N", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
+
+
 def test_sample_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "sample", "--spec", "/nonexistent.json", "-N", "1")
     assert code == 2

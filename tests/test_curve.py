@@ -360,6 +360,54 @@ def test_batch_matches_child_order_walk_over_three_or_more_steps(case):
                               for q in indices]
 
 
+@pytest.mark.parametrize("d,depth", [(1, 100), (2, 40), (3, 30), (8, 9),
+                                     (1, 0), (8, 0)])
+def test_scalar_maps_match_child_order_walk_beyond_the_batch_kernel(d, depth):
+    # d * depth > 64 or depth 0, where the batch kernel is no oracle; the
+    # inputs carry up to 5 bits more than the depth needs
+    rng = random.Random(d * 1000 + depth)
+    bits = d * depth
+    for q in [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(20)]:
+        corner = brute_force_corner(d, depth, q)
+        extra = rng.randint(0, 5)
+        t = UnitScalar(q << extra | rng.getrandbits(extra), bits + extra)
+        pt = inverse_map(t, depth, d)
+        assert [(c.mantissa, c.precision) for c in pt.coords] == \
+            [(m, depth) for m in corner]
+        inner = CubePoint(tuple(UnitScalar(m << extra | rng.getrandbits(extra),
+                                           depth + extra) for m in corner))
+        out = forward_map(inner, depth)
+        assert (out.mantissa, out.precision) == (q, bits)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_digit_table_entries_follow_child_order(d):
+    # every table a depth can use, L = 1 .. max(1, 8 // d) digits
+    children = {}
+
+    def step(state, digit):
+        if state not in children:
+            children[state] = child_order(state)
+        return children[state][digit]
+
+    for width in range(1, max(1, 8 // d) + 1):
+        table = curve._digit_table(d, width)
+        bits = d * width
+        for rotation in range(d):
+            for word in range(1 << bits):
+                state = OrientationState(d, rotation, 0)
+                cells = 0
+                for level in range(width):
+                    digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
+                    octant, state = step(state, digit)
+                    cells = cells << d | octant
+                key = rotation << bits | word
+                assert table.cells[key] == cells
+                assert table.flips[key] == state.flips
+                assert table.rotations[key] == state.rotation
+                assert table.digits[rotation << bits | cells] == word
+
+
 def test_compose_identity_at_cell_level():
     for depth in (1, 2, 3):
         for q in range(4 ** depth):

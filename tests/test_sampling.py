@@ -194,6 +194,9 @@ def test_split_uniform_marginals_exactly_uniform():
 def test_split_uniform_rejects_low_precision():
     with pytest.raises(PrecisionError):
         split_uniform(UnitScalar(1, 5), 2, 3)
+    for n in (0, 9):
+        with pytest.raises(RangeError):
+            split_uniform(UnitScalar(1, 64), n, 1)
 
 
 def test_cell_level_independence_exhaustive():
