@@ -19,7 +19,6 @@ from .dyadic import (
     PrecisionError,
     RangeError,
     UnitScalar,
-    is_on_grid,
 )
 from .measure import (
     CellUnion,

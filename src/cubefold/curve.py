@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -129,31 +128,13 @@ class OrientationState:
     def identity(cls, dimension: int) -> "OrientationState":
         return cls(dimension, 0, 0)
 
-    def apply(self, octant: int) -> int:
-        return _rot_left(octant, self.rotation, self.dimension) ^ self.flips
 
-    def compose(self, other: "OrientationState") -> "OrientationState":
-        """State applying `other` first, then self."""
-        if other.dimension != self.dimension:
-            raise RangeError("dimension mismatch")
-        d = self.dimension
-        return OrientationState(
-            d,
-            (self.rotation + other.rotation) % d,
-            self.flips ^ _rot_left(other.flips, self.rotation, d),
-        )
-
-
-def child_order(state: OrientationState, dimension: int | None = None):
+def child_order(state: OrientationState):
     """The 2**d children of a cell in traversal order.
 
     Returns a list of (octant, child state) pairs.  Octant bit a selects
     the upper half along axis a.  Consecutive children share a (d-1)-face.
     """
-    if dimension is not None and dimension != state.dimension:
-        raise RangeError(
-            f"state has dimension {state.dimension}, asked for {dimension}"
-        )
     d = state.dimension
     children = []
     for row in zip(*_tables(d)):
@@ -215,9 +196,6 @@ def _digit_table(d: int, width: int) -> _DigitTable:
                        digits.tolist())
 
 
-_ADDRESS_RE = re.compile(r"^\d+(\.\d+)*$")
-
-
 @dataclass(frozen=True)
 class CellAddress:
     """Digit path j_1..j_n into the recursive subdivision, zero-based."""
@@ -239,19 +217,6 @@ class CellAddress:
     def prefix(self, depth: int) -> "CellAddress":
         return CellAddress(self.dimension, self.digits[:depth])
 
-    def format(self) -> str:
-        """One-based dot-separated digit string, e.g. `1.3.2.4`."""
-        return ".".join(str(j + 1) for j in self.digits)
-
-    @classmethod
-    def parse(cls, text: str, dimension: int) -> "CellAddress":
-        text = text.strip()
-        if not text:
-            return cls(dimension, ())
-        if not _ADDRESS_RE.match(text):
-            raise ValueError(f"cannot parse cell address from {text!r}")
-        return cls(dimension, tuple(int(t) - 1 for t in text.split(".")))
-
 
 @dataclass(frozen=True)
 class SegmentInterval:
@@ -270,12 +235,6 @@ class SegmentInterval:
 
     def left(self) -> UnitScalar:
         return UnitScalar(self.index, self.dimension * self.depth)
-
-    def length(self) -> Fraction:
-        return Fraction(1, 1 << (self.dimension * self.depth))
-
-    def format(self) -> str:
-        return f"{self.index}/{1 << self.dimension}^{self.depth}"
 
 
 _INTERVAL_RE = re.compile(r"^(\d+)/(\d+)\^(\d+)$")
@@ -301,11 +260,9 @@ def address_to_interval(a: CellAddress) -> SegmentInterval:
     return SegmentInterval(a.dimension, a.depth, q)
 
 
-def interval_to_address(iv: SegmentInterval, dimension: int | None = None) -> CellAddress:
+def interval_to_address(iv: SegmentInterval) -> CellAddress:
     """Exact inverse of address_to_interval."""
-    d = iv.dimension if dimension is None else dimension
-    if d != iv.dimension:
-        raise RangeError("dimension mismatch")
+    d = iv.dimension
     mask = (1 << d) - 1
     digits = [(iv.index >> (d * (iv.depth - 1 - k))) & mask
               for k in range(iv.depth)]

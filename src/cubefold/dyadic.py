@@ -102,13 +102,9 @@ def parse_scalar(text: str) -> UnitScalar:
     raise ValueError(f"cannot parse unit scalar from {text!r}")
 
 
-def format_scalar(s: UnitScalar, style: str = "rational") -> str:
-    """Render bit-exactly; inverse of parse_scalar for both styles."""
-    if style == "rational":
-        return f"{s.mantissa}/2^{s.precision}"
-    if style == "binary":
-        return "0b0." + format(s.mantissa, f"0{s.precision}b") if s.precision else "0b0."
-    raise ValueError(f"unknown style {style!r}")
+def format_scalar(s: UnitScalar) -> str:
+    """Render bit-exactly as `m/2^p`; parse_scalar reads it back."""
+    return f"{s.mantissa}/2^{s.precision}"
 
 
 @dataclass(frozen=True)
@@ -134,13 +130,6 @@ class CubePoint:
 
     def refine(self, new_precision: int) -> "CubePoint":
         return CubePoint(tuple(c.refine(new_precision) for c in self.coords))
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(c.as_fraction() for c in self.coords)
-
-
-def make_point(mantissas, precision: int) -> CubePoint:
-    return CubePoint(tuple(UnitScalar(m, precision) for m in mantissas))
 
 
 @dataclass(frozen=True)
@@ -169,30 +158,3 @@ class DyadicRect:
         for k in self.side_exponents:
             v /= 1 << k
         return v
-
-    def contains(self, pt: CubePoint) -> bool:
-        if pt.dimension != self.dimension:
-            return False
-        for x, lo, k in zip(pt.as_fractions(), self.lower.as_fractions(),
-                            self.side_exponents):
-            if not lo <= x < lo + Fraction(1, 1 << k):
-                return False
-        return True
-
-
-def is_on_grid(pt: CubePoint, level: int) -> bool:
-    """True iff some coordinate equals a/2**level exactly.
-
-    Membership test for the exceptional grid set at finite level; monotone
-    in level because a/2^n = (a * 2^(m-n)) / 2^m for m >= n.
-    """
-    if level < 0:
-        raise RangeError(f"level must be >= 0, got {level}")
-    if level > pt.precision:
-        raise PrecisionError(
-            f"level {level} exceeds point precision {pt.precision}"
-        )
-    for c in pt.coords:
-        if c.mantissa & ((1 << (c.precision - level)) - 1) == 0:
-            return True
-    return False

@@ -79,26 +79,17 @@ class CellUnion:
     def measure(self) -> Fraction:
         return Fraction(len(self.members), 1 << (self.dimension * self.depth))
 
-    def complement(self) -> "CellUnion":
-        rest = frozenset(range(1 << (self.dimension * self.depth))) - self.members
-        return CellUnion(self.space, self.dimension, self.depth, rest)
-
 
 def pushforward(cu: CellUnion) -> CellUnion:
     """Image of a cube cell union on the segment.
 
     A cube cell maps onto the segment cell with the same digit path, so
-    the image has the same indices.  Injectivity and measure equality are
-    re-asserted rather than trusted.
+    the image relabels the union's indices as segment cells; its measure
+    equals the union's by construction.
     """
     if cu.space != CUBE:
         raise RangeError("pushforward expects a cube-side union")
-    out = CellUnion(SEGMENT, cu.dimension, cu.depth, cu.members)
-    if len(out.members) != len(cu.members):
-        raise AssertionError("cell map failed to be injective")
-    if out.measure() != cu.measure():
-        raise AssertionError("pushforward changed total measure")
-    return out
+    return CellUnion(SEGMENT, cu.dimension, cu.depth, cu.members)
 
 
 @dataclass(frozen=True)
@@ -119,12 +110,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    def to_line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        seed = "" if self.seed is None else f" seed={self.seed}"
-        return (f"{self.name} [{self.scope}] statistic={self.statistic:g} "
-                f"threshold={self.threshold:g} {verdict}{seed}")
 
 
 def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
@@ -157,10 +142,6 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
         indices.add(forward_map(pt, depth).mantissa)
     image = CellUnion.of_segment(d, depth, indices)
     exact = image.measure() == rect.volume()
-    expected_cells = 1
-    for k in rect.side_exponents:
-        expected_cells <<= depth - k
-    exact = exact and len(indices) == expected_cells
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
         0 if exact else 1, 0,
@@ -187,10 +168,10 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
     """Chi-squared uniformity audit of the inverse map on a k x k grid.
 
     Draws uniform segment scalars, inverts them into the square, bins the
-    results and compares against the flat expectation.  Chunks derive
-    their streams from the seed, never from scheduling order, so counts
-    are reproducible under any partitioning.  Each chunk is binned in
-    blocks of `BLOCK` draws.
+    depth-n lower corners and compares against their exact expectation.
+    Chunks derive their streams from the seed, never from scheduling
+    order, so counts are reproducible under any partitioning.  Each chunk
+    is binned in blocks of `BLOCK` draws.
     """
     if grid_k < 1:
         raise RangeError("grid must be at least 1x1")
@@ -226,7 +207,12 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
     if nbins == 1:
         return VerificationReport.from_statistic(
             "uniformity", f"N={sample_count} grid=1x1", 0.0, 0.0, seed)
-    expected = np.full(nbins, sample_count / nbins)
+    # A bijection puts one corner on each point of the 2**depth grid, so
+    # every grid point is equally likely; along an axis bin i holds
+    # ceil((i+1) 2**depth / k) - ceil(i 2**depth / k) of them.  At k = 2**j
+    # every bin holds (2**depth / k)**2 and this is exactly N / k**2.
+    per_axis = np.diff(-(-np.arange(grid_k + 1) * (1 << depth) // grid_k))
+    expected = np.outer(per_axis, per_axis).ravel() * (sample_count / (1 << 2 * depth))
     stat, dof = chi_squared(counts, expected)
     threshold = chi2_threshold(dof, confidence)
     return VerificationReport.from_statistic(

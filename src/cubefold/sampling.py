@@ -50,60 +50,46 @@ def _objects(doc: dict, field: str) -> list:
     return items
 
 
-@dataclass(frozen=True)
-class Atom:
-    at: Fraction
-    mass: Fraction
-
-
-@dataclass(frozen=True)
-class LinearPiece:
-    lo: Fraction
-    hi: Fraction
-    cdf_lo: Fraction
-    cdf_hi: Fraction
-
-
 class DistributionSpec:
     """CDF given as point masses plus affine pieces of its graph.
 
     The elements must tile the CDF completely: walking them in location
     order, the running value starts at 0, each piece starts where the
-    previous element left off, and the final value is exactly 1.
+    previous element left off, and the final value is exactly 1.  The
+    law is kept once, as the validated elements in location order, each
+    (kind, lo, hi, F below, F at top); an atom has lo == hi.
     """
 
     def __init__(self, atoms=(), pieces=(), name: str = ""):
+        if not isinstance(name, str):
+            raise SpecValidationError("name", f"expected a string, got {name!r}")
         self.name = name
-        self.atoms = tuple(
-            Atom(_as_fraction(a[0], "at"), _as_fraction(a[1], "mass"))
-            if not isinstance(a, Atom) else a
-            for a in atoms
-        )
-        self.pieces = tuple(
-            LinearPiece(*(_as_fraction(v, f) for v, f in
-                          zip(p, ("from", "to", "cdf_from", "cdf_to"))))
-            if not isinstance(p, LinearPiece) else p
-            for p in pieces
-        )
-        self._events = self._validate()
+        self._events = self._validate(
+            [(_as_fraction(a[0], "at"), _as_fraction(a[1], "mass"))
+             for a in atoms],
+            [tuple(_as_fraction(v, f) for v, f in
+                   zip(p, ("from", "to", "cdf_from", "cdf_to")))
+             for p in pieces])
         locations = [e[1] for e in self._events] + \
                     [e[2] for e in self._events if e[0] == "piece"]
         self.support_lo = min(locations)
         self.support_hi = max(locations)
         self._tables = None
 
-    def _validate(self):
-        for a in self.atoms:
-            if a.mass <= 0:
-                raise SpecValidationError("mass", f"atom mass {a.mass} must be positive")
-        for p in self.pieces:
-            if p.hi <= p.lo:
-                raise SpecValidationError("to", f"piece [{p.lo}, {p.hi}] is empty")
-            if p.cdf_hi < p.cdf_lo:
+    @staticmethod
+    def _validate(atoms, pieces):
+        """Events from (at, mass) atoms and (lo, hi, F(lo), F(hi)) pieces."""
+        for _, mass in atoms:
+            if mass <= 0:
+                raise SpecValidationError("mass", f"atom mass {mass} must be positive")
+        for lo, hi, cdf_lo, cdf_hi in pieces:
+            if hi <= lo:
+                raise SpecValidationError("to", f"piece [{lo}, {hi}] is empty")
+            if cdf_hi < cdf_lo:
                 raise SpecValidationError("cdf_to", "CDF must be non-decreasing")
         items = sorted(
-            [("atom", a.at, a) for a in self.atoms] +
-            [("piece", p.lo, p) for p in self.pieces],
+            [("atom", a[0], a) for a in atoms] +
+            [("piece", p[0], p) for p in pieces],
             key=lambda it: (it[1], it[0] != "atom"),
         )
         if not items:
@@ -118,18 +104,19 @@ class DistributionSpec:
                     f"element at {loc} overlaps a piece ending at {pos}",
                 )
             if kind == "atom":
-                events.append(("atom", obj.at, obj.at, running, running + obj.mass))
-                running += obj.mass
+                events.append(("atom", loc, loc, running, running + obj[1]))
+                running += obj[1]
             else:
-                if obj.cdf_lo != running:
+                _, hi, cdf_lo, cdf_hi = obj
+                if cdf_lo != running:
                     raise SpecValidationError(
                         "cdf_from",
-                        f"piece starting at {loc} declares CDF {obj.cdf_lo}, "
+                        f"piece starting at {loc} declares CDF {cdf_lo}, "
                         f"running value is {running}",
                     )
-                events.append(("piece", obj.lo, obj.hi, obj.cdf_lo, obj.cdf_hi))
-                running = obj.cdf_hi
-                pos = obj.hi
+                events.append(("piece", loc, hi, cdf_lo, cdf_hi))
+                running = cdf_hi
+                pos = hi
         if running != 1:
             raise SpecValidationError(
                 "mass-sum",
@@ -216,11 +203,12 @@ class DistributionSpec:
         return cls(atoms, pieces, name=doc.get("name", name))
 
     def to_dict(self) -> dict:
-        doc = {"atoms": [{"at": str(a.at), "mass": str(a.mass)}
-                         for a in self.atoms],
-               "pieces": [{"from": str(p.lo), "to": str(p.hi),
-                           "cdf_from": str(p.cdf_lo), "cdf_to": str(p.cdf_hi)}
-                          for p in self.pieces]}
+        ev = self._events
+        doc = {"atoms": [{"at": str(lo), "mass": str(f_hi - f_lo)}
+                         for kind, lo, _, f_lo, f_hi in ev if kind == "atom"],
+               "pieces": [{"from": str(lo), "to": str(hi),
+                           "cdf_from": str(f_lo), "cdf_to": str(f_hi)}
+                          for kind, lo, hi, f_lo, f_hi in ev if kind == "piece"]}
         if self.name:
             doc["name"] = self.name
         return doc

@@ -1,9 +1,10 @@
-"""Self-contained statistical test kernels: chi-squared, KS, thresholds.
+"""Chi-squared statistics and thresholds for `verify uniformity` and
+the acceptance gate.
 
-Quantile routines are computed from series / continued-fraction
-evaluations of the regularized incomplete gamma function and the
-Kolmogorov distribution, so the verification stack carries no numerics
-dependency beyond the standard library.
+The threshold is a chi-squared quantile, found by bisection on a series /
+continued-fraction evaluation of the regularized incomplete gamma
+function, so the verification stack carries no numerics dependency
+beyond numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -45,22 +46,6 @@ def chi_squared_contingency(table) -> tuple[float, int]:
     stat = float(((t - exp) ** 2 / exp).sum())
     dof = (t.shape[0] - 1) * (t.shape[1] - 1)
     return stat, dof
-
-
-def ks_statistic(samples, cdf) -> float:
-    """Two-sided sup distance between the empirical CDF and `cdf`.
-
-    `samples` need not be pre-sorted; `cdf` is evaluated pointwise.
-    """
-    xs = sorted(samples)
-    n = len(xs)
-    if n == 0:
-        raise ValueError("need at least one sample")
-    d = 0.0
-    for i, x in enumerate(xs):
-        fx = float(cdf(x))
-        d = max(d, (i + 1) / n - fx, fx - i / n)
-    return d
 
 
 def _gammainc_lower_reg(a: float, x: float) -> float:
@@ -132,31 +117,3 @@ def chi2_threshold(dof: int, confidence: float) -> float:
             break
     return 0.5 * (lo + hi)
 
-
-def kolmogorov_cdf(x: float) -> float:
-    """CDF of the Kolmogorov distribution, alternating series."""
-    if x <= 0:
-        return 0.0
-    total = 0.0
-    for k in range(1, 200):
-        term = math.exp(-2.0 * k * k * x * x)
-        total += -term if k % 2 == 0 else term
-        if term < 1e-18:
-            break
-    return max(0.0, 1.0 - 2.0 * total)
-
-
-def ks_threshold(n: int, confidence: float) -> float:
-    """Critical D for sample size n at the given confidence (asymptotic)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    lo, hi = 0.0, 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_cdf(mid) < confidence:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / math.sqrt(n)

@@ -1,14 +1,21 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and builders shared by the test modules.
 
 Everything here avoids the code paths under test: cell enumeration and
 the single-cell walk use only child_order, never the digit tables or the
-maps, and the quantile oracle only evaluates the CDF forward on mesh
-points.
+maps, the quantile oracle only evaluates the CDF forward on mesh points,
+and the Kolmogorov-Smirnov statistic and threshold use only the standard
+library.
 """
 
+import math
 from fractions import Fraction
 
 from cubefold.curve import OrientationState, child_order
+from cubefold.dyadic import CubePoint, UnitScalar
+
+
+def make_point(mantissas, precision: int) -> CubePoint:
+    return CubePoint(tuple(UnitScalar(m, precision) for m in mantissas))
 
 
 def brute_force_cells(d: int, depth: int) -> dict:
@@ -83,3 +90,48 @@ def mesh_scan_quantile(spec, u, step: Fraction, scan: bool = False):
         else:
             b = m
     return mesh(a)
+
+
+def ks_statistic(samples, cdf) -> float:
+    """Two-sided sup distance between the empirical CDF and `cdf`.
+
+    `samples` need not be pre-sorted; `cdf` is evaluated pointwise.
+    """
+    xs = sorted(samples)
+    n = len(xs)
+    if n == 0:
+        raise ValueError("need at least one sample")
+    d = 0.0
+    for i, x in enumerate(xs):
+        fx = float(cdf(x))
+        d = max(d, (i + 1) / n - fx, fx - i / n)
+    return d
+
+
+def kolmogorov_cdf(x: float) -> float:
+    """CDF of the Kolmogorov distribution, alternating series."""
+    if x <= 0:
+        return 0.0
+    total = 0.0
+    for k in range(1, 200):
+        term = math.exp(-2.0 * k * k * x * x)
+        total += -term if k % 2 == 0 else term
+        if term < 1e-18:
+            break
+    return max(0.0, 1.0 - 2.0 * total)
+
+
+def ks_threshold(n: int, confidence: float) -> float:
+    """Critical D for sample size n at the given confidence (asymptotic)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
+    lo, hi = 0.0, 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if kolmogorov_cdf(mid) < confidence:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) / math.sqrt(n)

@@ -310,8 +310,10 @@ def test_sample_invalid_spec_names_field(tmp_path, capsys):
     ({"atoms": [{"at": "1e400", "mass": "1"}]}, "at"),
     ({"pieces": [{"from": "0", "to": "1e400", "cdf_from": "0", "cdf_to": "1"}]},
      "to"),
+    # a name would otherwise head the CSV column as "[1, 2]"
+    ({"atoms": [{"at": "0", "mass": "1"}], "name": [1, 2]}, "name"),
 ], ids=["distributions-int", "atom-int", "atoms-str", "piece-list", "at-inf",
-        "at-1e400", "slope-1e400"])
+        "at-1e400", "slope-1e400", "name-list"])
 def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
                                                          field):
     spec = _write_spec(tmp_path / "spec.json", doc)

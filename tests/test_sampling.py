@@ -17,13 +17,8 @@ from cubefold.sampling import (
     sample_independent,
     split_uniform,
 )
-from cubefold.stats import (
-    chi_squared_contingency,
-    chi2_threshold,
-    ks_statistic,
-    ks_threshold,
-)
-from helpers import mesh_scan_quantile
+from cubefold.stats import chi_squared_contingency, chi2_threshold
+from helpers import ks_statistic, ks_threshold, mesh_scan_quantile
 
 UNIFORM = DistributionSpec(pieces=[("0", "1", "0", "1")], name="uniform")
 COIN = DistributionSpec(atoms=[("0", "1/2"), ("1", "1/2")], name="coin")
@@ -156,6 +151,14 @@ def test_validation_names_offending_field():
         DistributionSpec(atoms=[("1/2", "1/2")],
                          pieces=[("0", "1", "0", "1/2")])
     assert exc.value.field == "at"
+
+
+@pytest.mark.parametrize("name", [[1, 2], 3, None, {"x": 1}])
+def test_spec_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(SpecValidationError) as exc:
+        DistributionSpec.from_dict({"atoms": [{"at": "0", "mass": "1"}],
+                                    "name": name})
+    assert exc.value.field == "name"
 
 
 def test_spec_dict_roundtrip():

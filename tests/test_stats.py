@@ -9,10 +9,8 @@ from cubefold.stats import (
     chi2_threshold,
     chi_squared,
     chi_squared_contingency,
-    kolmogorov_cdf,
-    ks_statistic,
-    ks_threshold,
 )
+from helpers import kolmogorov_cdf, ks_statistic, ks_threshold
 
 
 def test_chi_squared_zero_when_exact():
