@@ -34,5 +34,12 @@ from .sampling import (
     split_uniform,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["CellAddress", "OrientationState", "SegmentInterval",
+           "address_to_interval", "address_to_rect", "child_order",
+           "compose_n_to_m", "forward_map", "interval_to_address",
+           "inverse_map", "point_to_address", "CubePoint", "DyadicRect",
+           "PrecisionError", "RangeError", "UnitScalar", "CellUnion",
+           "VerificationReport", "monte_carlo_uniformity", "pushforward",
+           "rect_measure_check", "DistributionSpec", "SampleBatch",
+           "sample_independent", "split_uniform"]
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command-line front door: map, unmap, verify, sample.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-Exact values are printed as rational text (`m/2^p`, `q/4^n`); decimals
-appear only as annotations.
+Each flag is checked once, by its argparse type.  `verify` reads its flags
+from `SUITE_FLAGS`, calls the suite with exactly the values it takes and
+rejects any other flag given.  Exit codes: 0 success, 1 verification
+failure, 2 usage or parse error.  Exact values are printed as rational
+text (`m/2^p`, `q/4^n`); decimals appear only as annotations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from . import curve, measure
 from .dyadic import (
     CubePoint,
     DyadicRect,
-    PrecisionError,
     RangeError,
     UnitScalar,
     format_scalar,
@@ -27,7 +28,8 @@ from .dyadic import (
 from .measure import CellUnion, VerificationReport, pushforward
 from .sampling import DistributionSpec, SpecValidationError, sample_independent
 
-VERIFY_DEPTH = 6
+ROUNDTRIP_TRIALS = 1000
+MEASURE_UNIONS = 200
 # cells * d bound of the exhaustive suites, checked before any allocation.
 # They stream the corners in blocks of curve.BLOCK cells; what grows with
 # the cell count is the one-byte-per-cell `seen` array of `cells`, 16 MiB
@@ -35,23 +37,23 @@ VERIFY_DEPTH = 6
 MAX_CELL_COORDS = 1 << 24
 
 
-def _dimension(text):
-    d = int(text)
-    if not 1 <= d <= curve.MAX_DIMENSION:
-        raise argparse.ArgumentTypeError(
-            f"dimension must be in 1..{curve.MAX_DIMENSION}, got {d}")
-    return d
+def _int_in(name, low, high=None):
+    """argparse type: an int >= low (and <= high), its errors naming `name`."""
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+        return value
+    return parse
 
 
-def _depth(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"depth must be >= 0, got {n}")
-    return n
-
-
-# argparse names a type that fails int() in "invalid int value: ..."
-_dimension.__name__ = _depth.__name__ = "int"
+_dimension = _int_in("dimension", 1, curve.MAX_DIMENSION)
+_depth = _int_in("depth", 0)
+_seed = _int_in("seed", 0)
 
 
 def _parse_point(tokens, dimension, depth) -> CubePoint:
@@ -113,7 +115,7 @@ def _corner_blocks(d, depth):
             for lo in range(0, total, curve.BLOCK))
 
 
-def _suite_cells(d, depth, args):
+def _suite_cells(d, depth):
     # Corners lie on the 2^depth grid, which has exactly as many points as
     # there are segment cells, so distinct corners make the map a bijection
     # between equal-measure cells.
@@ -126,7 +128,7 @@ def _suite_cells(d, depth, args):
         "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
 
 
-def _suite_adjacency(d, depth, args):
+def _suite_adjacency(d, depth):
     # the last corner of each block is carried into the next block's check
     violations, last = 0, None
     for corners in _corner_blocks(d, depth):
@@ -139,64 +141,66 @@ def _suite_adjacency(d, depth, args):
         "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
 
 
-def _suite_roundtrip(d, depth, args, trials=1000):
-    rng = random.Random(args.seed)
+def _suite_roundtrip(d, depth, seed):
+    rng = random.Random(seed)
     bits = d * depth
     failures = 0
-    for _ in range(trials):
+    for _ in range(ROUNDTRIP_TRIALS):
         t = UnitScalar(rng.getrandbits(bits), bits)
         if curve.forward_map(curve.inverse_map(t, depth, d), depth) != t:
             failures += 1
     yield VerificationReport.from_statistic(
-        "roundtrip", f"random d={d} depth={depth} trials={trials}",
-        failures, 0, args.seed)
+        "roundtrip", f"random d={d} depth={depth} trials={ROUNDTRIP_TRIALS}",
+        failures, 0, seed)
 
 
-def _suite_measure(d, depth, args, unions=200):
-    rng = random.Random(args.seed)
+def _suite_measure(d, depth, seed):
+    rng = random.Random(seed)
     total = 1 << (d * depth)
     failures = 0
-    for _ in range(unions):
+    for _ in range(MEASURE_UNIONS):
         count = rng.randint(0, min(total, 64))
         cu = CellUnion(measure.CUBE, d, depth,
                        frozenset(rng.randrange(total) for _ in range(count)))
         if pushforward(cu).measure() != cu.measure():
             failures += 1
     yield VerificationReport.from_statistic(
-        "measure-unions", f"random d={d} depth={depth} unions={unions}",
-        failures, 0, args.seed)
+        "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
+        failures, 0, seed)
     if d == 2:
         half = DyadicRect(
             CubePoint((UnitScalar(0, 1), UnitScalar(0, 1))), (1, 0))
         yield measure.rect_measure_check(half, min(depth, 6))
 
 
-def _suite_uniformity(d, depth, args):
-    # the audit bins the 2-D map at a depth chosen from -k
-    if d != 2 or args.depth is not None:
-        raise ValueError("verify uniformity audits d=2 at its own depth; "
-                         "it takes no -n and no -d other than 2")
-    yield measure.monte_carlo_uniformity(args.samples, args.grid, args.seed)
+def _suite_uniformity(sample_count, grid_k, seed):
+    # the audit bins the 2-D map at a depth it derives from -k
+    yield measure.monte_carlo_uniformity(sample_count, grid_k, seed)
 
 
 SUITES = {"cells": _suite_cells, "adjacency": _suite_adjacency,
           "roundtrip": _suite_roundtrip, "measure": _suite_measure,
           "uniformity": _suite_uniformity}
-# verify flags only some suites take: dest -> (flag, default, those suites)
-SUITE_FLAGS = {"samples": ("-N/--samples", 1_000_000, ("uniformity",)),
-               "grid": ("-k/--grid", 16, ("uniformity",)),
-               "seed": ("--seed", 0, ("roundtrip", "measure", "uniformity"))}
+_CELL_SUITES = ("cells", "adjacency", "roundtrip", "measure")
+# every verify flag: suite parameter -> (flags, type, default, suites taking it)
+SUITE_FLAGS = {
+    "d": (("-d", "--dimension"), _dimension, 2, _CELL_SUITES),
+    "depth": (("-n", "--depth"), _depth, 6, _CELL_SUITES),
+    "sample_count": (("-N", "--samples"), int, 1_000_000, ("uniformity",)),
+    "grid_k": (("-k", "--grid"), int, 16, ("uniformity",)),
+    "seed": (("--seed",), _seed, 0, ("roundtrip", "measure", "uniformity"))}
 
 
 def _cmd_verify(args) -> int:
-    for dest, (flag, default, suites) in SUITE_FLAGS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif args.suite not in suites:
-            raise ValueError(f"verify {args.suite} takes no {flag}")
-    depth = VERIFY_DEPTH if args.depth is None else args.depth
+    kwargs = {}
+    for dest, (flags, _, default, suites) in SUITE_FLAGS.items():
+        value = getattr(args, dest)
+        if args.suite in suites:
+            kwargs[dest] = default if value is None else value
+        elif value is not None:
+            raise ValueError(f"verify {args.suite} takes no {'/'.join(flags)}")
     # a suite that raises part way prints no record
-    reports = list(SUITES[args.suite](args.dimension, depth, args))
+    reports = list(SUITES[args.suite](**kwargs))
     for report in reports:
         print(report.to_json())
     return 0 if all(report.passed for report in reports) else 1
@@ -213,8 +217,7 @@ def _load_specs(path):
         entries = doc
     else:
         entries = [doc]
-    return [DistributionSpec.from_dict(e, name=f"coord{i + 1}")
-            for i, e in enumerate(entries)]
+    return [DistributionSpec.from_dict(e) for e in entries]
 
 
 def _cmd_sample(args) -> int:
@@ -236,36 +239,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cell_command(name, handler, help, depth=1, depth_help=None):
-        """A subcommand taking -d and -n, run by `handler`."""
+    def command(name, handler, help):
+        """A subcommand run by `handler`."""
         p = sub.add_parser(name, help=help)
-        p.add_argument("-d", "--dimension", type=_dimension, default=2)
-        p.add_argument("-n", "--depth", type=_depth, default=depth,
-                       help=depth_help)
         p.set_defaults(handler=handler)
         return p
 
-    p_map = cell_command("map", _cmd_map, "map a cube point to the segment")
+    p_map = command("map", _cmd_map, "map a cube point to the segment")
     p_map.add_argument("coords", nargs="+",
                        help="d coordinates, each m/2^p or 0b0.bits")
-    p_unmap = cell_command("unmap", _cmd_unmap, "map a segment value to the cube")
+    p_unmap = command("unmap", _cmd_unmap, "map a segment value to the cube")
     p_unmap.add_argument("value", help="segment value, q/4^n or m/2^p")
-    p_verify = cell_command(
-        "verify", _cmd_verify, "run a verification suite", None,
-        f"cell depth (default {VERIFY_DEPTH}); not taken by uniformity")
+    for p in (p_map, p_unmap):
+        p.add_argument("-d", "--dimension", type=_dimension, default=2)
+        p.add_argument("-n", "--depth", type=_depth, default=1)
+    p_verify = command("verify", _cmd_verify, "run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    for dest, (flag, default, suites) in SUITE_FLAGS.items():
-        p_verify.add_argument(*flag.split("/"), dest=dest, type=int, help=(
-            f"default {default}; taken by {', '.join(suites)} only"))
+    for dest, (flags, type_, default, suites) in SUITE_FLAGS.items():
+        p_verify.add_argument(
+            *flags, dest=dest, type=type_, metavar=flags[-1][2:].upper(),
+            help=f"default {default}; taken by {', '.join(suites)} only")
 
-    p_sample = sub.add_parser("sample", help="draw variates from a spec file")
+    p_sample = command("sample", _cmd_sample, "draw variates from a spec file")
     p_sample.add_argument("--spec", required=True, help="JSON distribution file")
     p_sample.add_argument("-N", "--draws", type=int, default=100)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_seed, default=0)
     p_sample.add_argument("--depth", type=int, default=None)
     p_sample.add_argument("-o", "--output", default=None,
                           help="CSV output path (default stdout)")
-    p_sample.set_defaults(handler=_cmd_sample)
     return parser
 
 
@@ -277,8 +278,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecValidationError, PrecisionError, RangeError, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # every cubefold error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

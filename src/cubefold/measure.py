@@ -161,14 +161,18 @@ def _bin_counts(indices: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
 _CHUNK = 1 << 17
 
 
-def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
-                           depth: int | None = None,
-                           confidence: float = 0.999,
-                           _draw=None) -> VerificationReport:
+def _draw_cells(rng: np.random.Generator, size: int, depth: int) -> np.ndarray:
+    """`size` uniform depth-n segment cell indices of the square."""
+    return rng.integers(0, 1 << (2 * depth), size=size, dtype=np.uint64)
+
+
+def monte_carlo_uniformity(sample_count: int, grid_k: int,
+                           seed: int) -> VerificationReport:
     """Chi-squared uniformity audit of the inverse map on a k x k grid.
 
-    Draws uniform segment scalars, inverts them into the square, bins the
-    depth-n lower corners and compares against their exact expectation.
+    Draws uniform segment cells at depth n = max(8, bits of k - 1),
+    inverts them into the square, bins the depth-n lower corners and
+    compares against their exact expectation at 99.9% confidence.
     Chunks derive their streams from the seed, never from scheduling
     order, so counts are reproducible under any partitioning.  Each chunk
     is binned in blocks of `BLOCK` draws.
@@ -180,27 +184,18 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
             f"need at least {100 * grid_k * grid_k} samples for a "
             f"{grid_k}x{grid_k} grid"
         )
-    if depth is None:
-        depth = max(8, (grid_k - 1).bit_length())
+    depth = max(8, (grid_k - 1).bit_length())
     if 2 * depth > 63:
         raise RangeError("2*depth must be <= 63")
-    if (1 << depth) < grid_k:
-        raise RangeError("depth too small to resolve the grid")
 
     nbins = grid_k * grid_k
     counts = np.zeros(nbins, dtype=np.int64)
     nchunks = (sample_count + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(nchunks)
     remaining = sample_count
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(nchunks):
         size = min(_CHUNK, remaining)
         remaining -= size
-        rng = np.random.default_rng(child)
-        if _draw is not None:
-            q = _draw(rng, size, depth)
-        else:
-            q = rng.integers(0, 1 << (2 * depth), size=size, dtype=np.uint64)
-        q = np.asarray(q, dtype=np.uint64)
+        q = _draw_cells(np.random.default_rng(child), size, depth)
         for lo in range(0, size, BLOCK):
             counts += _bin_counts(q[lo:lo + BLOCK], grid_k, depth)
 
@@ -214,7 +209,7 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int, seed: int,
     per_axis = np.diff(-(-np.arange(grid_k + 1) * (1 << depth) // grid_k))
     expected = np.outer(per_axis, per_axis).ravel() * (sample_count / (1 << 2 * depth))
     stat, dof = chi_squared(counts, expected)
-    threshold = chi2_threshold(dof, confidence)
+    threshold = chi2_threshold(dof, 0.999)
     return VerificationReport.from_statistic(
         "uniformity", f"N={sample_count} grid={grid_k}x{grid_k} depth={depth}",
         stat, threshold, seed)

@@ -194,13 +194,13 @@ class DistributionSpec:
         return loc[element] + (u - f_lo[element]) * slope[element]
 
     @classmethod
-    def from_dict(cls, doc: dict, name: str = "") -> "DistributionSpec":
+    def from_dict(cls, doc: dict) -> "DistributionSpec":
         if not isinstance(doc, dict):
             raise SpecValidationError("distribution", "expected an object")
         atoms = [(a.get("at"), a.get("mass")) for a in _objects(doc, "atoms")]
         pieces = [(p.get("from"), p.get("to"), p.get("cdf_from"), p.get("cdf_to"))
                   for p in _objects(doc, "pieces")]
-        return cls(atoms, pieces, name=doc.get("name", name))
+        return cls(atoms, pieces, name=doc.get("name", ""))
 
     def to_dict(self) -> dict:
         ev = self._events
@@ -299,9 +299,8 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     scale = 0.5 ** depth
     out = np.empty((count, n), dtype=float)
     nchunks = (count + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(max(nchunks, 1))
     start = 0
-    for child in children[:nchunks]:
+    for child in np.random.SeedSequence(seed).spawn(nchunks):
         size = min(_CHUNK, count - start)
         rng = np.random.default_rng(child)
         q = _draw_bits(rng, n * depth, size)

@@ -219,7 +219,7 @@ def test_verify_uniformity_records_seed(capsys):
 
 
 @pytest.mark.parametrize("flags", [["-d", "3"], ["-d", "1"], ["-n", "8"],
-                                   ["-d", "2", "-n", "6"]])
+                                   ["-d", "2", "-n", "6"], ["-d", "2"]])
 def test_verify_uniformity_rejects_dimension_and_depth(capsys, flags):
     code, out, err = run(capsys, "verify", "uniformity", "-N", "30000",
                          "-k", "8", *flags)
@@ -238,6 +238,42 @@ def test_verify_rejects_flags_the_suite_ignores(capsys, suite, flags, flag):
     code, out, err = run(capsys, "verify", suite, "-d", "2", "-n", "3", *flags)
     assert code == 2 and out == ""
     assert f"verify {suite} takes no {flag}" in err
+
+
+@pytest.mark.parametrize("flags,flag", [(["-d", "2"], "-d/--dimension"),
+                                        (["-n", "6"], "-n/--depth")])
+def test_verify_uniformity_names_the_cell_flag_it_takes_not(capsys, flags,
+                                                            flag):
+    # -d 2 is the audit's own dimension, but it is still not its flag
+    code, out, err = run(capsys, "verify", "uniformity", "-N", "30000",
+                         "-k", "8", *flags)
+    assert code == 2 and out == ""
+    assert f"verify uniformity takes no {flag}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "roundtrip", "-n", "3"], ["verify", "measure", "-n", "3"],
+    ["verify", "uniformity", "-N", "30000", "-k", "8"],
+    ["sample", "--spec", str(Path(__file__).parent / "data" / "coin_uniform.json"),
+     "-N", "5"]], ids=["roundtrip", "measure", "uniformity", "sample"])
+def test_negative_seed_exits_2_naming_the_flag(capsys, command):
+    # random.Random(-1) would draw what --seed 1 draws
+    code, out, err = run_exit(capsys, *command, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "argument --seed: seed must be >= 0, got -1" in err
+
+
+def test_verify_help_names_the_suites_taking_each_flag(capsys):
+    code, out, _ = run_exit(capsys, "verify", "--help")
+    assert code == 0
+    text = " ".join(out.split())  # argparse wraps help to the terminal
+    cells = "taken by cells, adjacency, roundtrip, measure only"
+    assert f"--dimension DIMENSION default 2; {cells}" in text
+    assert f"--depth DEPTH default 6; {cells}" in text
+    assert "--samples SAMPLES default 1000000; taken by uniformity only" in text
+    assert "--grid GRID default 16; taken by uniformity only" in text
+    assert "--seed SEED default 0; taken by roundtrip, measure, uniformity only" \
+        in text
 
 
 def test_verify_seeded_suites_default_to_seed_0(capsys):

@@ -202,11 +202,12 @@ def test_monte_carlo_deterministic_for_seed():
     assert a == b
 
 
-def test_monte_carlo_degenerate_draws_fail():
+def test_monte_carlo_degenerate_draws_fail(monkeypatch):
     def constant_draw(rng, size, depth):
         return np.zeros(size, dtype=np.uint64)
 
-    report = monte_carlo_uniformity(200_000, 8, seed=1, _draw=constant_draw)
+    monkeypatch.setattr(measure, "_draw_cells", constant_draw)
+    report = monte_carlo_uniformity(200_000, 8, seed=1)
     assert not report.passed
 
 
@@ -219,13 +220,14 @@ def test_monte_carlo_passes_at_non_dyadic_grids(grid_k, seed):
 
 
 @pytest.mark.parametrize("grid_k", [3, 5, 10, 16, 25])
-def test_monte_carlo_expectation_is_the_exact_grid_law(grid_k):
+def test_monte_carlo_expectation_is_the_exact_grid_law(monkeypatch, grid_k):
     # every depth-8 segment cell drawn once: the counts are the exact law
     # of the corners, so they must match the expectation to the last bit
     def every_cell(rng, size, depth):
         return np.arange(size, dtype=np.uint64)
 
-    report = monte_carlo_uniformity(4 ** 8, grid_k, seed=0, _draw=every_cell)
+    monkeypatch.setattr(measure, "_draw_cells", every_cell)
+    report = monte_carlo_uniformity(4 ** 8, grid_k, seed=0)
     assert report.statistic == 0.0
 
 
@@ -286,7 +288,55 @@ def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
         return chi_squared(counts, expected)
 
     monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
-    monte_carlo_uniformity(sample_count, 4, seed=sample_count, _draw=draw)
+    monkeypatch.setattr(measure, "_draw_cells", draw)
+    monte_carlo_uniformity(sample_count, 4, seed=sample_count)
     assert sum(map(len, chunks)) == sample_count
     whole = sum(_bin_counts(q, 4, 8) for q in chunks)
     assert len(seen) == 1 and seen[0].tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+def test_monte_carlo_dyadic_bins_are_the_drawn_cells_permuted(monkeypatch, j):
+    # at k = 2^j a bin is one depth-j cell, so the counts are the draws'
+    # depth-j cell counts moved by the cell -> bin map; the map is taken
+    # from the child_order enumeration, not from the kernel
+    k, draws, seen = 1 << j, [], []
+
+    def recording_draw(rng, size, depth):
+        draws.append(real_draw(rng, size, depth))
+        return draws[-1]
+
+    def recording_chi_squared(counts, expected):
+        seen.append(counts.copy())
+        return chi_squared(counts, expected)
+
+    real_draw = measure._draw_cells
+    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
+    monte_carlo_uniformity(250_000, k, seed=j)
+    q = np.concatenate(draws)
+    assert len(q) == 250_000
+    cell_counts = np.bincount((q >> np.uint64(2 * (8 - j))).astype(np.int64),
+                              minlength=4 ** j)
+    want = np.zeros(k * k, dtype=np.int64)
+    for digits, (x, y) in brute_force_cells(2, j).items():
+        want[x * k + y] = cell_counts[int("".join(map(str, digits)), 4)]
+    assert len(seen) == 1 and seen[0].tolist() == want.tolist()
+
+
+def test_monte_carlo_fails_a_map_that_merges_two_cells(monkeypatch):
+    # every index of depth-4 cell 37 lands in depth-4 cell 200: the bin
+    # of cell 37 stays empty and the bin of cell 200 gets twice its share
+    real = measure.inverse_map_batch
+
+    def merged(indices, depth, dimension):
+        cell = indices >> np.uint64(2 * (depth - 4))
+        moved = (np.uint64(200) << np.uint64(2 * (depth - 4))) | \
+            (indices & np.uint64((1 << 2 * (depth - 4)) - 1))
+        return real(np.where(cell == 37, moved, indices), depth, dimension)
+
+    assert monte_carlo_uniformity(250_000, 16, seed=4).passed
+    monkeypatch.setattr(measure, "inverse_map_batch", merged)
+    report = monte_carlo_uniformity(250_000, 16, seed=4)
+    assert not report.passed
+    assert report.statistic > 2 * report.threshold

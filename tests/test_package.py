@@ -8,9 +8,18 @@ def test_public_surface_is_frozen():
         "DyadicRect", "OrientationState", "PrecisionError", "RangeError",
         "SampleBatch", "SegmentInterval", "UnitScalar", "VerificationReport",
         "address_to_interval", "address_to_rect", "child_order",
-        "compose_n_to_m", "curve", "dyadic", "forward_map",
-        "interval_to_address", "inverse_map", "measure",
+        "compose_n_to_m", "forward_map",
+        "interval_to_address", "inverse_map",
         "monte_carlo_uniformity", "point_to_address", "pushforward",
-        "rect_measure_check", "sample_independent", "sampling",
-        "split_uniform", "stats",
+        "rect_measure_check", "sample_independent",
+        "split_uniform",
     ]
+
+
+def test_star_import_binds_exactly_the_public_surface():
+    # the submodules stay reachable as attributes but are not exported
+    namespace = {}
+    exec("from cubefold import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(cubefold.__all__)
+    assert not {"curve", "dyadic", "measure", "sampling", "stats"} & set(namespace)
