@@ -1,6 +1,8 @@
 """Command-line front door: map, unmap, verify, sample.
 
-Each flag is checked once, by its argparse type.  `verify` reads its flags
+Each flag is checked once: `-d`, `-n` and `--seed` by their argparse
+type, the plain ints `verify -N`/`-k` by `monte_carlo_uniformity` and
+`sample -N`/`--depth` by `sample_independent`.  `verify` reads its flags
 from `SUITE_FLAGS`, calls the suite with exactly the values it takes and
 rejects any other flag given.  Exit codes: 0 success, 1 verification
 failure, 2 usage or parse error.  Exact values are printed as rational
@@ -213,8 +215,6 @@ def _load_specs(path):
         entries = doc["distributions"]
         if not isinstance(entries, list):
             raise SpecValidationError("distributions", "expected a list")
-    elif isinstance(doc, list):
-        entries = doc
     else:
         entries = [doc]
     return [DistributionSpec.from_dict(e) for e in entries]

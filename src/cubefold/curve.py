@@ -31,9 +31,10 @@ low, low = depth - start - L) and, in the bits below, the flips the
 step adds, repeated over every later bit of each axis; an int64 `nxt`
 entry holds the next rotation already scaled to the next step's key.
 A step is one mask, one add, one XOR and two gathers on one key.  The
-tables of one (d, depth) take at most 240 KiB, at d=8 depth 8; the
-kernel's consumers call it per block of `BLOCK` indices, so each uint64
-temporary over a block takes 128 KiB.
+tables of one (d, depth) take at most 240 KiB, at d=8 depth 8.  The
+exhaustive suites and the uniformity audit call the kernel per block of
+`BLOCK` indices, so each uint64 temporary takes 128 KiB; the sampler
+calls it once per 2**15-row chunk.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ BLOCK = 1 << 14
 
 def _check_cell(d: int, depth: int) -> None:
     if not 1 <= d <= MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}")
+        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}, got {d}")
     if depth < 0:
         raise RangeError("depth must be >= 0")
 
@@ -64,11 +65,8 @@ def _gray(i: int) -> int:
 
 
 def _trailing_ones(i: int) -> int:
-    n = 0
-    while i & 1:
-        n += 1
-        i >>= 1
-    return n
+    # the trailing ones of i are the trailing zeros of i + 1
+    return ((i + 1) & -(i + 1)).bit_length() - 1
 
 
 @lru_cache(maxsize=None)
@@ -115,10 +113,7 @@ class OrientationState:
     flips: int
 
     def __post_init__(self):
-        if not 1 <= self.dimension <= MAX_DIMENSION:
-            raise RangeError(
-                f"dimension must be in 1..{MAX_DIMENSION}, got {self.dimension}"
-            )
+        _check_cell(self.dimension, 0)
         if not 0 <= self.rotation < self.dimension:
             raise RangeError("rotation out of range")
         if not 0 <= self.flips < (1 << self.dimension):
@@ -368,16 +363,10 @@ def _spread(words, width: int, depth: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _batch_steps(d: int, depth: int) -> tuple:
-    """Per-step tables of the batch kernel, one (shift, mask, comb, nxt)
-    per step of `_steps(d, depth)`.
-
-    Both tables are keyed like `_digit_table`.  A `comb` entry holds, in
-    disjoint bits, the step's corner bits at their final place (axis a's
-    at bit a * depth + low, low = depth - start - width) and the flips
-    the step adds, one bit per axis times 2**low - 1, so that they cover
-    every later bit of the axis.  `nxt` holds the next rotation times the
-    next step's 2**(d*width); the last step has none.
-    """
+    """One (shift, mask, comb, nxt) per step of `_steps(d, depth)`: the
+    shift and mask that read the step's word of the index and the step's
+    `comb` and `nxt` tables (see the module docstring); the last step's
+    `nxt` is None."""
     steps = _steps(d, depth)
     out = []
     for k, (start, width) in enumerate(steps):
@@ -406,11 +395,8 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     Returns an (N, d) uint64 array of lower-corner mantissas at precision
     `depth` per coordinate.  Must agree with inverse_map on every index;
     requires dimension * depth <= 64.  All coordinates build up in one
-    uint64 per index, axis a in bits a*depth .. (a+1)*depth - 1.  Each
-    step of `_steps` reads its word of the index, adds the rotation key
-    the previous step left, XORs the `comb` entry of `_batch_steps` into
-    the coordinates (its corner bits, and the flips it adds to every
-    later bit) and gathers the next rotation key from `nxt`.
+    uint64 per index, axis a in bits a*depth .. (a+1)*depth - 1, one
+    `comb` entry per step of `_batch_steps`.
     """
     d = dimension
     _check_batch(depth, d)

@@ -59,10 +59,8 @@ class UnitScalar:
         m, p = self.mantissa, self.precision
         if m == 0:
             return 0, 0
-        while m & 1 == 0:
-            m >>= 1
-            p -= 1
-        return m, p
+        shift = (m & -m).bit_length() - 1
+        return m >> shift, p - shift
 
     def __eq__(self, other):
         if not isinstance(other, UnitScalar):
@@ -154,7 +152,4 @@ class DyadicRect:
         return self.lower.dimension
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for k in self.side_exponents:
-            v /= 1 << k
-        return v
+        return Fraction(1, 1 << sum(self.side_exponents))

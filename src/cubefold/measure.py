@@ -62,11 +62,10 @@ class CellUnion:
 
     @classmethod
     def of_cube(cls, dimension: int, depth: int, addresses) -> "CellUnion":
-        """Cube union of digit paths, each a CellAddress or a digit sequence."""
+        """Cube union of digit paths, each a sequence of digits."""
         indices = set()
-        for a in addresses:
-            a = CellAddress(dimension,
-                            a.digits if isinstance(a, CellAddress) else tuple(a))
+        for digits in addresses:
+            a = CellAddress(dimension, tuple(digits))
             if a.depth != depth:
                 raise RangeError("member depth mismatch")
             indices.add(address_to_interval(a).index)
@@ -126,13 +125,11 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
             )
     base = []
     for c in rect.lower.coords:
-        p = c.precision
-        if p >= depth:
-            if c.mantissa & ((1 << (p - depth)) - 1):
-                raise RangeError("corner not aligned to the depth grid")
-            base.append(c.mantissa >> (p - depth))
-        else:
-            base.append(c.mantissa << (depth - p))
+        p = max(c.precision, depth)
+        m = c.refine(p).mantissa
+        if m & ((1 << (p - depth)) - 1):
+            raise RangeError("corner not aligned to the depth grid")
+        base.append(m >> (p - depth))
     spans = [range(1 << (depth - k)) for k in rect.side_exponents]
     indices = set()
     for offsets in itertools.product(*spans):

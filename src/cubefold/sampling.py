@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +71,6 @@ class DistributionSpec:
             [tuple(_as_fraction(v, f) for v, f in
                    zip(p, ("from", "to", "cdf_from", "cdf_to")))
              for p in pieces])
-        locations = [e[1] for e in self._events] + \
-                    [e[2] for e in self._events if e[0] == "piece"]
-        self.support_lo = min(locations)
-        self.support_hi = max(locations)
-        self._tables = None
 
     @staticmethod
     def _validate(atoms, pieces):
@@ -149,19 +145,22 @@ class DistributionSpec:
                 return lo + (u - f_lo) * (hi - lo) / (f_hi - f_lo)
         raise AssertionError("validated CDF must reach 1")  # pragma: no cover
 
+    @cached_property
     def _batch_tables(self):
-        if self._tables is None:
-            ev = self._events
-            self._tables = (
-                np.array([float(e[4]) for e in ev]),           # f_hi, sorted
-                np.array([float(e[3]) for e in ev]),           # f_lo
-                np.array([_as_float(e[1], "at" if e[0] == "atom" else "from")
-                          for e in ev]),                       # location
-                np.array([0.0 if e[4] == e[3]
-                          else _as_float((e[2] - e[1]) / (e[4] - e[3]), "to")
-                          for e in ev]),                       # dt/dF
-            )
-        return self._tables
+        ev = self._events
+        # rounded down, a float u <= float top iff u <= the exact top
+        tops = [float(e[4]) for e in ev]
+        tops = [math.nextafter(t, -1.0) if Fraction(t) > e[4] else t
+                for t, e in zip(tops, ev)]
+        return (
+            np.array(tops),                                # f_hi, sorted
+            np.array([float(e[3]) for e in ev]),           # f_lo
+            np.array([_as_float(e[1], "at" if e[0] == "atom" else "from")
+                      for e in ev]),                       # location
+            np.array([0.0 if e[4] == e[3]
+                      else _as_float((e[2] - e[1]) / (e[4] - e[3]), "to")
+                      for e in ev]),                       # dt/dF
+        )
 
     def cell_elements(self, cells: np.ndarray, depth: int) -> np.ndarray:
         """Index of the CDF element holding each depth-n cell's midpoint.
@@ -182,10 +181,11 @@ class DistributionSpec:
         """Float counterpart of `quantile`, vectorized over u in (0, 1).
 
         `element` names the CDF element each u falls in, when the caller
-        has chosen it exactly (see `cell_elements`); otherwise it is found
-        by comparing u with the float CDF values, and u must lie in (0, 1).
+        has chosen it exactly (see `cell_elements`); otherwise it is found,
+        also exactly, from the CDF at the element tops rounded down to
+        floats, and u must lie in (0, 1).
         """
-        f_hi, f_lo, loc, slope = self._batch_tables()
+        f_hi, f_lo, loc, slope = self._batch_tables
         u = np.asarray(u, dtype=float)
         if element is None:
             if np.any(u <= 0) or np.any(u >= 1):

@@ -49,11 +49,7 @@ def chi_squared_contingency(table) -> tuple[float, int]:
 
 
 def _gammainc_lower_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if x < 0 or a <= 0:
-        raise ValueError("need a > 0 and x >= 0")
-    if x == 0.0:
-        return 0.0
+    """Regularized lower incomplete gamma P(a, x) for a > 0 and x > 0."""
     if x < a + 1.0:
         # series expansion
         term = 1.0 / a
@@ -100,8 +96,6 @@ def chi2_cdf(x: float, dof: int) -> float:
 
 def chi2_threshold(dof: int, confidence: float) -> float:
     """Chi-squared quantile by bisection on the series-evaluated CDF."""
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     lo, hi = 0.0, max(4.0 * dof, 16.0)

@@ -66,8 +66,11 @@ def mesh_scan_quantile(spec, u, step: Fraction, scan: bool = False):
     and returns the identical mesh point.
     """
     u = Fraction(u)
-    lo = spec.support_lo - 1
-    hi = spec.support_hi + 1
+    doc = spec.to_dict()
+    locations = [Fraction(a["at"]) for a in doc["atoms"]] + \
+                [Fraction(p[k]) for p in doc["pieces"] for k in ("from", "to")]
+    lo = min(locations) - 1
+    hi = max(locations) + 1
     count = int((hi - lo) / step)
 
     def mesh(i):

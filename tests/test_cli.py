@@ -348,8 +348,10 @@ def test_sample_invalid_spec_names_field(tmp_path, capsys):
      "to"),
     # a name would otherwise head the CSV column as "[1, 2]"
     ({"atoms": [{"at": "0", "mass": "1"}], "name": [1, 2]}, "name"),
+    # a spec file is {"distributions": [...]} or one distribution object
+    ([{"atoms": [{"at": "0", "mass": "1"}]}], "distribution"),
 ], ids=["distributions-int", "atom-int", "atoms-str", "piece-list", "at-inf",
-        "at-1e400", "slope-1e400", "name-list"])
+        "at-1e400", "slope-1e400", "name-list", "bare-list"])
 def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
                                                          field):
     spec = _write_spec(tmp_path / "spec.json", doc)
@@ -357,6 +359,20 @@ def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["-N", "-1"], "count must be >= 0"),
+    (["--depth", "0"], "depth must be >= 1"),
+    (["--depth", "40"], "2*40 bits per draw exceeds the 64-bit uniform source"),
+], ids=["draws-1", "depth0", "depth40"])
+def test_sample_library_checks_exit_2_with_their_message(tmp_path, capsys, flags,
+                                                         message):
+    uniform = {"pieces": [{"from": "0", "to": "1", "cdf_from": "0", "cdf_to": "1"}]}
+    spec = _write_spec(tmp_path / "spec.json", {"distributions": [uniform] * 2})
+    code, out, err = run(capsys, "sample", "--spec", spec, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_sample_missing_file_exits_2(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,16 @@ def test_rejects_unsupported_dimension():
         OrientationState.identity(0)
     with pytest.raises(RangeError):
         OrientationState.identity(9)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((9, 0, 0), "dimension must be in 1..8, got 9"),
+    ((2, 2, 0), "rotation out of range"),
+    ((2, 0, 4), "flips out of range"),
+], ids=["dimension", "rotation", "flips"])
+def test_orientation_state_guards_raise_their_message(args, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        OrientationState(*args)
 
 
 def test_point_to_address_depth1():

@@ -1,5 +1,7 @@
-import pytest
+import re
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
 from cubefold.dyadic import (
@@ -110,6 +112,20 @@ def test_rect_must_fit_in_cube():
     DyadicRect(make_point([7], 3), (7,))  # ends at 7/8 + 1/128
     with pytest.raises(RangeError):
         DyadicRect(make_point([7], 3), (2,))  # 7/8 + 1/4 > 1
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: CubePoint(()), "need at least one coordinate"),
+    (lambda: DyadicRect(make_point([0, 0], 1), (1,)),
+     "one side exponent per axis required"),
+    (lambda: DyadicRect(make_point([0], 1), (-1,)),
+     "side exponent -1 must be >= 0"),
+    (lambda: DyadicRect(make_point([3], 2), (1,)),
+     "box must be contained in [0,1)^d"),
+], ids=["no-coords", "arity", "negative-exponent", "leaves-cube"])
+def test_point_and_rect_guards_raise_their_message(build, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @given(st.integers(0, 20), st.integers(0, 30), st.data())

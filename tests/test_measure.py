@@ -240,6 +240,11 @@ def test_monte_carlo_rejects_undersampling():
         monte_carlo_uniformity(100, 16, seed=0)
 
 
+def test_monte_carlo_rejects_an_empty_grid():
+    with pytest.raises(RangeError, match=r"^grid must be at least 1x1$"):
+        monte_carlo_uniformity(100, 0, 0)
+
+
 def test_bin_counts_are_exactly_uniform_over_all_cells():
     # exhaustive depth-4 enumeration: every bin of a 4x4 grid gets the
     # same number of cells, the exact-count core of uniformity

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -360,3 +361,53 @@ def test_sample_cells_match_forward_map(data):
 def test_sample_independent_rejects_excess_bits():
     with pytest.raises(PrecisionError):
         sample_independent(0, 10, [UNIFORM, COIN], depth=40)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: sample_independent(0, 10, []), RangeError,
+     "need 1..8 distributions, got 0"),
+    (lambda: sample_independent(0, 10, [UNIFORM] * 9), RangeError,
+     "need 1..8 distributions, got 9"),
+    (lambda: sample_independent(0, -1, [UNIFORM]), RangeError,
+     "count must be >= 0"),
+    (lambda: sample_independent(0, 10, [UNIFORM], depth=0), RangeError,
+     "depth must be >= 1"),
+    (lambda: DistributionSpec(), SpecValidationError,
+     "atoms: distribution has no elements"),
+    (lambda: DistributionSpec(pieces=[("0", "1", "1/2", "1/4")]),
+     SpecValidationError, "cdf_to: CDF must be non-decreasing"),
+    (lambda: DistributionSpec.from_dict([1]), SpecValidationError,
+     "distribution: expected an object"),
+    (lambda: UNIFORM.quantile_batch([0.0]), RangeError,
+     "quantile arguments must be in (0, 1)"),
+    (lambda: sampling.SampleBatch(np.zeros((3, 2)), 0, 8, (UNIFORM,)),
+     RangeError, "one sample column per distribution required"),
+    (lambda: sampling.SampleBatch(np.zeros((3, 1), dtype=np.float32), 0, 8,
+                                  (UNIFORM,)),
+     RangeError, "samples must be float64, got float32"),
+], ids=["no-specs", "nine-specs", "count-1", "depth0", "no-elements",
+        "cdf-decreases", "from-dict-list", "quantile-batch-0", "columns",
+        "float32"])
+def test_sampling_guards_raise_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_quantile_batch_at_a_breakpoint_that_is_not_dyadic():
+    # float(0.1) lies above 1/10, so F(0) < 0.1 and the atom at 1 holds it
+    spec = DistributionSpec(atoms=[("0", "1/10"), ("1", "9/10")])
+    assert spec.quantile(Fraction(0.1)) == 1
+    assert spec.quantile_batch([0.1]).tolist() == [1.0]
+
+
+@given(st.lists(st.integers(1, 1000), min_size=2, max_size=6))
+def test_quantile_batch_picks_the_exact_element_at_every_breakpoint(weights):
+    total = sum(weights)
+    spec = DistributionSpec(atoms=[(i, Fraction(w, total))
+                                   for i, w in enumerate(weights)])
+    top = Fraction(0)
+    for w in weights[:-1]:
+        top += Fraction(w, total)
+        x = float(top)
+        for u in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)):
+            assert spec.quantile_batch([u])[0] == float(spec.quantile(Fraction(u)))

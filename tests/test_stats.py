@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -123,3 +124,18 @@ def test_threshold_argument_validation():
         chi2_threshold(3, 1.0)
     with pytest.raises(ValueError):
         ks_threshold(0, 0.95)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: chi_squared([1, 2], [1.0, 1.0, 1.0]),
+     "observed and expected must have equal length"),
+    (lambda: chi_squared_contingency([1, 2]),
+     "contingency table must be 2-dimensional"),
+    (lambda: chi_squared_contingency([[0, 0], [0, 0]]), "empty table"),
+    (lambda: chi_squared_contingency([[1, 0], [2, 0]]),
+     "a margin is empty; expected count would be zero"),
+    (lambda: chi2_threshold(0, 0.95), "dof must be >= 1"),
+], ids=["lengths", "1-d", "all-zero", "zero-margin", "dof0"])
+def test_stats_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
