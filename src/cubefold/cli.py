@@ -12,7 +12,6 @@ text (`m/2^p`, `q/4^n`); decimals appear only as annotations.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -28,7 +27,7 @@ from .dyadic import (
     parse_scalar,
 )
 from .measure import CellUnion, VerificationReport, pushforward
-from .sampling import DistributionSpec, SpecValidationError, sample_independent
+from .sampling import load_specs, sample_independent
 
 ROUNDTRIP_TRIALS = 1000
 MEASURE_UNIONS = 200
@@ -208,20 +207,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
-def _load_specs(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "distributions" in doc:
-        entries = doc["distributions"]
-        if not isinstance(entries, list):
-            raise SpecValidationError("distributions", "expected a list")
-    else:
-        entries = [doc]
-    return [DistributionSpec.from_dict(e) for e in entries]
-
-
 def _cmd_sample(args) -> int:
-    specs = _load_specs(args.spec)
+    with open(args.spec) as fh:
+        specs = load_specs(fh)
     batch = sample_independent(args.seed, args.draws, specs, depth=args.depth)
     if args.output:
         with open(args.output, "w", newline="") as fh:

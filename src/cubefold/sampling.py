@@ -10,6 +10,7 @@ quantile is exact wherever the inputs are.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +31,12 @@ class SpecValidationError(ValueError):
 
 
 def _as_fraction(value, field: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise SpecValidationError(field, f"not an exact number: {value!r}") from exc
+    if not isinstance(value, bool):  # Fraction(True) would be 1
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+            pass
+    raise SpecValidationError(field, f"not an exact number: {value!r}")
 
 
 def _as_float(value: Fraction, field: str) -> float:
@@ -43,12 +46,30 @@ def _as_float(value: Fraction, field: str) -> float:
         raise SpecValidationError(field, f"{value} does not fit a float64") from exc
 
 
-def _objects(doc: dict, field: str) -> list:
-    """doc[field], which must be a list of objects; empty when absent."""
-    items = doc.get(field, [])
-    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
-        raise SpecValidationError(field, "expected a list of objects")
-    return items
+# The spec format: each list a distribution object holds (also the name of
+# the constructor's argument for it) and the fields of its objects, in the
+# order of the constructor's rows.
+SPEC_FIELDS = {"atoms": ("at", "mass"),
+               "pieces": ("from", "to", "cdf_from", "cdf_to")}
+AT, MASS = SPEC_FIELDS["atoms"]
+FROM, TO, CDF_FROM, CDF_TO = SPEC_FIELDS["pieces"]
+
+
+def _object(value, field: str, keys) -> dict:
+    """value, which must be a JSON object holding no key outside `keys`."""
+    if not isinstance(value, dict):
+        raise SpecValidationError(field, "expected an object")
+    for key in value:
+        if key not in keys:
+            raise SpecValidationError(
+                key, f"unknown key in {field}; expected one of {', '.join(keys)}")
+    return value
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise SpecValidationError(field, "expected a list")
+    return value
 
 
 class DistributionSpec:
@@ -57,82 +78,62 @@ class DistributionSpec:
     The elements must tile the CDF completely: walking them in location
     order, the running value starts at 0, each piece starts where the
     previous element left off, and the final value is exactly 1.  The
-    law is kept once, as the validated elements in location order, each
-    (kind, lo, hi, F below, F at top); an atom has lo == hi.
+    law is kept once, as the validated elements in (lo, hi) order, each
+    (lo, hi, F below, F at top): an atom is the element with lo == hi,
+    and every piece has lo < hi.
     """
 
     def __init__(self, atoms=(), pieces=(), name: str = ""):
         if not isinstance(name, str):
             raise SpecValidationError("name", f"expected a string, got {name!r}")
         self.name = name
-        self._events = self._validate(
-            [(_as_fraction(a[0], "at"), _as_fraction(a[1], "mass"))
-             for a in atoms],
-            [tuple(_as_fraction(v, f) for v, f in
-                   zip(p, ("from", "to", "cdf_from", "cdf_to")))
-             for p in pieces])
+        atoms, pieces = ([tuple(map(_as_fraction, row, fields)) for row in rows]
+                         for rows, fields in zip((atoms, pieces), SPEC_FIELDS.values()))
+        self._elements = self._validate(atoms, pieces)
 
     @staticmethod
     def _validate(atoms, pieces):
-        """Events from (at, mass) atoms and (lo, hi, F(lo), F(hi)) pieces."""
+        """Elements from (at, mass) atoms and (lo, hi, F(lo), F(hi)) pieces."""
         for _, mass in atoms:
             if mass <= 0:
-                raise SpecValidationError("mass", f"atom mass {mass} must be positive")
+                raise SpecValidationError(MASS, f"atom mass {mass} must be positive")
         for lo, hi, cdf_lo, cdf_hi in pieces:
             if hi <= lo:
-                raise SpecValidationError("to", f"piece [{lo}, {hi}] is empty")
+                raise SpecValidationError(TO, f"piece [{lo}, {hi}] is empty")
             if cdf_hi < cdf_lo:
-                raise SpecValidationError("cdf_to", "CDF must be non-decreasing")
-        items = sorted(
-            [("atom", a[0], a) for a in atoms] +
-            [("piece", p[0], p) for p in pieces],
-            key=lambda it: (it[1], it[0] != "atom"),
-        )
+                raise SpecValidationError(CDF_TO, "CDF must be non-decreasing")
+        # an atom enters as (at, at, 0, mass) and takes its F from the walk
+        items = sorted([(at, at, 0, mass) for at, mass in atoms] + pieces,
+                       key=lambda e: e[:2])
         if not items:
             raise SpecValidationError("atoms", "distribution has no elements")
-        events = []
-        running = Fraction(0)
-        pos = None  # end of the last piece seen
-        for kind, loc, obj in items:
-            if pos is not None and loc < pos:
-                raise SpecValidationError(
-                    "at" if kind == "atom" else "from",
-                    f"element at {loc} overlaps a piece ending at {pos}",
-                )
-            if kind == "atom":
-                events.append(("atom", loc, loc, running, running + obj[1]))
-                running += obj[1]
-            else:
-                _, hi, cdf_lo, cdf_hi = obj
-                if cdf_lo != running:
-                    raise SpecValidationError(
-                        "cdf_from",
-                        f"piece starting at {loc} declares CDF {cdf_lo}, "
-                        f"running value is {running}",
-                    )
-                events.append(("piece", loc, hi, cdf_lo, cdf_hi))
-                running = cdf_hi
-                pos = hi
+        elements = []
+        running, pos = Fraction(0), items[0][0]  # pos: top of the last element
+        for lo, hi, f_lo, f_hi in items:
+            if lo < pos:
+                raise SpecValidationError(AT if lo == hi else FROM, f"element at "
+                                          f"{lo} overlaps a piece ending at {pos}")
+            if lo == hi:
+                f_lo, f_hi = running, running + f_hi
+            elif f_lo != running:
+                raise SpecValidationError(CDF_FROM, f"piece starting at {lo} declares "
+                                          f"CDF {f_lo}, running value is {running}")
+            elements.append((lo, hi, f_lo, f_hi))
+            running, pos = f_hi, hi
         if running != 1:
-            raise SpecValidationError(
-                "mass-sum",
-                f"atom masses plus piece increments sum to {running}, expected 1",
-            )
-        return events
+            raise SpecValidationError("mass-sum", "atom masses plus piece increments "
+                                      f"sum to {running}, expected 1")
+        return elements
 
     def cdf(self, t) -> Fraction:
         """F(t), right-continuous at atoms."""
         t = Fraction(t)
         value = Fraction(0)
-        for kind, lo, hi, f_lo, f_hi in self._events:
-            if kind == "atom":
-                if lo <= t:
-                    value = f_hi
-            else:
-                if t >= hi:
-                    value = f_hi
-                elif t > lo:
-                    value = f_lo + (f_hi - f_lo) * (t - lo) / (hi - lo)
+        for lo, hi, f_lo, f_hi in self._elements:
+            if t >= hi:
+                value = f_hi
+            elif t > lo:
+                value = f_lo + (f_hi - f_lo) * (t - lo) / (hi - lo)
         return value
 
     def quantile(self, u) -> Fraction:
@@ -140,26 +141,26 @@ class DistributionSpec:
         u = Fraction(u)
         if not 0 < u < 1:
             raise RangeError(f"quantile argument must be in (0, 1), got {u}")
-        for _, lo, hi, f_lo, f_hi in self._events:
+        for lo, hi, f_lo, f_hi in self._elements:
             if f_lo < u <= f_hi:
                 return lo + (u - f_lo) * (hi - lo) / (f_hi - f_lo)
         raise AssertionError("validated CDF must reach 1")  # pragma: no cover
 
     @cached_property
     def _batch_tables(self):
-        ev = self._events
+        el = self._elements
         # rounded down, a float u <= float top iff u <= the exact top
-        tops = [float(e[4]) for e in ev]
-        tops = [math.nextafter(t, -1.0) if Fraction(t) > e[4] else t
-                for t, e in zip(tops, ev)]
+        tops = [float(e[3]) for e in el]
+        tops = [math.nextafter(t, -1.0) if Fraction(t) > e[3] else t
+                for t, e in zip(tops, el)]
         return (
             np.array(tops),                                # f_hi, sorted
-            np.array([float(e[3]) for e in ev]),           # f_lo
-            np.array([_as_float(e[1], "at" if e[0] == "atom" else "from")
-                      for e in ev]),                       # location
-            np.array([0.0 if e[4] == e[3]
-                      else _as_float((e[2] - e[1]) / (e[4] - e[3]), "to")
-                      for e in ev]),                       # dt/dF
+            np.array([float(e[2]) for e in el]),           # f_lo
+            np.array([_as_float(e[0], AT if e[0] == e[1] else FROM)
+                      for e in el]),                       # location
+            np.array([0.0 if e[3] == e[2]
+                      else _as_float((e[1] - e[0]) / (e[3] - e[2]), TO)
+                      for e in el]),                       # dt/dF
         )
 
     def cell_elements(self, cells: np.ndarray, depth: int) -> np.ndarray:
@@ -170,8 +171,8 @@ class DistributionSpec:
         largest c whose midpoint is <= F at the element's top.  The
         choice is exact in integers for uint64 cells, up to depth 64.
         """
-        limits = [math.floor(e[4] * (1 << depth) - Fraction(1, 2))
-                  for e in self._events]
+        limits = [math.floor(e[3] * (1 << depth) - Fraction(1, 2))
+                  for e in self._elements]
         never = sum(1 for c in limits if c < 0)
         bounds = np.array(limits[never:], dtype=np.uint64)
         return np.searchsorted(bounds, cells, side="left") + never
@@ -195,23 +196,32 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DistributionSpec":
-        if not isinstance(doc, dict):
-            raise SpecValidationError("distribution", "expected an object")
-        atoms = [(a.get("at"), a.get("mass")) for a in _objects(doc, "atoms")]
-        pieces = [(p.get("from"), p.get("to"), p.get("cdf_from"), p.get("cdf_to"))
-                  for p in _objects(doc, "pieces")]
-        return cls(atoms, pieces, name=doc.get("name", ""))
+        doc = _object(doc, "distribution", (*SPEC_FIELDS, "name"))
+        rows = {key: [[_object(obj, key, fields).get(f) for f in fields]
+                      for obj in _list(doc.get(key, []), key)]
+                for key, fields in SPEC_FIELDS.items()}
+        return cls(**rows, name=doc.get("name", ""))
 
     def to_dict(self) -> dict:
-        ev = self._events
-        doc = {"atoms": [{"at": str(lo), "mass": str(f_hi - f_lo)}
-                         for kind, lo, _, f_lo, f_hi in ev if kind == "atom"],
-               "pieces": [{"from": str(lo), "to": str(hi),
-                           "cdf_from": str(f_lo), "cdf_to": str(f_hi)}
-                          for kind, lo, hi, f_lo, f_hi in ev if kind == "piece"]}
+        doc = {key: [] for key in SPEC_FIELDS}
+        for lo, hi, f_lo, f_hi in self._elements:
+            key, row = (("atoms", (lo, f_hi - f_lo)) if lo == hi
+                        else ("pieces", (lo, hi, f_lo, f_hi)))
+            doc[key].append(dict(zip(SPEC_FIELDS[key], map(str, row))))
         if self.name:
             doc["name"] = self.name
         return doc
+
+
+def load_specs(fileobj) -> list[DistributionSpec]:
+    """A JSON spec file: {"distributions": [...]} or one distribution object."""
+    doc = json.load(fileobj)
+    if isinstance(doc, dict) and "distributions" in doc:
+        _object(doc, "spec file", ("distributions",))
+        entries = _list(doc["distributions"], "distributions")
+    else:
+        entries = [doc]
+    return [DistributionSpec.from_dict(e) for e in entries]
 
 
 def split_uniform(u: UnitScalar, n: int, depth: int) -> CubePoint:

@@ -350,8 +350,19 @@ def test_sample_invalid_spec_names_field(tmp_path, capsys):
     ({"atoms": [{"at": "0", "mass": "1"}], "name": [1, 2]}, "name"),
     # a spec file is {"distributions": [...]} or one distribution object
     ([{"atoms": [{"at": "0", "mass": "1"}]}], "distribution"),
+    # a key the format does not know, at each level, is named, not dropped
+    ({"distributions": [{"atoms": [{"at": "0", "mass": "1"}]}],
+      "atoms": [{"at": "0", "mass": "1"}]}, "atoms"),
+    ({"atoms": [{"at": "0", "mass": "1"}], "nmae": "coin"}, "nmae"),
+    ({"atoms": [{"at": "0", "mass": "1", "kind": "atom"}]}, "kind"),
+    ({"pieces": [{"from": "0", "to": "1", "cdf_from": "0", "cdf_to": "1",
+                  "slope": "1"}]}, "slope"),
+    # a JSON boolean is not an exact number, though Python reads True as 1
+    ({"atoms": [{"at": "0", "mass": True}]}, "mass"),
+    ({"atoms": [{"at": False, "mass": True}]}, "at"),
 ], ids=["distributions-int", "atom-int", "atoms-str", "piece-list", "at-inf",
-        "at-1e400", "slope-1e400", "name-list", "bare-list"])
+        "at-1e400", "slope-1e400", "name-list", "bare-list", "file-key",
+        "distribution-key", "atom-key", "piece-key", "mass-bool", "at-bool"])
 def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
                                                          field):
     spec = _write_spec(tmp_path / "spec.json", doc)

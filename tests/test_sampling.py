@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import random
 import re
@@ -163,9 +164,17 @@ def test_spec_rejects_a_name_that_is_not_a_string(name):
 
 
 def test_spec_dict_roundtrip():
-    doc = COIN.to_dict()
-    again = DistributionSpec.from_dict(doc)
-    assert again.to_dict()["atoms"] == doc["atoms"]
+    rng = random.Random(17)
+    specs = [COIN, UNIFORM] + [_random_spec(rng) for _ in range(40)]
+    # some random laws mix atoms and pieces
+    assert any(doc["atoms"] and doc["pieces"]
+               for doc in map(DistributionSpec.to_dict, specs))
+    for spec in specs:
+        doc = spec.to_dict()
+        again = DistributionSpec.from_dict(json.loads(json.dumps(doc)))
+        assert again.to_dict() == doc
+        for u in (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)):
+            assert again.quantile(u) == spec.quantile(u)
 
 
 def test_split_uniform_n1_is_truncation():
