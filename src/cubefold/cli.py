@@ -57,14 +57,10 @@ _depth = _int_in("depth", 0)
 _seed = _int_in("seed", 0)
 
 
-def _parse_point(tokens, dimension, depth) -> CubePoint:
+def _parse_point(tokens, dimension) -> CubePoint:
     if len(tokens) != dimension:
-        raise ValueError(
-            f"expected {dimension} coordinates, got {len(tokens)}"
-        )
-    coords = [parse_scalar(t) for t in tokens]
-    precision = max(max(c.precision for c in coords), depth)
-    return CubePoint(tuple(c.refine(precision) for c in coords))
+        raise ValueError(f"expected {dimension} coordinates, got {len(tokens)}")
+    return CubePoint(tuple(parse_scalar(t) for t in tokens))
 
 
 def _parse_segment_value(text, dimension) -> UnitScalar:
@@ -80,7 +76,7 @@ def _parse_segment_value(text, dimension) -> UnitScalar:
 
 
 def _cmd_map(args) -> int:
-    pt = _parse_point(args.coords, args.dimension, args.depth)
+    pt = _parse_point(args.coords, args.dimension)
     t = curve.forward_map(pt, args.depth)
     base = 1 << args.dimension
     print(f"{t.mantissa}/{base}^{args.depth} ({float(t)!r})")
@@ -89,7 +85,6 @@ def _cmd_map(args) -> int:
 
 def _cmd_unmap(args) -> int:
     t = _parse_segment_value(args.value, args.dimension)
-    t = t.refine(max(t.precision, args.dimension * args.depth))
     pt = curve.inverse_map(t, args.depth, args.dimension)
     exact = " ".join(format_scalar(c) for c in pt.coords)
     approx = " ".join(repr(float(c)) for c in pt.coords)
@@ -169,9 +164,9 @@ def _suite_measure(d, depth, seed):
         "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
         failures, 0, seed)
     if d == 2:
-        half = DyadicRect(
-            CubePoint((UnitScalar(0, 1), UnitScalar(0, 1))), (1, 0))
-        yield measure.rect_measure_check(half, min(depth, 6))
+        half = DyadicRect(CubePoint((UnitScalar(0, 1), UnitScalar(0, 1))), (1, 0))
+        # the half box needs a grid of at least depth 1
+        yield measure.rect_measure_check(half, min(max(depth, 1), 6))
 
 
 def _suite_uniformity(sample_count, grid_k, seed):

@@ -267,18 +267,19 @@ def interval_to_address(iv: SegmentInterval) -> CellAddress:
 def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
     """Left endpoint of the segment cell matched to the point's cube cell.
 
-    The limit value lies within (2**d)**-depth of the result; refining
-    the depth never moves the output by that much or more.
+    Coordinates of any precisions are read by value, each in its cell
+    floor(x * 2**depth).  The limit value lies within (2**d)**-depth of
+    the result; refining the depth never moves the output by that much
+    or more.
     """
-    d, p = pt.dimension, pt.precision
+    d = pt.dimension
     _check_cell(d, depth)
-    if p < depth:
-        raise PrecisionError(f"point precision {p} < depth {depth}")
     # The point's octants, first highest, as binary digits behind a
     # leading "0": axis a's bit of level k is character k*d + d - a.
     text = bytearray(b"0" * (d * depth + 1))
     for axis, c in enumerate(pt.coords):
-        text[d - axis::d] = bin(c.mantissa >> (p - depth) | 1 << depth)[3:].encode()
+        cell = (c.mantissa << depth) >> c.precision
+        text[d - axis::d] = bin(cell | 1 << depth)[3:].encode()
     octants = int(text, 2)
     rotation = flips = q = 0
     for start, width in _steps(d, depth):
@@ -296,15 +297,14 @@ def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
 
 
 def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
-    """Lower corner of the cube cell matched to t's segment cell."""
+    """Lower corner of the cube cell matched to t's segment cell.
+
+    t of any precision is read by value, in cell floor(t * 2**(d*depth)).
+    """
     d = dimension
     _check_cell(d, depth)
     bits = d * depth
-    if t.precision < bits:
-        raise PrecisionError(
-            f"scalar precision {t.precision} < {dimension}*{depth} bits"
-        )
-    q = t.mantissa >> (t.precision - bits)
+    q = (t.mantissa << bits) >> t.precision
     rotation = flips = octants = 0
     for start, width in _steps(d, depth):
         cells, t_flips, rotations, _ = _digit_table(d, width)

@@ -55,13 +55,6 @@ class UnitScalar:
         return UnitScalar(self.mantissa << (new_precision - self.precision),
                           new_precision)
 
-    def _canonical(self) -> tuple[int, int]:
-        m, p = self.mantissa, self.precision
-        if m == 0:
-            return 0, 0
-        shift = (m & -m).bit_length() - 1
-        return m >> shift, p - shift
-
     def __eq__(self, other):
         if not isinstance(other, UnitScalar):
             return NotImplemented
@@ -73,7 +66,7 @@ class UnitScalar:
         return (self.mantissa << other.precision) < (other.mantissa << self.precision)
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash(self.as_fraction())
 
     def __float__(self):
         return self.mantissa / (1 << self.precision)
@@ -107,24 +100,17 @@ def format_scalar(s: UnitScalar) -> str:
 
 @dataclass(frozen=True)
 class CubePoint:
-    """Point of [0, 1)**d; all coordinates share one precision."""
+    """Point of [0, 1)**d; each coordinate keeps its own precision."""
 
     coords: tuple[UnitScalar, ...]
 
     def __post_init__(self):
         if len(self.coords) < 1:
             raise RangeError("need at least one coordinate")
-        p = self.coords[0].precision
-        if any(c.precision != p for c in self.coords):
-            raise PrecisionError("all coordinates must share one precision")
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    @property
-    def precision(self) -> int:
-        return self.coords[0].precision
 
     def refine(self, new_precision: int) -> "CubePoint":
         return CubePoint(tuple(c.refine(new_precision) for c in self.coords))

@@ -117,27 +117,17 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     The image interval lengths must sum to the box volume exactly; the
     statistic is the number of exactness failures (0 or 1).
     """
-    d = rect.dimension
     for k in rect.side_exponents:
         if k > depth:
-            raise RangeError(
-                f"side 2^-{k} is not a multiple of the depth-{depth} grid"
-            )
-    base = []
-    for c in rect.lower.coords:
-        p = max(c.precision, depth)
-        m = c.refine(p).mantissa
-        if m & ((1 << (p - depth)) - 1):
-            raise RangeError("corner not aligned to the depth grid")
-        base.append(m >> (p - depth))
-    spans = [range(1 << (depth - k)) for k in rect.side_exponents]
-    indices = set()
-    for offsets in itertools.product(*spans):
-        pt = CubePoint(tuple(
-            UnitScalar(b + o, depth) for b, o in zip(base, offsets)
-        ))
-        indices.add(forward_map(pt, depth).mantissa)
-    image = CellUnion.of_segment(d, depth, indices)
+            raise RangeError(f"side 2^-{k} is not a multiple of the depth-{depth} grid")
+    base = [(c.mantissa << depth) >> c.precision for c in rect.lower.coords]
+    if any(UnitScalar(b, depth) != c for b, c in zip(base, rect.lower.coords)):
+        raise RangeError("corner not aligned to the depth grid")
+    spans = [range(b, b + (1 << depth - k)) for b, k in zip(base, rect.side_exponents)]
+    indices = {forward_map(CubePoint(tuple(UnitScalar(m, depth) for m in cell)),
+                           depth).mantissa
+               for cell in itertools.product(*spans)}
+    image = CellUnion.of_segment(rect.dimension, depth, indices)
     exact = image.measure() == rect.volume()
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 
@@ -30,13 +31,28 @@ class SpecValidationError(ValueError):
         self.field = field
 
 
+# a decimal's digits stand at places 10**e, |e| <= this; Fraction writes them out
+MAX_EXPONENT = 999
+
+
 def _as_fraction(value, field: str) -> Fraction:
-    if not isinstance(value, bool):  # Fraction(True) would be 1
+    """A number's exact value; a str or JSON number reads as its decimal."""
+    number = None if isinstance(value, bool) else value  # Fraction(True) is 1
+    if isinstance(value, str) and "/" not in value:
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-            pass
-    raise SpecValidationError(field, f"not an exact number: {value!r}")
+            number = Decimal(value)
+        except InvalidOperation:  # not a decimal, or too large for Decimal
+            number = None
+    if isinstance(number, Decimal) and number.is_finite():
+        low = number.as_tuple().exponent  # the place of its last digit
+        place = low if low < -MAX_EXPONENT else number.adjusted()  # or first
+        if abs(place) > MAX_EXPONENT:
+            raise SpecValidationError(field, f"decimal exponent {place} is outside "
+                                      f"-{MAX_EXPONENT}..{MAX_EXPONENT}")
+    try:
+        return Fraction(number)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise SpecValidationError(field, f"not an exact number: {value!r}") from None
 
 
 def _as_float(value: Fraction, field: str) -> float:
@@ -214,14 +230,20 @@ class DistributionSpec:
 
 
 def load_specs(fileobj) -> list[DistributionSpec]:
-    """A JSON spec file: {"distributions": [...]} or one distribution object."""
-    doc = json.load(fileobj)
-    if isinstance(doc, dict) and "distributions" in doc:
-        _object(doc, "spec file", ("distributions",))
-        entries = _list(doc["distributions"], "distributions")
-    else:
-        entries = [doc]
-    return [DistributionSpec.from_dict(e) for e in entries]
+    """A JSON spec file, {"distributions": [...]} or one distribution
+    object; JSON numbers read as the exact decimals they spell."""
+    try:  # json.load and the repr of a value in an error both recurse
+        doc = json.load(fileobj, parse_float=Decimal)
+        if isinstance(doc, dict) and "distributions" in doc:
+            _object(doc, "spec file", ("distributions",))
+            entries = _list(doc["distributions"], "distributions")
+        else:
+            entries = [doc]
+        return [DistributionSpec.from_dict(e) for e in entries]
+    except RecursionError:
+        raise SpecValidationError("spec file", "nested too deeply") from None
+    except InvalidOperation:  # from parse_float: an exponent beyond Decimal's
+        raise SpecValidationError("spec file", "number out of range") from None
 
 
 def split_uniform(u: UnitScalar, n: int, depth: int) -> CubePoint:

@@ -10,6 +10,7 @@ beyond numpy and the standard library.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,7 +96,12 @@ def chi2_cdf(x: float, dof: int) -> float:
 
 
 def chi2_threshold(dof: int, confidence: float) -> float:
-    """Chi-squared quantile by bisection on the series-evaluated CDF."""
+    """Chi-squared quantile by bisection on the series-evaluated CDF, memoised."""
+    return _chi2_threshold(dof, confidence)
+
+
+@lru_cache(maxsize=None)
+def _chi2_threshold(dof: int, confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     lo, hi = 0.0, max(4.0 * dof, 16.0)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 import cubefold
-from cubefold import curve
+from cubefold import curve, measure, sampling
 from cubefold.cli import main
-from cubefold.dyadic import UnitScalar
+from cubefold.dyadic import RangeError, UnitScalar
 
 
 def run(capsys, *argv):
@@ -174,11 +175,35 @@ def test_adjacency_checks_the_step_between_blocks(capsys, monkeypatch):
     assert json.loads(out)["statistic"] == 1
 
 
-def test_verify_usage_error_prints_no_partial_record(capsys):
-    # the measure suite's first record passes at depth 0, its second raises
-    code, out, err = run(capsys, "verify", "measure", "-d", "2", "-n", "0")
+def test_verify_usage_error_prints_no_partial_record(capsys, monkeypatch):
+    # the measure suite's first record passes, its second raises
+    def misaligned(rect, depth):
+        raise RangeError("corner not aligned to the depth grid")
+    monkeypatch.setattr(measure, "rect_measure_check", misaligned)
+    code, out, err = run(capsys, "verify", "measure", "-d", "2", "-n", "3")
     assert code == 2 and out == ""
-    assert "depth-0" in err
+    assert err == "error: corner not aligned to the depth grid\n"
+
+
+# `verify measure -d 2 -n 3`, frozen before the half box's depth was
+# raised to at least 1
+MEASURE_D2_N3 = (
+    '{"name": "measure-unions", "passed": true, "scope": "random d=2 depth=3 '
+    'unions=200", "seed": 0, "statistic": 0.0, "threshold": 0.0}\n'
+    '{"name": "rect_measure", "passed": true, "scope": "depth=3 sides=(1, 0)", '
+    '"seed": null, "statistic": 0.0, "threshold": 0.0}\n')
+
+
+def test_verify_measure_runs_the_half_box_at_depth_0(capsys):
+    # -n 0 is a valid depth for every cell suite; the half box needs a
+    # depth-1 grid, so it runs at depth 1
+    code, out, err = run(capsys, "verify", "measure", "-d", "2", "-n", "0")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["scope"], r["passed"]) for r in records] == [
+        ("measure-unions", "random d=2 depth=0 unions=200", True),
+        ("rect_measure", "depth=1 sides=(1, 0)", True)]
+    assert run(capsys, "verify", "measure", "-d", "2", "-n", "3")[1] == MEASURE_D2_N3
 
 
 def test_verify_adjacency(capsys):
@@ -370,6 +395,78 @@ def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: ")
+
+
+def test_sample_json_numbers_read_as_their_decimals(tmp_path):
+    # 0.1 and 0.9 as float64 would sum to 36028797018963969/36028797018963968
+    text = '{"atoms": [{"at": %s, "mass": %s}, {"at": %s, "mass": %s}]}'
+    outputs = []
+    for args in (("0", "0.1", "1", "0.9"), ('"0"', '"0.1"', '"1"', '"0.9"'),
+                 ("0", "1e-1", "1", "9E-1"), ('"0"', '"1/10"', '"1"', '"9/10"')):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text % args)
+        out = tmp_path / "out.csv"
+        assert main(["sample", "--spec", str(spec), "-N", "100", "--seed", "3",
+                     "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert len(set(outputs)) == 1
+
+
+@pytest.mark.parametrize("mass,field,message", [
+    ('"1e10000000"', "mass", "decimal exponent 10000000 is outside -999..999"),
+    ('"1e-10000000"', "mass", "decimal exponent -10000000 is outside -999..999"),
+    ("1e10000000", "mass", "decimal exponent 10000000 is outside -999..999"),
+    ("1e-10000000", "mass", "decimal exponent -10000000 is outside -999..999"),
+    # the written exponent and the digits after the point both count
+    ('"0.%s1"' % ("0" * 1000), "mass", "decimal exponent -1001 is outside -999..999"),
+    # beyond what a Decimal holds, a JSON number fails as the file is read
+    ("1e99999999999999999999", "spec file", "number out of range"),
+    # a digit's place counts, not only the written exponent
+    ('"1%s"' % ("0" * 5000), "mass", "decimal exponent 5000 is outside -999..999"),
+    ("123e998", "mass", "decimal exponent 1000 is outside -999..999"),
+], ids=["str-big", "str-small", "json-big", "json-small", "str-digits",
+        "json-beyond", "str-int-digits", "json-first-digit"])
+def test_sample_huge_exponent_exits_2_at_once(tmp_path, capsys, mass, field, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"atoms": [{"at": "0", "mass": %s}]}' % mass)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sample", "--spec", str(spec), "-N", "2")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: {field}: {message}\n")
+
+
+def test_sample_exponent_beyond_decimal_is_not_an_exact_number(tmp_path, capsys,
+                                                               monkeypatch):
+    # Fraction itself would try to write out 10**(10**20) digits
+    real = sampling.Fraction
+    def guarded(value=0, *rest):
+        assert not (isinstance(value, str) and "e99" in value), "exponent expanded"
+        return real(value, *rest)
+    monkeypatch.setattr(sampling, "Fraction", guarded)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"atoms": [{"at": "0", "mass": "1e99999999999999999999"}]}')
+    code, _, err = run(capsys, "sample", "--spec", str(spec), "-N", "2")
+    assert (code, err) == (2, "error: mass: not an exact number: "
+                              "'1e99999999999999999999'\n")
+
+
+def test_sample_exponent_bound_is_inclusive(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"atoms": [{"at": 1e-999, "mass": "1"}]}')
+    code, out, _ = run(capsys, "sample", "--spec", str(spec), "-N", "1")
+    assert (code, out) == (0, "coord1\r\n0.0\r\n")
+
+
+@pytest.mark.parametrize("depth", [100_000, 990])
+def test_sample_deeply_nested_spec_exits_2(tmp_path, capsys, depth):
+    # exit 1 would mean a failed verification; near the recursion limit
+    # the parse may pass and the repr of the value in the error recurse
+    spec = tmp_path / "deep.json"
+    spec.write_text('{"atoms": [{"at": %s, "mass": "1"}]}' % ("[" * depth + "]" * depth))
+    code, out, err = run(capsys, "sample", "--spec", str(spec), "-N", "1")
+    assert (code, out) == (2, "")
+    assert err in ("error: spec file: nested too deeply\n",
+                   f"error: at: not an exact number: {'[' * depth}{']' * depth}\n")
 
 
 @pytest.mark.parametrize("flags,message", [

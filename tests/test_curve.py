@@ -117,11 +117,13 @@ def _no_walk(monkeypatch):
 
 
 def test_point_to_address_needs_precision(monkeypatch):
+    # a point with fewer bits than the depth reads as its value: (1/4, 1/4)
+    # lies in the depth-3 cell the brute-force oracle finds for it
+    digits = brute_force_locate(brute_force_cells(2, 3), (Fraction(1, 4),) * 2, 3)
+    assert point_to_address(make_point([1, 1], 2), 3).digits == digits
+    assert forward_map(make_point([1, 1, 1], 4), 5) == \
+        forward_map(make_point([2, 2, 2], 5), 5)
     _no_walk(monkeypatch)
-    with pytest.raises(PrecisionError):
-        point_to_address(make_point([1, 1], 2), 3)
-    with pytest.raises(PrecisionError):
-        forward_map(make_point([1, 1, 1], 4), 5)
     with pytest.raises(RangeError):
         point_to_address(make_point([0] * 9, 1), 1)
     with pytest.raises(RangeError, match="dimension must be in 1..8"):
@@ -263,16 +265,42 @@ def test_inverse_map_needs_precision(monkeypatch):
     # the origin needs no table, so it comes before the walk is disabled
     origin = inverse_map(UnitScalar(5, 3), 0, 3)
     assert [(c.mantissa, c.precision) for c in origin.coords] == [(0, 0)] * 3
+    # a scalar with fewer bits than d * depth reads as its value
+    assert inverse_map(UnitScalar(1, 3), 2, 2) == inverse_map(UnitScalar(2, 4), 2, 2)
+    assert inverse_map(UnitScalar(1, 63), 8, 8) == inverse_map(UnitScalar(2, 64), 8, 8)
     _no_walk(monkeypatch)
-    with pytest.raises(PrecisionError):
-        inverse_map(UnitScalar(1, 3), 2, 2)
-    with pytest.raises(PrecisionError):
-        inverse_map(UnitScalar(1, 63), 8, 8)
     with pytest.raises(RangeError, match=r"^depth must be >= 0$"):
         inverse_map(UnitScalar(1, 4), -1, 2)
     for dimension in (0, 9):
         with pytest.raises(RangeError, match="dimension must be in 1..8"):
             inverse_map(UnitScalar(0, 64), 1, dimension)
+
+
+def _scalars(max_precision):
+    return st.integers(0, max_precision).flatmap(lambda p: st.builds(
+        UnitScalar, st.integers(0, (1 << p) - 1), st.just(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_scalars(16), min_size=1, max_size=4), st.integers(0, 10),
+       st.integers(0, 3))
+def test_forward_map_reads_values_at_any_precision(coords, depth, extra):
+    # coordinates of mixed precisions, above or below the depth, give the
+    # result of the point refined to one precision that covers the depth
+    pt = CubePoint(tuple(coords))
+    common = max([depth] + [c.precision for c in coords]) + extra
+    out = forward_map(pt, depth)
+    assert out == forward_map(pt.refine(common), depth)
+    assert out.precision == len(coords) * depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalars(40), st.integers(1, 4), st.integers(0, 10), st.integers(0, 3))
+def test_inverse_map_reads_values_at_any_precision(t, d, depth, extra):
+    refined = t.refine(max(t.precision, d * depth) + extra)
+    out = inverse_map(t, depth, d)
+    assert out == inverse_map(refined, depth, d)
+    assert [c.precision for c in out.coords] == [depth] * d
 
 
 def test_batch_matches_scalar():

@@ -89,8 +89,10 @@ def test_parse_scalar_rejects_garbage():
 
 
 def test_cube_point_requires_shared_precision():
-    with pytest.raises(PrecisionError):
-        CubePoint((UnitScalar(1, 2), UnitScalar(1, 3)))
+    # coordinates keep their own precisions; points compare by value
+    pt = CubePoint((UnitScalar(1, 2), UnitScalar(1, 3)))
+    assert [c.precision for c in pt.coords] == [2, 3]
+    assert pt == CubePoint((UnitScalar(2, 3), UnitScalar(1, 3)))
 
 
 def test_rect_volume_and_containment():

@@ -205,8 +205,8 @@ def test_split_uniform_marginals_exactly_uniform():
 
 
 def test_split_uniform_rejects_low_precision():
-    with pytest.raises(PrecisionError):
-        split_uniform(UnitScalar(1, 5), 2, 3)
+    # a scalar with fewer bits than n * depth splits as its value
+    assert split_uniform(UnitScalar(1, 5), 2, 3) == split_uniform(UnitScalar(2, 6), 2, 3)
     for n in (0, 9):
         with pytest.raises(RangeError):
             split_uniform(UnitScalar(1, 64), n, 1)

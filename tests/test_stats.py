@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from cubefold import stats
 from cubefold.stats import (
     chi2_cdf,
     chi2_threshold,
@@ -103,6 +104,16 @@ def test_chi2_threshold_limits_and_monotonicity():
         prev = cur
     for dof in (1, 2, 5, 20, 100):
         assert chi2_threshold(dof + 1, 0.95) > chi2_threshold(dof, 0.95)
+
+
+def test_chi2_threshold_bisects_once_per_dof_and_confidence(monkeypatch):
+    # the public name stays a plain function, so a tracer can wrap it
+    assert not hasattr(chi2_threshold, "cache_info")
+    first = chi2_threshold(1023, 0.999)
+    def bisect(*args):
+        raise AssertionError("the threshold was bisected again")
+    monkeypatch.setattr(stats, "chi2_cdf", bisect)
+    assert chi2_threshold(1023, 0.999) == first
 
 
 def test_chi2_cdf_threshold_roundtrip():
