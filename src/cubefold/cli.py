@@ -1,12 +1,12 @@
 """Command-line front door: map, unmap, verify, sample.
 
 Each flag is checked once: `-d`, `-n` and `--seed` by their argparse
-type, the plain ints `verify -N`/`-k` by `monte_carlo_uniformity` and
-`sample -N`/`--depth` by `sample_independent`.  `verify` reads its flags
-from `SUITE_FLAGS`, calls the suite with exactly the values it takes and
+type and `d*n` by a bound, the plain ints `verify -N`/`-k` by
+`monte_carlo_uniformity` and `sample -N`/`--depth` by `sample_independent`.
+`verify` calls the suite with exactly the `SUITE_FLAGS` values it takes and
 rejects any other flag given.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error.  Exact values are printed as rational
-text (`m/2^p`, `q/4^n`); decimals appear only as annotations.
+failure, 2 usage or parse error.  Exact values are read by `parse_scalar`
+and printed as `m/2^p` or `q/4^n`; decimals appear only as annotations.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ MEASURE_UNIONS = 200
 # the cell count is the one-byte-per-cell `seen` array of `cells`, 16 MiB
 # at the bound (d=1 depth=24), where a suite peaks below 50 MiB RSS
 MAX_CELL_COORDS = 1 << 24
+# d*n bound of map, unmap, roundtrip and measure, checked before any walk:
+# Python prints integers of up to 4300 digits (default max_str_digits),
+# which hold every segment index of at most 14284 bits
+MAX_INDEX_BITS = 14284
 
 
 def _int_in(name, low, high=None):
@@ -57,34 +61,24 @@ _depth = _int_in("depth", 0)
 _seed = _int_in("seed", 0)
 
 
-def _parse_point(tokens, dimension) -> CubePoint:
-    if len(tokens) != dimension:
-        raise ValueError(f"expected {dimension} coordinates, got {len(tokens)}")
-    return CubePoint(tuple(parse_scalar(t) for t in tokens))
-
-
-def _parse_segment_value(text, dimension) -> UnitScalar:
-    try:
-        return curve.parse_interval(text, dimension).left()
-    except ValueError as exc:
-        try:
-            return parse_scalar(text)
-        except RangeError:
-            raise  # an m/2^p or binary value out of range
-        except ValueError:
-            raise exc from None
+def _check_index_bits(d, depth):
+    if d * depth > MAX_INDEX_BITS:
+        raise RangeError(f"-n/--depth: d*n must be <= {MAX_INDEX_BITS}, got {d}*{depth}")
 
 
 def _cmd_map(args) -> int:
-    pt = _parse_point(args.coords, args.dimension)
-    t = curve.forward_map(pt, args.depth)
+    _check_index_bits(args.dimension, args.depth)
+    if len(args.coords) != args.dimension:
+        raise ValueError(f"expected {args.dimension} coordinates, got {len(args.coords)}")
+    t = curve.forward_map(CubePoint(tuple(map(parse_scalar, args.coords))), args.depth)
     base = 1 << args.dimension
     print(f"{t.mantissa}/{base}^{args.depth} ({float(t)!r})")
     return 0
 
 
 def _cmd_unmap(args) -> int:
-    t = _parse_segment_value(args.value, args.dimension)
+    _check_index_bits(args.dimension, args.depth)
+    t = parse_scalar(args.value)
     pt = curve.inverse_map(t, args.depth, args.dimension)
     exact = " ".join(format_scalar(c) for c in pt.coords)
     approx = " ".join(repr(float(c)) for c in pt.coords)
@@ -138,6 +132,7 @@ def _suite_adjacency(d, depth):
 
 
 def _suite_roundtrip(d, depth, seed):
+    _check_index_bits(d, depth)
     rng = random.Random(seed)
     bits = d * depth
     failures = 0
@@ -151,6 +146,7 @@ def _suite_roundtrip(d, depth, seed):
 
 
 def _suite_measure(d, depth, seed):
+    _check_index_bits(d, depth)
     rng = random.Random(seed)
     total = 1 << (d * depth)
     failures = 0
@@ -163,10 +159,9 @@ def _suite_measure(d, depth, seed):
     yield VerificationReport.from_statistic(
         "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
         failures, 0, seed)
-    if d == 2:
-        half = DyadicRect(CubePoint((UnitScalar(0, 1), UnitScalar(0, 1))), (1, 0))
-        # the half box needs a grid of at least depth 1
-        yield measure.rect_measure_check(half, min(max(depth, 1), 6))
+    # [0, 1/2) x [0, 1)^(d-1) needs depth >= 1; it has at most 2^11 cells
+    half = DyadicRect(CubePoint((UnitScalar(0, 0),) * d), (1,) + (0,) * (d - 1))
+    yield measure.rect_measure_check(half, min(max(depth, 1), 12 // d))
 
 
 def _suite_uniformity(sample_count, grid_k, seed):
@@ -230,9 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_map = command("map", _cmd_map, "map a cube point to the segment")
     p_map.add_argument("coords", nargs="+",
-                       help="d coordinates, each m/2^p or 0b0.bits")
+                       help="d coordinates, each m/b^p (b = 2, 4, 8, ...) or 0b0.bits")
     p_unmap = command("unmap", _cmd_unmap, "map a segment value to the cube")
-    p_unmap.add_argument("value", help="segment value, q/4^n or m/2^p")
+    p_unmap.add_argument("value", help="segment value, m/b^p (b = 2, 4, ...) or 0b0.bits")
     for p in (p_map, p_unmap):
         p.add_argument("-d", "--dimension", type=_dimension, default=2)
         p.add_argument("-n", "--depth", type=_depth, default=1)

@@ -39,7 +39,6 @@ calls it once per 2**15-row chunk.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -230,21 +229,6 @@ class SegmentInterval:
 
     def left(self) -> UnitScalar:
         return UnitScalar(self.index, self.dimension * self.depth)
-
-
-_INTERVAL_RE = re.compile(r"^(\d+)/(\d+)\^(\d+)$")
-
-
-def parse_interval(text: str, dimension: int) -> SegmentInterval:
-    m = _INTERVAL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse interval from {text!r}")
-    q, base, depth = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    if base != 1 << dimension:
-        raise ValueError(
-            f"interval base {base} does not match dimension {dimension}"
-        )
-    return SegmentInterval(dimension, depth, q)
 
 
 def address_to_interval(a: CellAddress) -> SegmentInterval:

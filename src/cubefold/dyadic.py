@@ -37,7 +37,8 @@ class UnitScalar:
     def __post_init__(self):
         if self.precision < 0:
             raise RangeError(f"precision must be >= 0, got {self.precision}")
-        if not 0 <= self.mantissa < (1 << self.precision):
+        # bit_length, not 1 << precision: a huge precision costs nothing
+        if self.mantissa < 0 or self.mantissa.bit_length() > self.precision:
             raise RangeError(
                 f"mantissa {self.mantissa} out of range for precision "
                 f"{self.precision}: need 0 <= m < 2^{self.precision}"
@@ -75,16 +76,18 @@ class UnitScalar:
         return format_scalar(self)
 
 
-_RATIONAL_RE = re.compile(r"^(\d+)/2\^(\d+)$")
+_RATIONAL_RE = re.compile(r"^(\d+)/(\d+)\^(\d+)$")
 _BINARY_RE = re.compile(r"^0b0\.([01]*)$")
 
 
 def parse_scalar(text: str) -> UnitScalar:
-    """Parse `m/2^p` or a binary-fraction string `0b0.101`, bit-exactly."""
+    """Parse `m/b^p` (b any power of two >= 2) or `0b0.101`, bit-exactly."""
     text = text.strip()
     m = _RATIONAL_RE.match(text)
     if m:
-        return UnitScalar(int(m.group(1)), int(m.group(2)))
+        mant, base, power = map(int, m.groups())
+        if base > 1 and base & (base - 1) == 0:  # b = 2^s: m/2^(s*p)
+            return UnitScalar(mant, (base.bit_length() - 1) * power)
     m = _BINARY_RE.match(text)
     if m:
         bits = m.group(1)

@@ -23,11 +23,20 @@ from .curve import MAX_DIMENSION, inverse_map, inverse_map_batch
 from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar
 
 
-class SpecValidationError(ValueError):
-    """Invalid distribution description; `field` names the offender."""
+# an error shows at most this many characters of each value or key it echoes
+ECHO_WIDTH = 40
 
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+
+class SpecValidationError(ValueError):
+    """Invalid distribution description; `field` names the offender.
+
+    Each `{}` of `message` shows str() of the next of `values`; it and the
+    field are cut to ECHO_WIDTH characters with an ellipsis."""
+
+    def __init__(self, field: str, message: str, *values):
+        shown = [text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH - 3] + "..."
+                 for text in map(str, (field, *values))]
+        super().__init__(f"{shown[0]}: " + message.format(*shown[1:]))
         self.field = field
 
 
@@ -47,19 +56,19 @@ def _as_fraction(value, field: str) -> Fraction:
         low = number.as_tuple().exponent  # the place of its last digit
         place = low if low < -MAX_EXPONENT else number.adjusted()  # or first
         if abs(place) > MAX_EXPONENT:
-            raise SpecValidationError(field, f"decimal exponent {place} is outside "
-                                      f"-{MAX_EXPONENT}..{MAX_EXPONENT}")
+            raise SpecValidationError(field, "decimal exponent {} is outside "
+                                      f"-{MAX_EXPONENT}..{MAX_EXPONENT}", place)
     try:
         return Fraction(number)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        raise SpecValidationError(field, f"not an exact number: {value!r}") from None
+        raise SpecValidationError(field, "not an exact number: {}", repr(value)) from None
 
 
 def _as_float(value: Fraction, field: str) -> float:
     try:
         return float(value)
     except OverflowError as exc:
-        raise SpecValidationError(field, f"{value} does not fit a float64") from exc
+        raise SpecValidationError(field, "{} does not fit a float64", value) from exc
 
 
 # The spec format: each list a distribution object holds (also the name of
@@ -101,7 +110,7 @@ class DistributionSpec:
 
     def __init__(self, atoms=(), pieces=(), name: str = ""):
         if not isinstance(name, str):
-            raise SpecValidationError("name", f"expected a string, got {name!r}")
+            raise SpecValidationError("name", "expected a string, got {}", repr(name))
         self.name = name
         atoms, pieces = ([tuple(map(_as_fraction, row, fields)) for row in rows]
                          for rows, fields in zip((atoms, pieces), SPEC_FIELDS.values()))
@@ -112,10 +121,10 @@ class DistributionSpec:
         """Elements from (at, mass) atoms and (lo, hi, F(lo), F(hi)) pieces."""
         for _, mass in atoms:
             if mass <= 0:
-                raise SpecValidationError(MASS, f"atom mass {mass} must be positive")
+                raise SpecValidationError(MASS, "atom mass {} must be positive", mass)
         for lo, hi, cdf_lo, cdf_hi in pieces:
             if hi <= lo:
-                raise SpecValidationError(TO, f"piece [{lo}, {hi}] is empty")
+                raise SpecValidationError(TO, "piece [{}, {}] is empty", lo, hi)
             if cdf_hi < cdf_lo:
                 raise SpecValidationError(CDF_TO, "CDF must be non-decreasing")
         # an atom enters as (at, at, 0, mass) and takes its F from the walk
@@ -127,18 +136,18 @@ class DistributionSpec:
         running, pos = Fraction(0), items[0][0]  # pos: top of the last element
         for lo, hi, f_lo, f_hi in items:
             if lo < pos:
-                raise SpecValidationError(AT if lo == hi else FROM, f"element at "
-                                          f"{lo} overlaps a piece ending at {pos}")
+                raise SpecValidationError(AT if lo == hi else FROM, "element at {} "
+                                          "overlaps a piece ending at {}", lo, pos)
             if lo == hi:
                 f_lo, f_hi = running, running + f_hi
             elif f_lo != running:
-                raise SpecValidationError(CDF_FROM, f"piece starting at {lo} declares "
-                                          f"CDF {f_lo}, running value is {running}")
+                raise SpecValidationError(CDF_FROM, "piece starting at {} declares CDF "
+                                          "{}, running value is {}", lo, f_lo, running)
             elements.append((lo, hi, f_lo, f_hi))
             running, pos = f_hi, hi
         if running != 1:
             raise SpecValidationError("mass-sum", "atom masses plus piece increments "
-                                      f"sum to {running}, expected 1")
+                                      "sum to {}, expected 1", running)
         return elements
 
     def cdf(self, t) -> Fraction:
@@ -229,11 +238,18 @@ class DistributionSpec:
         return doc
 
 
+class _Number(Decimal):
+    """A JSON number, exact; its repr is its text, so echoes show 5, not
+    Decimal('5')."""
+
+    __repr__ = Decimal.__str__
+
+
 def load_specs(fileobj) -> list[DistributionSpec]:
     """A JSON spec file, {"distributions": [...]} or one distribution
-    object; JSON numbers read as the exact decimals they spell."""
+    object; JSON numbers, integers too, read as the decimals they spell."""
     try:  # json.load and the repr of a value in an error both recurse
-        doc = json.load(fileobj, parse_float=Decimal)
+        doc = json.load(fileobj, parse_float=_Number, parse_int=_Number)
         if isinstance(doc, dict) and "distributions" in doc:
             _object(doc, "spec file", ("distributions",))
             entries = _list(doc["distributions"], "distributions")

@@ -14,7 +14,7 @@ import pytest
 import cubefold
 from cubefold import curve, measure, sampling
 from cubefold.cli import main
-from cubefold.dyadic import RangeError, UnitScalar
+from cubefold.dyadic import CubePoint, RangeError, UnitScalar
 
 
 def run(capsys, *argv):
@@ -70,18 +70,21 @@ def test_unmap_malformed_value_exits_2(capsys):
 
 
 @pytest.mark.parametrize("value,message", [
-    ("16/4^2", "index 16 out of range at depth 2"),
-    ("6/8^2", "interval base 8 does not match dimension 2"),
-    ("16/2^2", "mantissa 16 out of range for precision 2")])
+    ("16/4^2", "mantissa 16 out of range"),
+    ("16/2^2", "mantissa 16 out of range for precision 2"),
+    # a base that is not a power of two is not a segment value
+    ("1/3^2", "cannot parse unit scalar from '1/3^2'"),
+    ("1/1^2", "cannot parse unit scalar from '1/1^2'"),
+    ("1/0^2", "cannot parse unit scalar from '1/0^2'")])
 def test_unmap_bad_value_keeps_its_own_error(capsys, value, message):
     code, out, err = run(capsys, "unmap", "-d", "2", "-n", "2", value)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("value", ["3/2^2", "0b0.11", "24/2^5"])
+@pytest.mark.parametrize("value", ["3/2^2", "0b0.11", "24/2^5", "48/8^2", "3/4^1"])
 def test_unmap_scalar_forms_match_the_interval_form(capsys, value):
-    # 3/4 is the segment cell 12/4^2
+    # 3/4 is the segment cell 12/4^2; a base other than 2^d reads by value
     assert run(capsys, "unmap", "-d", "2", "-n", "2", value) == \
         run(capsys, "unmap", "-d", "2", "-n", "2", "12/4^2")
 
@@ -204,6 +207,37 @@ def test_verify_measure_runs_the_half_box_at_depth_0(capsys):
         ("measure-unions", "random d=2 depth=0 unions=200", True),
         ("rect_measure", "depth=1 sides=(1, 0)", True)]
     assert run(capsys, "verify", "measure", "-d", "2", "-n", "3")[1] == MEASURE_D2_N3
+
+
+@pytest.mark.parametrize("d,n,depth", [("1", "14", 12), ("3", "4", 4), ("8", "2", 1)])
+def test_verify_measure_runs_the_half_box_at_every_dimension(capsys, d, n, depth):
+    # [0, 1/2) x [0, 1)^(d-1) at depth min(max(n, 1), 12 // d): 2^11 cells
+    # at d = 1 and 3, 2^7 at d = 8
+    code, out, err = run(capsys, "verify", "measure", "-d", d, "-n", n)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    sides = (1,) + (0,) * (int(d) - 1)
+    assert [(r["name"], r["scope"], r["passed"]) for r in records] == [
+        ("measure-unions", f"random d={d} depth={n} unions=200", True),
+        ("rect_measure", f"depth={depth} sides={sides}", True)]
+
+
+def test_verify_measure_half_box_fails_a_map_merging_two_cells(capsys,
+                                                                monkeypatch):
+    # at d=3 -n 4 the box runs at depth 4; its cell at (1, 0, 0) / 2^4 is
+    # sent onto the cell at the origin, so the image loses 8^-4 of measure
+    real = measure.forward_map
+    moved = CubePoint((UnitScalar(1, 4), UnitScalar(0, 4), UnitScalar(0, 4)))
+
+    def merging(pt, depth):
+        return real(CubePoint((UnitScalar(0, 4),) * 3) if pt == moved else pt, depth)
+
+    monkeypatch.setattr(measure, "forward_map", merging)
+    code, out, _ = run(capsys, "verify", "measure", "-d", "3", "-n", "4")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["passed"], r["statistic"]) for r in records] == [
+        ("measure-unions", True, 0.0), ("rect_measure", False, 1.0)]
 
 
 def test_verify_adjacency(capsys):
@@ -423,9 +457,11 @@ def test_sample_json_numbers_read_as_their_decimals(tmp_path):
     ("1e99999999999999999999", "spec file", "number out of range"),
     # a digit's place counts, not only the written exponent
     ('"1%s"' % ("0" * 5000), "mass", "decimal exponent 5000 is outside -999..999"),
+    # a JSON integer too: Python's int() stops at 4300 digits, naming no field
+    ("1%s" % ("0" * 5000), "mass", "decimal exponent 5000 is outside -999..999"),
     ("123e998", "mass", "decimal exponent 1000 is outside -999..999"),
 ], ids=["str-big", "str-small", "json-big", "json-small", "str-digits",
-        "json-beyond", "str-int-digits", "json-first-digit"])
+        "json-beyond", "str-int-digits", "json-int-digits", "json-first-digit"])
 def test_sample_huge_exponent_exits_2_at_once(tmp_path, capsys, mass, field, message):
     spec = tmp_path / "spec.json"
     spec.write_text('{"atoms": [{"at": "0", "mass": %s}]}' % mass)
@@ -466,7 +502,34 @@ def test_sample_deeply_nested_spec_exits_2(tmp_path, capsys, depth):
     code, out, err = run(capsys, "sample", "--spec", str(spec), "-N", "1")
     assert (code, out) == (2, "")
     assert err in ("error: spec file: nested too deeply\n",
-                   f"error: at: not an exact number: {'[' * depth}{']' * depth}\n")
+                   f"error: at: not an exact number: {'[' * 37}...\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"atoms": [{"at": "0", "mass": "%s"}]}' % ("x" * 5000),
+     "mass: not an exact number: '%s...\n" % ("x" * 36)),
+    ('{"atoms": [{"at": "0", "mass": %s}]}' % ("[" * 500 + "]" * 500),
+     "mass: not an exact number: %s...\n" % ("[" * 37)),
+    ('{"atoms": [{"at": "0", "mass": 1e999}]}',
+     "mass-sum: atom masses plus piece increments sum to %s..., expected 1\n"
+     % ("1" + "0" * 36)),
+    ('{"atoms": [{"at": "0", "mass": "1"}], "%s": 1}' % ("k" * 5000),
+     "%s...: unknown key in distribution; expected one of atoms, pieces, name\n"
+     % ("k" * 37)),
+], ids=["str-5000", "list-500", "json-1e999", "key-5000"])
+def test_sample_spec_error_cuts_the_value_it_echoes(tmp_path, capsys, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    assert run(capsys, "sample", "--spec", str(spec), "-N", "1") == \
+        (2, "", f"error: {message}")
+
+
+def test_sample_spec_error_shows_json_numbers_as_written(tmp_path, capsys):
+    # JSON numbers read as decimals, but an echo shows 1, not Decimal('1')
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"atoms": [{"at": "0", "mass": "1"}], "name": [1, 0.5]}')
+    assert run(capsys, "sample", "--spec", str(spec), "-N", "1") == \
+        (2, "", "error: name: expected a string, got [1, 0.5]\n")
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -494,6 +557,56 @@ def test_map_refines_coarse_coordinates(capsys):
     code, out, _ = run(capsys, "map", "-d", "2", "-n", "2", "1/2^1", "1/2^1")
     assert code == 0
     assert out.split()[0] == "8/4^2"
+
+
+@pytest.mark.parametrize("coords", [["2/4^1", "1/2^1"], ["0b0.1", "32/64^1"],
+                                    ["8/16^1", "2/4^1"]])
+def test_map_reads_coordinates_in_any_power_of_two_base(capsys, coords):
+    assert run(capsys, "map", "-d", "2", "-n", "2", *coords) == \
+        run(capsys, "map", "-d", "2", "-n", "2", "1/2^1", "1/2^1")
+
+
+def test_unmap_huge_precision_builds_no_huge_integer(capsys):
+    # the range check once built 1 << 10**15, a MemoryError traceback
+    tracemalloc.start()
+    try:
+        result = run(capsys, "unmap", "-d", "2", "-n", "3", "1/2^1000000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "0/2^3 0/2^3 (0.0 0.0)\n", "")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", [
+    ["map", "-d", "2", "-n", "{n}", "1/2^1", "1/2^1"],
+    ["unmap", "-d", "2", "-n", "{n}", "1/2^1"],
+    ["verify", "roundtrip", "-d", "2", "-n", "{n}"],
+    ["verify", "measure", "-d", "2", "-n", "{n}"]],
+    ids=["map", "unmap", "roundtrip", "measure"])
+@pytest.mark.parametrize("n", ["7143", "8000", "1000000000000"])
+def test_index_beyond_a_printable_integer_exits_2_naming_the_flag(capsys, command, n):
+    # 2 * 7143 bits exceed the 14284 a 4300-digit integer holds; the walks
+    # and tables of -n 10**12 once ran out of memory or never ended
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *(arg.format(n=n) for arg in command))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (
+        2, "", f"error: -n/--depth: d*n must be <= 14284, got 2*{n}\n")
+    assert peak < 1 << 20
+
+
+def test_index_bound_admits_a_printable_integer(capsys):
+    # 2^14284 - 1 has 4300 digits, the most Python prints by default
+    code, out, _ = run(capsys, "unmap", "-d", "4", "-n", "3571", "1/2^1")
+    assert code == 0 and out.endswith("/2^3571 (0.5 0.5 0.0 1.0)\n")
+    code, out, _ = run(capsys, "map", "-d", "1", "-n", "14284", "1/2^1")
+    assert code == 0 and out.startswith(f"{1 << 14283}/2^14284 ")
 
 
 # sha256 of `cubefold sample --spec tests/data/coin_uniform.json -N 40000

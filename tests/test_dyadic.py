@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -83,9 +84,32 @@ def test_scalar_text_roundtrip(text):
 
 
 def test_parse_scalar_rejects_garbage():
-    for bad in ["", "3/2", "2/2^1", "0b1.01", "x"]:
+    # the last five: a base that is not a power of two, and 6/4 >= 1
+    for bad in ["", "3/2", "2/2^1", "0b1.01", "x", "1/3^2", "1/1^2", "1/0^2",
+                "0/12^0", "6/4^1"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+@given(st.integers(1, 70), st.integers(0, 12), st.data())
+def test_parse_scalar_reads_any_power_of_two_base(s, p, data):
+    m = data.draw(st.integers(0, (1 << s * p) - 1))
+    assert parse_scalar(f"{m}/{2**s}^{p}") == UnitScalar(m, s * p)
+    assert parse_scalar(f"{m}/{2**s}^{p}").precision == s * p
+
+
+def test_huge_precision_is_checked_without_building_2_to_the_precision():
+    # 1 << 10**15 would need 125 TB; 1 << 10**9 allocates 125 MB
+    tracemalloc.start()
+    try:
+        for p in (10**9, 10**15):
+            assert UnitScalar(1, p).mantissa == 1
+            with pytest.raises(RangeError, match=f"for precision {p}:"):
+                UnitScalar(-1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cube_point_requires_shared_precision():
