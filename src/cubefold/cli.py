@@ -5,8 +5,10 @@ type and `d*n` by a bound, the plain ints `verify -N`/`-k` by
 `monte_carlo_uniformity` and `sample -N`/`--depth` by `sample_independent`.
 `verify` calls the suite with exactly the `SUITE_FLAGS` values it takes and
 rejects any other flag given.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error.  Exact values are read by `parse_scalar`
-and printed as `m/2^p` or `q/4^n`; decimals appear only as annotations.
+failure, 2 usage or parse error or an output too large to allocate
+(`MemoryError`); an error echoes each value cut by `dyadic.echo`.  Exact
+values are read by `parse_scalar` and printed as `m/2^p` or `q/4^n`;
+decimals appear only as annotations.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .dyadic import (
     DyadicRect,
     RangeError,
     UnitScalar,
+    echo,
     format_scalar,
     parse_scalar,
 )
@@ -42,16 +45,21 @@ MAX_CELL_COORDS = 1 << 24
 MAX_INDEX_BITS = 14284
 
 
+def _int(text):
+    """argparse type: an int, its error echoing the text cut."""
+    try:
+        return int(text)
+    except ValueError:  # not an int, or more digits than int() reads
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(repr(text))}") from None
+
+
 def _int_in(name, low, high=None):
     """argparse type: an int >= low (and <= high), its errors naming `name`."""
     bound = f">= {low}" if high is None else f"in {low}..{high}"
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _int(text)
         if value < low or high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {echo(value)}")
         return value
     return parse
 
@@ -63,7 +71,8 @@ _seed = _int_in("seed", 0)
 
 def _check_index_bits(d, depth):
     if d * depth > MAX_INDEX_BITS:
-        raise RangeError(f"-n/--depth: d*n must be <= {MAX_INDEX_BITS}, got {d}*{depth}")
+        raise RangeError(f"-n/--depth: d*n must be <= {MAX_INDEX_BITS}, "
+                         f"got {d}*{echo(depth)}")
 
 
 def _cmd_map(args) -> int:
@@ -177,8 +186,8 @@ _CELL_SUITES = ("cells", "adjacency", "roundtrip", "measure")
 SUITE_FLAGS = {
     "d": (("-d", "--dimension"), _dimension, 2, _CELL_SUITES),
     "depth": (("-n", "--depth"), _depth, 6, _CELL_SUITES),
-    "sample_count": (("-N", "--samples"), int, 1_000_000, ("uniformity",)),
-    "grid_k": (("-k", "--grid"), int, 16, ("uniformity",)),
+    "sample_count": (("-N", "--samples"), _int, 1_000_000, ("uniformity",)),
+    "grid_k": (("-k", "--grid"), _int, 16, ("uniformity",)),
     "seed": (("--seed",), _seed, 0, ("roundtrip", "measure", "uniformity"))}
 
 
@@ -240,9 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = command("sample", _cmd_sample, "draw variates from a spec file")
     p_sample.add_argument("--spec", required=True, help="JSON distribution file")
-    p_sample.add_argument("-N", "--draws", type=int, default=100)
+    p_sample.add_argument("-N", "--draws", type=_int, default=100)
     p_sample.add_argument("--seed", type=_seed, default=0)
-    p_sample.add_argument("--depth", type=int, default=None)
+    p_sample.add_argument("--depth", type=_int, default=None)
     p_sample.add_argument("-o", "--output", default=None,
                           help="CSV output path (default stdout)")
     return parser
@@ -256,7 +265,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:  # every cubefold error is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # cubefold's are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ representable point belongs to exactly one cell.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -20,6 +21,16 @@ class RangeError(ValueError):
 
 class PrecisionError(ValueError):
     """An operation needs more fractional bits than the input carries."""
+
+
+# an error shows at most this many characters of each value or key it echoes
+ECHO_WIDTH = 40
+
+
+def echo(value) -> str:
+    """str(value) for an error message, cut to ECHO_WIDTH with "..."."""
+    text = str(value)
+    return text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH - 3] + "..."
 
 
 @total_ordering
@@ -40,7 +51,7 @@ class UnitScalar:
         # bit_length, not 1 << precision: a huge precision costs nothing
         if self.mantissa < 0 or self.mantissa.bit_length() > self.precision:
             raise RangeError(
-                f"mantissa {self.mantissa} out of range for precision "
+                f"mantissa {echo(self.mantissa)} out of range for precision "
                 f"{self.precision}: need 0 <= m < 2^{self.precision}"
             )
 
@@ -85,7 +96,11 @@ def parse_scalar(text: str) -> UnitScalar:
     text = text.strip()
     m = _RATIONAL_RE.match(text)
     if m:
-        mant, base, power = map(int, m.groups())
+        try:
+            mant, base, power = map(int, m.groups())
+        except ValueError:  # Python's bound on the digits int() reads
+            raise ValueError(f"cannot parse {echo(repr(text))}: more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         if base > 1 and base & (base - 1) == 0:  # b = 2^s: m/2^(s*p)
             return UnitScalar(mant, (base.bit_length() - 1) * power)
     m = _BINARY_RE.match(text)
@@ -93,7 +108,7 @@ def parse_scalar(text: str) -> UnitScalar:
         bits = m.group(1)
         mant = int(bits, 2) if bits else 0
         return UnitScalar(mant, len(bits))
-    raise ValueError(f"cannot parse unit scalar from {text!r}")
+    raise ValueError(f"cannot parse unit scalar from {echo(repr(text))}")
 
 
 def format_scalar(s: UnitScalar) -> str:

@@ -20,23 +20,16 @@ from functools import cached_property
 import numpy as np
 
 from .curve import MAX_DIMENSION, inverse_map, inverse_map_batch
-from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar
-
-
-# an error shows at most this many characters of each value or key it echoes
-ECHO_WIDTH = 40
+from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar, echo
 
 
 class SpecValidationError(ValueError):
     """Invalid distribution description; `field` names the offender.
 
-    Each `{}` of `message` shows str() of the next of `values`; it and the
-    field are cut to ECHO_WIDTH characters with an ellipsis."""
+    Each `{}` of `message` shows `echo` of the next of `values`, the field its own."""
 
     def __init__(self, field: str, message: str, *values):
-        shown = [text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH - 3] + "..."
-                 for text in map(str, (field, *values))]
-        super().__init__(f"{shown[0]}: " + message.format(*shown[1:]))
+        super().__init__(f"{echo(field)}: " + message.format(*map(echo, values)))
         self.field = field
 
 
@@ -326,7 +319,7 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     at the open-cell midpoint so the argument stays inside (0, 1).  The
     CDF element is chosen from the integer cell; only the interpolation
     inside it is float, so a midpoint that rounds to 1.0 is still valid.
-    Chunk streams derive from the seed by counter, not scheduling order.
+    Chunk i of `_CHUNK` rows draws from child i of the seed, spawned in turn.
     """
     specs = tuple(specs)
     n = len(specs)
@@ -338,7 +331,7 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
         depth = 64 // n
     if n * depth > 64:
         raise PrecisionError(
-            f"{n}*{depth} bits per draw exceeds the 64-bit uniform source"
+            f"{n}*{echo(depth)} bits per draw exceeds the 64-bit uniform source"
         )
     if depth < 1:
         raise RangeError("depth must be >= 1")
@@ -346,17 +339,14 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     half_cell = 0.5 ** (depth + 1)
     scale = 0.5 ** depth
     out = np.empty((count, n), dtype=float)
-    nchunks = (count + _CHUNK - 1) // _CHUNK
-    start = 0
-    for child in np.random.SeedSequence(seed).spawn(nchunks):
-        size = min(_CHUNK, count - start)
-        rng = np.random.default_rng(child)
-        q = _draw_bits(rng, n * depth, size)
+    streams = np.random.SeedSequence(seed)
+    for start in range(0, count, _CHUNK):
+        rows = out[start:start + _CHUNK]
+        rng = np.random.default_rng(streams.spawn(1)[0])
+        q = _draw_bits(rng, n * depth, len(rows))
         coords = inverse_map_batch(q, depth, n)
         for axis, spec in enumerate(specs):
             cells = coords[:, axis]
             u = cells.astype(float) * scale + half_cell
-            out[start:start + size, axis] = spec.quantile_batch(
-                u, spec.cell_elements(cells, depth))
-        start += size
+            rows[:, axis] = spec.quantile_batch(u, spec.cell_elements(cells, depth))
     return SampleBatch(out, seed, depth, specs)

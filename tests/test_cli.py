@@ -657,6 +657,39 @@ def test_non_integer_depth_keeps_argparse_message(capsys):
     assert "argument -n/--depth: invalid int value: 'abc'" in err
 
 
+LONG = "1" + "0" * 5000  # more digits than int() reads from text
+COIN_UNIFORM = str(Path(__file__).parent / "data" / "coin_uniform.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["unmap", "-d", "1", "-n", "1", f"{LONG}/2^20000"],
+    ["unmap", "-d", "1", "-n", "1", f"1/2^{LONG}"],
+    ["verify", "cells", "-n", LONG],
+    ["unmap", "x" * 3000],
+    ["unmap", "-d", "1", "-n", "1", f"{LONG[:4000]}/2^1"],
+    ["verify", "uniformity", "-N", LONG],
+    ["verify", "uniformity", "-k", LONG[:3000]],
+    ["sample", "--spec", COIN_UNIFORM, "--depth", LONG[:4000]]],
+    ids=["numerator", "exponent", "verify-n", "unparseable", "mantissa-range",
+         "verify-N", "grid", "sample-depth"])
+def test_errors_cut_the_values_they_echo(capsys, argv):
+    # a number of over 4300 digits once ended in Python's digit-limit
+    # message, which names no value, and other values were echoed whole
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()[-1]) <= 120
+    assert "set_int_max_str_digits" not in err
+
+
+def test_sample_output_too_large_to_allocate_exits_2(capsys):
+    # 10^17 rows of float64 are hundreds of PiB, beyond any 64-bit address
+    # space; numpy's MemoryError once ended in a traceback with exit 1
+    code, out, err = run(capsys, "sample", "--spec", COIN_UNIFORM,
+                         "-N", "100000000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate")
+
+
 def _fresh(*argv):
     """stdout and exit code of the command in a new interpreter."""
     env = dict(os.environ,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -345,3 +346,37 @@ def test_monte_carlo_fails_a_map_that_merges_two_cells(monkeypatch):
     report = monte_carlo_uniformity(250_000, 16, seed=4)
     assert not report.passed
     assert report.statistic > 2 * report.threshold
+
+
+def test_monte_carlo_chunk_i_draws_from_child_i_of_the_seed(monkeypatch):
+    # the stream contract: chunk i reads the SeedSequence child of spawn
+    # key (i,), whatever spawns it, so records do not depend on the loop
+    drawn = []
+    real_draw = measure._draw_cells
+
+    def recording_draw(rng, size, depth):
+        seq = rng.bit_generator.seed_seq
+        drawn.append((seq.entropy, seq.spawn_key, size))
+        return real_draw(rng, size, depth)
+
+    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    monte_carlo_uniformity(3 * measure._CHUNK + 7, 16, seed=9)
+    sizes = [measure._CHUNK] * 3 + [7]
+    assert drawn == [(9, (i,), size) for i, size in enumerate(sizes)]
+
+
+def test_monte_carlo_spawns_no_stream_before_its_chunk(monkeypatch):
+    # the streams of all chunks were once spawned before the first draw, a
+    # list that grew with N: 7.0 MiB at 20000 chunks
+    def first_draw(rng, size, depth):
+        raise RuntimeError("first draw")
+
+    monkeypatch.setattr(measure, "_draw_cells", first_draw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first draw"):
+            monte_carlo_uniformity(20000 * measure._CHUNK, 16, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20

@@ -285,6 +285,23 @@ def test_sample_independent_cell_midpoint_rounding(monkeypatch, spec, cell):
     assert batch.samples[:, 0].tolist() == [expect] * 3
 
 
+def test_sample_chunk_i_draws_from_child_i_of_the_seed(monkeypatch):
+    # chunk i of _CHUNK rows reads the SeedSequence child of spawn key (i,)
+    drawn = []
+    real_draw = sampling._draw_bits
+
+    def recording_draw(rng, nbits, size):
+        seq = rng.bit_generator.seed_seq
+        drawn.append((seq.entropy, seq.spawn_key, size))
+        return real_draw(rng, nbits, size)
+
+    monkeypatch.setattr(sampling, "_draw_bits", recording_draw)
+    batch = sample_independent(4, 3 * sampling._CHUNK + 5, [UNIFORM, COIN])
+    sizes = [sampling._CHUNK] * 3 + [5]
+    assert drawn == [(4, (i,), size) for i, size in enumerate(sizes)]
+    assert batch.samples.shape == (3 * sampling._CHUNK + 5, 2)
+
+
 def test_sample_batch_deterministic_and_csv():
     a = sample_independent(1, 10, [UNIFORM, COIN])
     b = sample_independent(1, 10, [UNIFORM, COIN])
