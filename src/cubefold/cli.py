@@ -266,7 +266,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError, MemoryError) as exc:  # cubefold's are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if getattr(exc, "filename", None) is not None:  # str(exc) holds it whole
+            message = f"{exc.strerror}: {echo(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

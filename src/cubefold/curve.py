@@ -32,9 +32,9 @@ step adds, repeated over every later bit of each axis; an int64 `nxt`
 entry holds the next rotation already scaled to the next step's key.
 A step is one mask, one add, one XOR and two gathers on one key.  The
 tables of one (d, depth) take at most 240 KiB, at d=8 depth 8.  The
-exhaustive suites and the uniformity audit call the kernel per block of
-`BLOCK` indices, so each uint64 temporary takes 128 KiB; the sampler
-calls it once per 2**15-row chunk.
+exhaustive suites and the uniformity audit's bin table call the kernel
+per block of `BLOCK` indices, so each uint64 temporary takes 128 KiB;
+the sampler calls it once per 2**15-row chunk.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .curve import (
     forward_map,
     inverse_map_batch,
 )
-from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar
+from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, echo
 from .stats import chi2_threshold, chi_squared
 
 CUBE = "cube"
@@ -136,14 +136,17 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     )
 
 
-def _bin_counts(indices: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
-    """Grid bin counts of inverse-mapped segment cell indices (d=2)."""
-    coords = inverse_map_batch(indices, depth, 2)
+def _cell_bins(grid_k: int, depth: int) -> np.ndarray:
+    """Flat k x k grid bin of each depth-n segment cell's lower corner (d=2)."""
+    bins = np.empty(1 << (2 * depth), dtype=np.intp)
     k = np.uint64(grid_k)
-    bx = (coords[:, 0] * k) >> np.uint64(depth)
-    by = (coords[:, 1] * k) >> np.uint64(depth)
-    flat = (bx * k + by).astype(np.int64)
-    return np.bincount(flat, minlength=grid_k * grid_k)
+    for lo in range(0, len(bins), BLOCK):
+        corners = inverse_map_batch(
+            np.arange(lo, min(lo + BLOCK, len(bins)), dtype=np.uint64), depth, 2)
+        corners *= k
+        corners >>= np.uint64(depth)
+        bins[lo:lo + BLOCK] = corners[:, 0] * k + corners[:, 1]
+    return bins
 
 
 _CHUNK = 1 << 17
@@ -161,33 +164,33 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     Draws uniform segment cells at depth n = max(8, bits of k - 1),
     inverts them into the square, bins the depth-n lower corners and
     compares against their exact expectation at 99.9% confidence.
-    Chunk i of `_CHUNK` draws takes child i of the seed, spawned when the
-    loop reaches it, so counts are reproducible under any partitioning.
-    Each chunk is binned in blocks of `BLOCK` draws.
+    Each cell is mapped once, into a bin table; chunk i of `_CHUNK` draws
+    takes child i of the seed, spawned when the loop reaches it, so counts
+    are reproducible under any partitioning.
     """
     if grid_k < 1:
         raise RangeError("grid must be at least 1x1")
-    depth = max(8, (grid_k - 1).bit_length())
-    if 2 * depth > 63:  # before k is printed: k <= 2^31
-        raise RangeError("2*depth must be <= 63")
+    if grid_k > 1 << 31:  # before k*k is printed; keeps 2*depth <= 62
+        raise RangeError(f"grid must have k <= 2^31, got k={echo(grid_k)}")
     if sample_count < 100 * grid_k * grid_k:
         raise RangeError(
             f"need at least {100 * grid_k * grid_k} samples for a "
             f"{grid_k}x{grid_k} grid"
         )
+    if grid_k == 1:
+        return VerificationReport.from_statistic(
+            "uniformity", f"N={sample_count} grid=1x1", 0.0, 0.0, seed)
 
+    depth = max(8, (grid_k - 1).bit_length())
     nbins = grid_k * grid_k
+    bins = _cell_bins(grid_k, depth)
     counts = np.zeros(nbins, dtype=np.int64)
     streams = np.random.SeedSequence(seed)
     for start in range(0, sample_count, _CHUNK):
         q = _draw_cells(np.random.default_rng(streams.spawn(1)[0]),
                         min(_CHUNK, sample_count - start), depth)
-        for lo in range(0, len(q), BLOCK):
-            counts += _bin_counts(q[lo:lo + BLOCK], grid_k, depth)
+        counts += np.bincount(bins[q], minlength=nbins)
 
-    if nbins == 1:
-        return VerificationReport.from_statistic(
-            "uniformity", f"N={sample_count} grid=1x1", 0.0, 0.0, seed)
     # A bijection puts one corner on each point of the 2**depth grid, so
     # every grid point is equally likely; along an axis bin i holds
     # ceil((i+1) 2**depth / k) - ceil(i 2**depth / k) of them.  At k = 2**j

@@ -4,18 +4,36 @@ Everything here avoids the code paths under test: cell enumeration and
 the single-cell walk use only child_order, never the digit tables or the
 maps, the quantile oracle only evaluates the CDF forward on mesh points,
 and the Kolmogorov-Smirnov statistic and threshold use only the standard
-library.
+library.  The one exception is `stream_bin_counts`, the differential
+oracle of the uniformity audit's bin table: it runs the batch kernel on
+every draw, where the audit maps each cell once.
 """
 
 import math
 from fractions import Fraction
 
-from cubefold.curve import OrientationState, child_order
+import numpy as np
+
+from cubefold.curve import BLOCK, OrientationState, child_order, inverse_map_batch
 from cubefold.dyadic import CubePoint, UnitScalar
 
 
 def make_point(mantissas, precision: int) -> CubePoint:
     return CubePoint(tuple(UnitScalar(m, precision) for m in mantissas))
+
+
+def stream_bin_counts(indices, grid_k: int, depth: int) -> np.ndarray:
+    """k x k grid bin counts of the inverse-mapped segment cells `indices`
+    (d=2), the kernel run on each block of BLOCK draws."""
+    k = np.uint64(grid_k)
+    counts = np.zeros(grid_k * grid_k, dtype=np.int64)
+    for lo in range(0, len(indices), BLOCK):
+        coords = inverse_map_batch(indices[lo:lo + BLOCK], depth, 2)
+        bx = (coords[:, 0] * k) >> np.uint64(depth)
+        by = (coords[:, 1] * k) >> np.uint64(depth)
+        counts += np.bincount((bx * k + by).astype(np.int64),
+                              minlength=grid_k * grid_k)
+    return counts
 
 
 def brute_force_cells(d: int, depth: int) -> dict:

@@ -277,6 +277,22 @@ def test_verify_uniformity_records_seed(capsys):
     assert record["seed"] == 7 and record["passed"]
 
 
+def test_verify_uniformity_single_bin_draws_nothing(capsys, monkeypatch):
+    # one bin holds every draw, so the record is known before any work;
+    # -N 10^15 once drew all 10^15 cells first
+    def fail(*args):
+        raise RuntimeError("work done")
+
+    monkeypatch.setattr(measure, "_draw_cells", fail)
+    monkeypatch.setattr(measure, "inverse_map_batch", fail)
+    code, out, _ = run(capsys, "verify", "uniformity", "-N",
+                       "1000000000000000", "-k", "1")
+    assert code == 0
+    assert out == ('{"name": "uniformity", "passed": true, "scope": '
+                   '"N=1000000000000000 grid=1x1", "seed": 0, "statistic": 0.0, '
+                   '"threshold": 0.0}\n')
+
+
 @pytest.mark.parametrize("flags", [["-d", "3"], ["-d", "1"], ["-n", "8"],
                                    ["-d", "2", "-n", "6"], ["-d", "2"]])
 def test_verify_uniformity_rejects_dimension_and_depth(capsys, flags):
@@ -669,9 +685,11 @@ COIN_UNIFORM = str(Path(__file__).parent / "data" / "coin_uniform.json")
     ["unmap", "-d", "1", "-n", "1", f"{LONG[:4000]}/2^1"],
     ["verify", "uniformity", "-N", LONG],
     ["verify", "uniformity", "-k", LONG[:3000]],
-    ["sample", "--spec", COIN_UNIFORM, "--depth", LONG[:4000]]],
+    ["sample", "--spec", COIN_UNIFORM, "--depth", LONG[:4000]],
+    ["sample", "--spec", "x" * 200],
+    ["sample", "--spec", COIN_UNIFORM, "-N", "2", "-o", "no-such-dir/" + "x" * 288]],
     ids=["numerator", "exponent", "verify-n", "unparseable", "mantissa-range",
-         "verify-N", "grid", "sample-depth"])
+         "verify-N", "grid", "sample-depth", "spec-path", "output-path"])
 def test_errors_cut_the_values_they_echo(capsys, argv):
     # a number of over 4300 digits once ended in Python's digit-limit
     # message, which names no value, and other values were echoed whole

@@ -18,13 +18,13 @@ from cubefold.measure import (
     SEGMENT,
     CellUnion,
     VerificationReport,
-    _bin_counts,
+    _cell_bins,
     monte_carlo_uniformity,
     pushforward,
     rect_measure_check,
 )
 from cubefold.stats import chi2_threshold, chi_squared
-from helpers import brute_force_cells, make_point
+from helpers import brute_force_cells, make_point, stream_bin_counts
 
 
 def _random_cube_union(rng, d, depth, count):
@@ -249,7 +249,7 @@ def test_monte_carlo_rejects_an_empty_grid():
 def test_bin_counts_are_exactly_uniform_over_all_cells():
     # exhaustive depth-4 enumeration: every bin of a 4x4 grid gets the
     # same number of cells, the exact-count core of uniformity
-    counts = _bin_counts(np.arange(256, dtype=np.uint64), 4, 4)
+    counts = stream_bin_counts(np.arange(256, dtype=np.uint64), 4, 4)
     assert list(counts) == [16] * 16
     stat, dof = chi_squared(counts, np.full(16, 16.0))
     assert stat == 0.0 and dof == 15
@@ -278,16 +278,23 @@ def test_monte_carlo_records_frozen(args):
     assert monte_carlo_uniformity(*args).to_json() == FROZEN_UNIFORMITY[args]
 
 
-@pytest.mark.parametrize("sample_count", [
-    1600, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, measure._CHUNK + 7])
+@pytest.mark.parametrize("sample_count, grid_k", [
+    *(pytest.param(n, 4, id=str(n)) for n in
+      (1600, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, measure._CHUNK + 7)),
+    (3 * BLOCK + 5, 3), (measure._CHUNK + 7, 10), (1_000_000, 100),
+    (6_604_900, 257)])
 def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
-                                                             sample_count):
-    chunks, seen = [], []
+                                                             sample_count,
+                                                             grid_k):
+    # the bin table against the kernel run on every draw of each chunk
+    drawn, seen = [], []
+    whole = np.zeros(grid_k * grid_k, dtype=np.int64)
 
     def draw(rng, size, depth):
-        chunks.append(rng.integers(0, 1 << (2 * depth), size=size,
-                                   dtype=np.uint64))
-        return chunks[-1]
+        q = rng.integers(0, 1 << (2 * depth), size=size, dtype=np.uint64)
+        drawn.append(len(q))
+        whole[:] += stream_bin_counts(q, grid_k, depth)
+        return q
 
     def recording_chi_squared(counts, expected):
         seen.append(counts.copy())
@@ -295,10 +302,45 @@ def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
 
     monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
     monkeypatch.setattr(measure, "_draw_cells", draw)
-    monte_carlo_uniformity(sample_count, 4, seed=sample_count)
-    assert sum(map(len, chunks)) == sample_count
-    whole = sum(_bin_counts(q, 4, 8) for q in chunks)
+    monte_carlo_uniformity(sample_count, grid_k, seed=sample_count)
+    assert sum(drawn) == sample_count
     assert len(seen) == 1 and seen[0].tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("grid_k", [*range(1, 34), 100, 257])
+def test_cell_bins_hold_the_exact_grid_law(grid_k):
+    # every depth-n cell once: bin i, j holds per_axis[i] * per_axis[j]
+    depth = max(8, (grid_k - 1).bit_length())
+    ceil = [-(-i * (1 << depth) // grid_k) for i in range(grid_k + 1)]
+    per_axis = [hi - lo for lo, hi in zip(ceil, ceil[1:])]
+    counts = np.bincount(_cell_bins(grid_k, depth))
+    assert counts.tolist() == np.outer(per_axis, per_axis).ravel().tolist()
+
+
+@pytest.mark.parametrize("sample_count", [250_000, 1_000_000])
+def test_monte_carlo_maps_each_cell_once_whatever_n(monkeypatch, sample_count):
+    # the kernel maps the 4^8 cells into the bin table, not each draw
+    mapped = []
+    real = measure.inverse_map_batch
+
+    def counting(indices, depth, dimension):
+        mapped.append(len(indices))
+        return real(indices, depth, dimension)
+
+    monkeypatch.setattr(measure, "inverse_map_batch", counting)
+    assert monte_carlo_uniformity(sample_count, 16, seed=2).passed
+    assert sum(mapped) == 4 ** 8
+
+
+@pytest.mark.parametrize("grid_k", [(1 << 31) + 1, 3_000_000_000, 10 ** 3000],
+                         ids=["2^31+1", "3e9", "10^3000"])
+def test_monte_carlo_names_the_grid_bound(grid_k):
+    # 2*depth > 63 once named neither the grid nor its bound; the check
+    # comes before the k*k sample count, which could not be printed
+    with pytest.raises(RangeError, match=r"^grid must have k <= 2\^31, got k=\d"):
+        monte_carlo_uniformity(10 ** 6, grid_k, 0)
+    with pytest.raises(RangeError, match=r"^need at least \d+ samples for a 2147483648x"):
+        monte_carlo_uniformity(10 ** 6, 1 << 31, 0)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
