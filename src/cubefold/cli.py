@@ -1,47 +1,29 @@
 """Command-line front door: map, unmap, verify, sample.
 
-Each flag is checked once: `-d`, `-n` and `--seed` by their argparse
-type and `d*n` by a bound, the plain ints `verify -N`/`-k` by
+It reads values, parses flags and dispatches; the `verify` suites live in
+`measure`.  Each flag is checked once: `-d`, `-n` and `--seed` by their
+argparse type and `d*n` by a bound, the plain ints `verify -N`/`-k` by
 `monte_carlo_uniformity` and `sample -N`/`--depth` by `sample_independent`.
-`verify` calls the suite with exactly the `SUITE_FLAGS` values it takes and
-rejects any other flag given.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parse error or an output too large to allocate
-(`MemoryError`); an error echoes each value cut by `dyadic.echo`.  Exact
-values are read by `parse_scalar` and printed as `m/2^p` or `q/4^n`;
+`verify` calls `measure.SUITES[suite]` with exactly the `SUITE_FLAGS`
+values it takes and rejects any other flag given.  Exit codes: 0 success,
+1 verification failure, 2 usage or parse error or an output too large to
+allocate (`MemoryError`); an error echoes each value cut by `dyadic.echo`.
+Exact values are read by `parse_scalar` and printed as `m/2^p` or `q/4^n`;
 decimals appear only as annotations.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
-import numpy as np
-
 from . import curve, measure
-from .dyadic import (
-    CubePoint,
-    DyadicRect,
-    RangeError,
-    UnitScalar,
-    echo,
-    format_scalar,
-    parse_scalar,
-)
-from .measure import CellUnion, VerificationReport, pushforward
+from .dyadic import CubePoint, RangeError, echo, format_scalar, parse_scalar
 from .sampling import load_specs, sample_independent
 
-ROUNDTRIP_TRIALS = 1000
-MEASURE_UNIONS = 200
-# cells * d bound of the exhaustive suites, checked before any allocation.
-# They stream the corners in blocks of curve.BLOCK cells; what grows with
-# the cell count is the one-byte-per-cell `seen` array of `cells`, 16 MiB
-# at the bound (d=1 depth=24), where a suite peaks below 50 MiB RSS
-MAX_CELL_COORDS = 1 << 24
-# d*n bound of map, unmap, roundtrip and measure, checked before any walk:
-# Python prints integers of up to 4300 digits (default max_str_digits),
-# which hold every segment index of at most 14284 bits
+# d*n bound of map, unmap and every verify suite taking -n, checked before
+# any walk or allocation: Python prints integers of up to 4300 digits
+# (default max_str_digits), which hold every segment index of at most 14284 bits
 MAX_INDEX_BITS = 14284
 
 
@@ -95,92 +77,6 @@ def _cmd_unmap(args) -> int:
     return 0
 
 
-def _corner_blocks(d, depth):
-    """Lower corners of every depth-n cube cell, in segment order, as int64
-    arrays of up to curve.BLOCK cells each, computed as they are read.
-
-    The batch kernel's limits and the cell bound are checked at the call,
-    before anything is allocated.
-    """
-    curve._check_batch(depth, d)
-    if d << (d * depth) > MAX_CELL_COORDS:
-        raise RangeError(
-            f"d={d} depth={depth} has 2^{d * depth} cells of {d} coordinates; "
-            f"exhaustive suites take cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
-    total = 1 << (d * depth)
-    return (curve.inverse_map_batch(
-                np.arange(lo, min(lo + curve.BLOCK, total), dtype=np.uint64),
-                depth, d).astype(np.int64)
-            for lo in range(0, total, curve.BLOCK))
-
-
-def _suite_cells(d, depth):
-    # Corners lie on the 2^depth grid, which has exactly as many points as
-    # there are segment cells, so distinct corners make the map a bijection
-    # between equal-measure cells.
-    blocks = _corner_blocks(d, depth)  # checks the bound before `seen`
-    seen = np.zeros(1 << (d * depth), dtype=bool)
-    for corners in blocks:
-        seen[np.ravel_multi_index(corners.T, (1 << depth,) * d)] = True
-    collisions = len(seen) - np.count_nonzero(seen)
-    yield VerificationReport.from_statistic(
-        "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
-
-
-def _suite_adjacency(d, depth):
-    # the last corner of each block is carried into the next block's check
-    violations, last = 0, None
-    for corners in _corner_blocks(d, depth):
-        if last is not None:
-            violations += int(np.abs(corners[0] - last).sum() != 1)
-        diff = np.abs(np.diff(corners, axis=0))
-        violations += int(np.count_nonzero(diff.sum(axis=1) != 1))
-        last = corners[-1]
-    yield VerificationReport.from_statistic(
-        "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
-
-
-def _suite_roundtrip(d, depth, seed):
-    _check_index_bits(d, depth)
-    rng = random.Random(seed)
-    bits = d * depth
-    failures = 0
-    for _ in range(ROUNDTRIP_TRIALS):
-        t = UnitScalar(rng.getrandbits(bits), bits)
-        if curve.forward_map(curve.inverse_map(t, depth, d), depth) != t:
-            failures += 1
-    yield VerificationReport.from_statistic(
-        "roundtrip", f"random d={d} depth={depth} trials={ROUNDTRIP_TRIALS}",
-        failures, 0, seed)
-
-
-def _suite_measure(d, depth, seed):
-    _check_index_bits(d, depth)
-    rng = random.Random(seed)
-    total = 1 << (d * depth)
-    failures = 0
-    for _ in range(MEASURE_UNIONS):
-        count = rng.randint(0, min(total, 64))
-        cu = CellUnion(measure.CUBE, d, depth,
-                       frozenset(rng.randrange(total) for _ in range(count)))
-        if pushforward(cu).measure() != cu.measure():
-            failures += 1
-    yield VerificationReport.from_statistic(
-        "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
-        failures, 0, seed)
-    # [0, 1/2) x [0, 1)^(d-1) needs depth >= 1; it has at most 2^11 cells
-    half = DyadicRect(CubePoint((UnitScalar(0, 0),) * d), (1,) + (0,) * (d - 1))
-    yield measure.rect_measure_check(half, min(max(depth, 1), 12 // d))
-
-
-def _suite_uniformity(sample_count, grid_k, seed):
-    # the audit bins the 2-D map at a depth it derives from -k
-    yield measure.monte_carlo_uniformity(sample_count, grid_k, seed)
-
-
-SUITES = {"cells": _suite_cells, "adjacency": _suite_adjacency,
-          "roundtrip": _suite_roundtrip, "measure": _suite_measure,
-          "uniformity": _suite_uniformity}
 _CELL_SUITES = ("cells", "adjacency", "roundtrip", "measure")
 # every verify flag: suite parameter -> (flags, type, default, suites taking it)
 SUITE_FLAGS = {
@@ -199,8 +95,10 @@ def _cmd_verify(args) -> int:
             kwargs[dest] = default if value is None else value
         elif value is not None:
             raise ValueError(f"verify {args.suite} takes no {'/'.join(flags)}")
+    if "depth" in kwargs:
+        _check_index_bits(kwargs["d"], kwargs["depth"])
     # a suite that raises part way prints no record
-    reports = list(SUITES[args.suite](**kwargs))
+    reports = list(measure.SUITES[args.suite](**kwargs))
     for report in reports:
         print(report.to_json())
     return 0 if all(report.passed for report in reports) else 1
@@ -241,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-d", "--dimension", type=_dimension, default=2)
         p.add_argument("-n", "--depth", type=_depth, default=1)
     p_verify = command("verify", _cmd_verify, "run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=measure.SUITES)
     for dest, (flags, type_, default, suites) in SUITE_FLAGS.items():
         p_verify.add_argument(
             *flags, dest=dest, type=type_, metavar=flags[-1][2:].upper(),

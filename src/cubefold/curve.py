@@ -32,9 +32,9 @@ step adds, repeated over every later bit of each axis; an int64 `nxt`
 entry holds the next rotation already scaled to the next step's key.
 A step is one mask, one add, one XOR and two gathers on one key.  The
 tables of one (d, depth) take at most 240 KiB, at d=8 depth 8.  The
-exhaustive suites and the uniformity audit's bin table call the kernel
-per block of `BLOCK` indices, so each uint64 temporary takes 128 KiB;
-the sampler calls it once per 2**15-row chunk.
+one stream `measure._corner_blocks` calls the kernel per block of `BLOCK`
+indices for the exhaustive suites and the audit's bin table, so each
+uint64 temporary takes 128 KiB; the sampler calls it once per 2**15-row chunk.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar
+from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar, echo
 
 MAX_DIMENSION = 8
-# indices per batch-kernel call in the streaming consumers
+# indices per batch-kernel call of measure._corner_blocks
 BLOCK = 1 << 14
 
 
@@ -370,7 +370,8 @@ def _batch_steps(d: int, depth: int) -> tuple:
 def _check_batch(depth: int, d: int) -> None:
     _check_cell(d, depth)
     if d * depth > 64:
-        raise PrecisionError("dimension * depth must be <= 64 for batch use")
+        raise PrecisionError("dimension * depth must be <= 64 for batch use, "
+                             f"got {d}*{echo(depth)}")
 
 
 def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.ndarray:

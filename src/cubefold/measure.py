@@ -5,6 +5,10 @@ closed class generating the Borel algebra; agreement there extends to the
 generated algebra, so nothing beyond cells and unions needs checking
 bit-exactly.  Statistical checks push uniform segment draws through the
 inverse map and test the image for uniformity.
+
+`SUITES` holds the five `verify` suites and their bounds.  One stream,
+`_corner_blocks`, feeds the batch kernel `BLOCK` indices at a time to
+`cells`, `adjacency` and the uniformity audit's bin table.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -20,9 +25,11 @@ import numpy as np
 from .curve import (
     BLOCK,
     CellAddress,
+    _check_batch,
     _check_cell,
     address_to_interval,
     forward_map,
+    inverse_map,
     inverse_map_batch,
 )
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, echo
@@ -30,6 +37,13 @@ from .stats import chi2_threshold, chi_squared
 
 CUBE = "cube"
 SEGMENT = "segment"
+ROUNDTRIP_TRIALS = 1000
+MEASURE_UNIONS = 200
+# cells * d bound of the exhaustive suites, checked before any allocation.
+# They stream the corners in blocks of BLOCK cells; what grows with the
+# cell count is the one-byte-per-cell `seen` array of `cells`, 16 MiB at
+# the bound (d=1 depth=24), where a suite peaks below 50 MiB RSS
+MAX_CELL_COORDS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -136,13 +150,22 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     )
 
 
+def _corner_blocks(d: int, depth: int):
+    """Lower corners of every depth-n cube cell, in segment order: the
+    kernel's uint64 (N, d) output for each `BLOCK` of indices, computed as
+    it is read.  The kernel's limits are checked at the call."""
+    _check_batch(depth, d)
+    total = 1 << (d * depth)
+    return (inverse_map_batch(
+                np.arange(lo, min(lo + BLOCK, total), dtype=np.uint64), depth, d)
+            for lo in range(0, total, BLOCK))
+
+
 def _cell_bins(grid_k: int, depth: int) -> np.ndarray:
     """Flat k x k grid bin of each depth-n segment cell's lower corner (d=2)."""
     bins = np.empty(1 << (2 * depth), dtype=np.intp)
     k = np.uint64(grid_k)
-    for lo in range(0, len(bins), BLOCK):
-        corners = inverse_map_batch(
-            np.arange(lo, min(lo + BLOCK, len(bins)), dtype=np.uint64), depth, 2)
+    for lo, corners in zip(range(0, len(bins), BLOCK), _corner_blocks(2, depth)):
         corners *= k
         corners >>= np.uint64(depth)
         bins[lo:lo + BLOCK] = corners[:, 0] * k + corners[:, 1]
@@ -202,3 +225,82 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     return VerificationReport.from_statistic(
         "uniformity", f"N={sample_count} grid={grid_k}x{grid_k} depth={depth}",
         stat, threshold, seed)
+
+
+def _exhaustive_blocks(d, depth):
+    """`_corner_blocks(d, depth)`, once the cell bound holds too."""
+    blocks = _corner_blocks(d, depth)  # the kernel's limits first
+    if d << (d * depth) > MAX_CELL_COORDS:
+        raise RangeError(
+            f"d={d} depth={depth} has 2^{d * depth} cells of {d} coordinates; "
+            f"exhaustive suites take cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
+    return blocks
+
+
+def _suite_cells(d, depth):
+    # Corners lie on the 2^depth grid, which has exactly as many points as
+    # there are segment cells, so distinct corners make the map a bijection
+    # between equal-measure cells.
+    blocks = _exhaustive_blocks(d, depth)  # checks the bounds before `seen`
+    seen = np.zeros(1 << (d * depth), dtype=bool)
+    for corners in blocks:
+        seen[np.ravel_multi_index(corners.astype(np.int64).T, (1 << depth,) * d)] = True
+    collisions = len(seen) - np.count_nonzero(seen)
+    yield VerificationReport.from_statistic(
+        "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
+
+
+def _suite_adjacency(d, depth):
+    # the last corner of each block is carried into the next block's check
+    violations, last = 0, None
+    for corners in _exhaustive_blocks(d, depth):
+        corners = corners.astype(np.int64)
+        if last is not None:
+            violations += int(np.abs(corners[0] - last).sum() != 1)
+        diff = np.abs(np.diff(corners, axis=0))
+        violations += int(np.count_nonzero(diff.sum(axis=1) != 1))
+        last = corners[-1]
+    yield VerificationReport.from_statistic(
+        "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
+
+
+def _suite_roundtrip(d, depth, seed):
+    rng = random.Random(seed)
+    bits = d * depth
+    failures = 0
+    for _ in range(ROUNDTRIP_TRIALS):
+        t = UnitScalar(rng.getrandbits(bits), bits)
+        if forward_map(inverse_map(t, depth, d), depth) != t:
+            failures += 1
+    yield VerificationReport.from_statistic(
+        "roundtrip", f"random d={d} depth={depth} trials={ROUNDTRIP_TRIALS}",
+        failures, 0, seed)
+
+
+def _suite_measure(d, depth, seed):
+    rng = random.Random(seed)
+    total = 1 << (d * depth)
+    failures = 0
+    for _ in range(MEASURE_UNIONS):
+        count = rng.randint(0, min(total, 64))
+        cu = CellUnion(CUBE, d, depth,
+                       frozenset(rng.randrange(total) for _ in range(count)))
+        if pushforward(cu).measure() != cu.measure():
+            failures += 1
+    yield VerificationReport.from_statistic(
+        "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
+        failures, 0, seed)
+    # [0, 1/2) x [0, 1)^(d-1) needs depth >= 1; it has at most 2^11 cells
+    half = DyadicRect(CubePoint((UnitScalar(0, 0),) * d), (1,) + (0,) * (d - 1))
+    yield rect_measure_check(half, min(max(depth, 1), 12 // d))
+
+
+def _suite_uniformity(sample_count, grid_k, seed):
+    # the audit bins the 2-D map at a depth it derives from -k
+    yield monte_carlo_uniformity(sample_count, grid_k, seed)
+
+
+# by name, run by `cubefold verify` after its d*n <= 14284 check
+SUITES = {"cells": _suite_cells, "adjacency": _suite_adjacency,
+          "roundtrip": _suite_roundtrip, "measure": _suite_measure,
+          "uniformity": _suite_uniformity}

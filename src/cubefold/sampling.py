@@ -238,11 +238,23 @@ class _Number(Decimal):
     __repr__ = Decimal.__str__
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key raises."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise SpecValidationError(key, "duplicate key")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_specs(fileobj) -> list[DistributionSpec]:
     """A JSON spec file, {"distributions": [...]} or one distribution
-    object; JSON numbers, integers too, read as the decimals they spell."""
+    object; JSON numbers, integers too, read as the decimals they spell,
+    and a key repeated in one object raises."""
     try:  # json.load and the repr of a value in an error both recurse
-        doc = json.load(fileobj, parse_float=_Number, parse_int=_Number)
+        doc = json.load(fileobj, parse_float=_Number, parse_int=_Number,
+                        object_pairs_hook=_unique_keys)
         if isinstance(doc, dict) and "distributions" in doc:
             _object(doc, "spec file", ("distributions",))
             entries = _list(doc["distributions"], "distributions")

@@ -97,14 +97,14 @@ def test_verify_cells(capsys):
 
 
 def test_verify_cells_counts_corner_collisions(capsys, monkeypatch):
-    real = curve.inverse_map_batch
+    real = measure.inverse_map_batch
 
     def colliding(indices, depth, dimension):
         corners = real(indices, depth, dimension)
         corners[7] = corners[3]
         return corners
 
-    monkeypatch.setattr(curve, "inverse_map_batch", colliding)
+    monkeypatch.setattr(measure, "inverse_map_batch", colliding)
     code, out, _ = run(capsys, "verify", "cells", "-d", "2", "-n", "4")
     assert code == 1
     record = json.loads(out.splitlines()[0])
@@ -148,7 +148,7 @@ def test_exhaustive_suites_see_the_first_cell_of_block_two(capsys, monkeypatch,
                                                            suite):
     # -d 2 -n 8 has 4 blocks; cell BLOCK, the first of the second block,
     # gets the corner of cell 0
-    real = curve.inverse_map_batch
+    real = measure.inverse_map_batch
 
     def corrupted(indices, depth, dimension):
         corners = real(indices, depth, dimension)
@@ -156,7 +156,7 @@ def test_exhaustive_suites_see_the_first_cell_of_block_two(capsys, monkeypatch,
                                                dimension)[0]
         return corners
 
-    monkeypatch.setattr(curve, "inverse_map_batch", corrupted)
+    monkeypatch.setattr(measure, "inverse_map_batch", corrupted)
     code, out, _ = run(capsys, "verify", suite, "-d", "2", "-n", "8")
     assert code == 1
     assert json.loads(out)["statistic"] >= 1
@@ -165,17 +165,49 @@ def test_exhaustive_suites_see_the_first_cell_of_block_two(capsys, monkeypatch,
 def test_adjacency_checks_the_step_between_blocks(capsys, monkeypatch):
     # every cell from BLOCK on moves by the same offset, so consecutive
     # cells still share a face everywhere except across the first block end
-    real = curve.inverse_map_batch
+    real = measure.inverse_map_batch
 
     def shifted(indices, depth, dimension):
         corners = real(indices, depth, dimension)
         corners[indices >= curve.BLOCK, 0] += np.uint64(1 << depth)
         return corners
 
-    monkeypatch.setattr(curve, "inverse_map_batch", shifted)
+    monkeypatch.setattr(measure, "inverse_map_batch", shifted)
     code, out, _ = run(capsys, "verify", "adjacency", "-d", "2", "-n", "8")
     assert code == 1
     assert json.loads(out)["statistic"] == 1
+
+
+@pytest.mark.parametrize("consume", [
+    lambda: main(["verify", "cells", "-d", "2", "-n", "8"]),
+    lambda: main(["verify", "adjacency", "-d", "2", "-n", "8"]),
+    lambda: measure._cell_bins(16, 8)], ids=["cells", "adjacency", "cell-bins"])
+def test_block_consumers_read_one_corner_stream(capsys, monkeypatch, consume):
+    # 4^8 cells: measure's kernel binding sees the four blocks in order
+    calls = []
+    real = measure.inverse_map_batch
+
+    def recording(indices, depth, dimension):
+        calls.append((int(indices[0]), len(indices)))
+        return real(indices, depth, dimension)
+
+    monkeypatch.setattr(measure, "inverse_map_batch", recording)
+    consume()
+    assert calls == [(i * curve.BLOCK, curve.BLOCK) for i in range(4)]
+
+
+@pytest.mark.parametrize("suite,depth", [("cells", "8000"), ("adjacency", "20000")])
+def test_exhaustive_suites_name_the_index_bound(capsys, suite, depth):
+    # d*n > 14284 is named as an -n bound, before the batch kernel's limit
+    code, out, err = run(capsys, "verify", suite, "-d", "2", "-n", depth)
+    assert code == 2 and out == ""
+    assert "-n/--depth" in err and "14284" in err
+
+
+def test_batch_limit_names_its_values(capsys):
+    code, out, err = run(capsys, "verify", "cells", "-d", "2", "-n", "33")
+    assert (code, out) == (2, "")
+    assert err == "error: dimension * depth must be <= 64 for batch use, got 2*33\n"
 
 
 def test_verify_usage_error_prints_no_partial_record(capsys, monkeypatch):
@@ -257,13 +289,13 @@ def test_verify_roundtrip_and_measure(capsys):
 
 
 def test_verify_roundtrip_counts_each_failing_trial_once(capsys, monkeypatch):
-    real = curve.forward_map
+    real = measure.forward_map
 
     def next_cell(pt, depth):
         t = real(pt, depth)
         return UnitScalar((t.mantissa + 1) % (1 << t.precision), t.precision)
 
-    monkeypatch.setattr(curve, "forward_map", next_cell)
+    monkeypatch.setattr(measure, "forward_map", next_cell)
     code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "3")
     assert code == 1
     assert json.loads(out)["statistic"] == 1000
@@ -445,6 +477,21 @@ def test_sample_malformed_spec_exits_2_naming_the_field(tmp_path, capsys, doc,
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"distributions": [{"atoms": [{"at": "0", "mass": "1"}]}], '
+     '"distributions": [{"atoms": [{"at": "1", "mass": "1"}]}]}', "distributions"),
+    ('{"atoms": [{"at": "0", "mass": "1"}], "atoms": [{"at": "5", "mass": "1"}]}',
+     "atoms"),
+    ('{"atoms": [{"at": "5", "mass": "1/2", "mass": "1"}]}', "mass"),
+], ids=["wrapper", "distribution", "atom"])
+def test_sample_repeated_key_exits_2_naming_it(tmp_path, capsys, text, field):
+    # json.load would keep the last value and sample it, exit 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = run(capsys, "sample", "--spec", str(spec), "-N", "2")
+    assert (code, out, err) == (2, "", f"error: {field}: duplicate key\n")
 
 
 def test_sample_json_numbers_read_as_their_decimals(tmp_path):
