@@ -189,7 +189,8 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     compares against their exact expectation at 99.9% confidence.
     Each cell is mapped once, into a bin table; chunk i of `_CHUNK` draws
     takes child i of the seed, spawned when the loop reaches it, so counts
-    are reproducible under any partitioning.
+    are reproducible under any partitioning.  Consecutive chunks are
+    counted by one bincount once they hold k*k draws or the last is drawn.
     """
     if grid_k < 1:
         raise RangeError("grid must be at least 1x1")
@@ -208,11 +209,18 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     nbins = grid_k * grid_k
     bins = _cell_bins(grid_k, depth)
     counts = np.zeros(nbins, dtype=np.int64)
+    pending = []  # bins of drawn chunks not yet counted
     streams = np.random.SeedSequence(seed)
     for start in range(0, sample_count, _CHUNK):
         q = _draw_cells(np.random.default_rng(streams.spawn(1)[0]),
                         min(_CHUNK, sample_count - start), depth)
-        counts += np.bincount(bins[q], minlength=nbins)
+        pending.append(bins[q])
+        # a bincount sweeps all k*k bins: give it at least as many draws
+        if len(pending) * _CHUNK >= nbins or start + _CHUNK >= sample_count:
+            counts += np.bincount(
+                pending[0] if len(pending) == 1 else np.concatenate(pending),
+                minlength=nbins)
+            pending = []
 
     # A bijection puts one corner on each point of the 2**depth grid, so
     # every grid point is equally likely; along an axis bin i holds

@@ -687,6 +687,23 @@ def test_sample_csv_bytes_frozen(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COIN_UNIFORM_SHA256
 
 
+# sha256 of `cubefold sample --spec tests/data/wide_range.json -N 40000
+# --seed 5`, frozen from the writer that called `repr` on each value: the
+# layouts the coin spec misses (negative values, exponent form below 1e-4
+# and from 1e16, 16-digit integer parts and 17-digit values).  CI checks
+# the installed command against it too.
+WIDE_RANGE_SHA256 = ("bba9d5cf5ecdf6891ef74a2fb731616d"
+                     "e41d703d7106aeb1273f9099adc037b5")
+
+
+def test_wide_range_csv_bytes_frozen(tmp_path):
+    spec = Path(__file__).parent / "data" / "wide_range.json"
+    out = tmp_path / "out.csv"
+    assert main(["sample", "--spec", str(spec), "-N", "40000", "--seed", "5",
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_RANGE_SHA256
+
+
 def run_exit(capsys, *argv):
     """Like `run`, also for usage errors that argparse ends with SystemExit."""
     try:

@@ -307,6 +307,43 @@ def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
     assert len(seen) == 1 and seen[0].tolist() == whole.tolist()
 
 
+@pytest.mark.parametrize("chunk, grid_k, sample_count, per_bincount", [
+    (64, 10, 10_000, 2), (64, 10, 12_800, 2), (64, 12, 14_400, 3),
+    (measure._CHUNK, 16, 3 * measure._CHUNK + 7, 1)])
+def test_monte_carlo_counts_chunks_together_up_to_k_squared_draws(
+        monkeypatch, chunk, grid_k, sample_count, per_bincount):
+    # one bincount per chunk once swept k*k bins for each chunk's draws:
+    # chunks are counted together until they hold k*k draws, and below
+    # that (k <= 362 at 2^17-draw chunks) each chunk is still one bincount
+    draws, seen, calls = [], [], []
+    real_draw, real_bincount = measure._draw_cells, np.bincount
+
+    def recording_draw(rng, size, depth):
+        draws.append(real_draw(rng, size, depth))
+        return draws[-1]
+
+    def recording_chi_squared(counts, expected):
+        seen.append(counts.copy())
+        return chi_squared(counts, expected)
+
+    def counting_bincount(x, *args, **kwargs):
+        calls.append(len(x))
+        return real_bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "_CHUNK", chunk)
+    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
+    with monkeypatch.context() as mp:
+        mp.setattr(measure.np, "bincount", counting_bincount)
+        monte_carlo_uniformity(sample_count, grid_k, seed=5)
+    q = np.concatenate(draws)
+    assert len(q) == sample_count and len(seen) == 1
+    assert seen[0].tolist() == stream_bin_counts(q, grid_k, 8).tolist()
+    assert len(calls) == -(-len(draws) // per_bincount)
+    assert all(n >= grid_k * grid_k for n in calls[:-1])
+    assert sum(calls) == sample_count
+
+
 @pytest.mark.parametrize("grid_k", [*range(1, 34), 100, 257])
 def test_cell_bins_hold_the_exact_grid_law(grid_k):
     # every depth-n cell once: bin i, j holds per_axis[i] * per_axis[j]
