@@ -9,12 +9,14 @@ values it takes and rejects any other flag given.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error or an output too large to
 allocate (`MemoryError`); an error echoes each value cut by `dyadic.echo`.
 Exact values are read by `parse_scalar` and printed as `m/2^p` or `q/4^n`;
-decimals appear only as annotations.
+decimals appear only as annotations, each the nearest float except that a
+value below 1 which rounds up to 1.0 shows the float just below it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import curve, measure
@@ -57,13 +59,20 @@ def _check_index_bits(d, depth):
                          f"got {d}*{echo(depth)}")
 
 
+def _decimal(value) -> str:
+    """The annotation of an exact value in [0, 1): its nearest float, or
+    the largest float below 1 where the nearest is 1.0."""
+    x = float(value)
+    return repr(math.nextafter(1.0, 0.0) if x == 1.0 else x)
+
+
 def _cmd_map(args) -> int:
     _check_index_bits(args.dimension, args.depth)
     if len(args.coords) != args.dimension:
         raise ValueError(f"expected {args.dimension} coordinates, got {len(args.coords)}")
     t = curve.forward_map(CubePoint(tuple(map(parse_scalar, args.coords))), args.depth)
     base = 1 << args.dimension
-    print(f"{t.mantissa}/{base}^{args.depth} ({float(t)!r})")
+    print(f"{t.mantissa}/{base}^{args.depth} ({_decimal(t)})")
     return 0
 
 
@@ -72,7 +81,7 @@ def _cmd_unmap(args) -> int:
     t = parse_scalar(args.value)
     pt = curve.inverse_map(t, args.depth, args.dimension)
     exact = " ".join(format_scalar(c) for c in pt.coords)
-    approx = " ".join(repr(float(c)) for c in pt.coords)
+    approx = " ".join(map(_decimal, pt.coords))
     print(f"{exact} ({approx})")
     return 0
 

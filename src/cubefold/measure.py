@@ -8,14 +8,17 @@ inverse map and test the image for uniformity.
 
 `SUITES` holds the five `verify` suites and their bounds.  One stream,
 `_corner_blocks`, feeds the batch kernel `BLOCK` indices at a time to
-`cells`, `adjacency` and the uniformity audit's bin table.
+`cells`, `adjacency` and the uniformity audit's bin table.  `roundtrip`,
+`measure` and `pushforward` map whole lists of cells through
+`_cube_cells` and `_segment_cells`, the batch kernels up to
+d*depth = 64 bits and the scalar maps beyond.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -29,6 +32,7 @@ from .curve import (
     _check_cell,
     address_to_interval,
     forward_map,
+    forward_map_batch,
     inverse_map,
     inverse_map_batch,
 )
@@ -50,9 +54,11 @@ MAX_CELL_COORDS = 1 << 24
 class CellUnion:
     """Finite union of distinct same-depth cells of one space.
 
-    Members are cell indices q < 2**(d*depth), Python or numpy integers,
-    on both sides: the segment cell [q, q+1) * b**-depth, or the cube cell
-    whose digit path, read base b = 2**d, is q.  Measure is exactly
+    Members are cell indices below 2**(d*depth), Python or numpy integers.
+    On the segment, q is the cell [q, q+1) * b**-depth with b = 2**d.  In
+    the cube, a member is a packed grid index: axis a's coordinate x_a
+    (scale 2**depth) in bits a*depth .. (a+1)*depth - 1, so the cell is
+    the product of [x_a, x_a + 1) * 2**-depth.  Measure is exactly
     count * b**-depth either way.
     """
 
@@ -77,14 +83,16 @@ class CellUnion:
 
     @classmethod
     def of_cube(cls, dimension: int, depth: int, addresses) -> "CellUnion":
-        """Cube union of digit paths, each a sequence of digits."""
-        indices = set()
+        """Cube union of digit paths, each a sequence of digits; the
+        inverse map finds each path's cell, all paths in one call."""
+        indices = []
         for digits in addresses:
             a = CellAddress(dimension, tuple(digits))
             if a.depth != depth:
                 raise RangeError("member depth mismatch")
-            indices.add(address_to_interval(a).index)
-        return cls(CUBE, dimension, depth, frozenset(indices))
+            indices.append(address_to_interval(a).index)
+        return cls(CUBE, dimension, depth,
+                   frozenset(_cube_cells(indices, depth, dimension)))
 
     @classmethod
     def of_segment(cls, dimension: int, depth: int, indices) -> "CellUnion":
@@ -94,16 +102,54 @@ class CellUnion:
         return Fraction(len(self.members), 1 << (self.dimension * self.depth))
 
 
-def pushforward(cu: CellUnion) -> CellUnion:
-    """Image of a cube cell union on the segment.
+def _cube_cells(indices, depth: int, d: int) -> list:
+    """Packed grid indices of the cube cells matched to segment cells
+    `indices`: the batch kernel up to d*depth = 64 bits, the scalar map
+    beyond."""
+    if d * depth <= 64:
+        corners = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
+        cells = corners[:, 0].copy()
+        for axis in range(1, d):
+            cells |= corners[:, axis] << np.uint64(axis * depth)
+        return cells.tolist()
+    return [sum(c.mantissa << axis * depth for axis, c in
+                enumerate(inverse_map(UnitScalar(q, d * depth), depth, d).coords))
+            for q in map(int, indices)]
 
-    A cube cell maps onto the segment cell with the same digit path, so
-    the image relabels the union's indices as segment cells; its measure
-    equals the union's by construction.
+
+def _segment_cells(cells, depth: int, d: int) -> list:
+    """Segment cell indices of cube cells given as packed grid indices:
+    the batch kernel up to d*depth = 64 bits, the scalar map beyond."""
+    if d * depth <= 64:
+        return forward_map_batch(np.array(cells, dtype=np.uint64), depth, d).tolist()
+    mask = (1 << depth) - 1
+    return [forward_map(CubePoint(tuple(UnitScalar(c >> axis * depth & mask, depth)
+                                        for axis in range(d))), depth).mantissa
+            for c in map(int, cells)]
+
+
+def pushforward(cu):
+    """Image on the segment of a cube cell union, or the list of images
+    of a sequence of unions of one dimension and depth.
+
+    Every member cell goes through the forward map, the members of all
+    the unions in one call, and the image holds the segment cells they
+    land on.  A bijection keeps each union's measure; a map sending two of
+    a union's cells onto one segment cell shrinks its image.
     """
-    if cu.space != CUBE:
+    unions = [cu] if isinstance(cu, CellUnion) else list(cu)
+    if any(u.space != CUBE for u in unions):
         raise RangeError("pushforward expects a cube-side union")
-    return CellUnion(SEGMENT, cu.dimension, cu.depth, cu.members)
+    if len({(u.dimension, u.depth) for u in unions}) > 1:
+        raise RangeError("pushforward expects unions of one dimension and depth")
+    images = []
+    if unions:
+        d, depth = unions[0].dimension, unions[0].depth
+        members = itertools.chain.from_iterable(u.members for u in unions)
+        cells = iter(_segment_cells(list(members), depth, d))
+        images = [CellUnion(SEGMENT, d, depth, frozenset(itertools.islice(cells, len(u.members))))
+                  for u in unions]
+    return images[0] if isinstance(cu, CellUnion) else images
 
 
 @dataclass(frozen=True)
@@ -139,11 +185,10 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     base = [(c.mantissa << depth) >> c.precision for c in rect.lower.coords]
     if any(UnitScalar(b, depth) != c for b, c in zip(base, rect.lower.coords)):
         raise RangeError("corner not aligned to the depth grid")
-    spans = [range(b, b + (1 << depth - k)) for b, k in zip(base, rect.side_exponents)]
-    indices = {forward_map(CubePoint(tuple(UnitScalar(m, depth) for m in cell)),
-                           depth).mantissa
-               for cell in itertools.product(*spans)}
-    exact = len(indices) == math.prod(map(len, spans))
+    cells = [0]  # packed grid indices, as in CellUnion
+    for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
+        cells = [c | x << axis * depth for c in cells for x in range(b, b + (1 << depth - k))]
+    exact = len(set(_segment_cells(cells, depth, len(base)))) == len(cells)
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
         0 if exact else 1, 0,
@@ -274,12 +319,9 @@ def _suite_adjacency(d, depth):
 
 def _suite_roundtrip(d, depth, seed):
     rng = random.Random(seed)
-    bits = d * depth
-    failures = 0
-    for _ in range(ROUNDTRIP_TRIALS):
-        t = UnitScalar(rng.getrandbits(bits), bits)
-        if forward_map(inverse_map(t, depth, d), depth) != t:
-            failures += 1
+    indices = [rng.getrandbits(d * depth) for _ in range(ROUNDTRIP_TRIALS)]
+    back = _segment_cells(_cube_cells(indices, depth, d), depth, d)
+    failures = sum(map(operator.ne, back, indices))
     yield VerificationReport.from_statistic(
         "roundtrip", f"random d={d} depth={depth} trials={ROUNDTRIP_TRIALS}",
         failures, 0, seed)
@@ -287,14 +329,15 @@ def _suite_roundtrip(d, depth, seed):
 
 def _suite_measure(d, depth, seed):
     rng = random.Random(seed)
-    total = 1 << (d * depth)
-    failures = 0
+    bits = d * depth
+    unions = []
     for _ in range(MEASURE_UNIONS):
-        count = rng.randint(0, min(total, 64))
-        cu = CellUnion(CUBE, d, depth,
-                       frozenset(rng.randrange(total) for _ in range(count)))
-        if pushforward(cu).measure() != cu.measure():
-            failures += 1
+        count = rng.randint(0, min(1 << bits, 64))
+        # each draw, read as a packed grid index, is a uniform cube cell
+        unions.append(CellUnion(CUBE, d, depth,
+                                frozenset(rng.getrandbits(bits) for _ in range(count))))
+    failures = sum(image.measure() != cu.measure()
+                   for cu, image in zip(unions, pushforward(unions)))
     yield VerificationReport.from_statistic(
         "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
         failures, 0, seed)

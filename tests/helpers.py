@@ -66,6 +66,12 @@ def brute_force_corner(d: int, depth: int, q: int) -> tuple:
     return tuple(corner)
 
 
+def packed_cell(corner, depth: int) -> int:
+    """Packed grid index of an integer corner (scale 2**depth): axis a's
+    coordinate at bit a * depth."""
+    return sum(int(c) << a * depth for a, c in enumerate(corner))
+
+
 def brute_force_locate(cells: dict, point, depth: int):
     """Digit tuple of the half-open brute-force cell containing the point."""
     side = Fraction(1, 1 << depth)

@@ -14,7 +14,7 @@ import pytest
 import cubefold
 from cubefold import curve, measure, sampling
 from cubefold.cli import main
-from cubefold.dyadic import CubePoint, RangeError, UnitScalar
+from cubefold.dyadic import RangeError, UnitScalar
 
 
 def run(capsys, *argv):
@@ -254,22 +254,53 @@ def test_verify_measure_runs_the_half_box_at_every_dimension(capsys, d, n, depth
         ("rect_measure", f"depth={depth} sides={sides}", True)]
 
 
+def _merging(moved, onto):
+    """A batch forward map that sends packed grid cell `moved` where it
+    sends `onto`, merging the two cells' images."""
+    real = measure.forward_map_batch
+
+    def merging(cells, depth, d):
+        cells = np.asarray(cells, dtype=np.uint64)
+        return real(np.where(cells == moved, np.uint64(onto), cells), depth, d)
+
+    return merging
+
+
 def test_verify_measure_half_box_fails_a_map_merging_two_cells(capsys,
                                                                 monkeypatch):
-    # at d=3 -n 4 the box runs at depth 4; its cell at (1, 0, 0) / 2^4 is
-    # sent onto the cell at the origin, so the image loses 8^-4 of measure
-    real = measure.forward_map
-    moved = CubePoint((UnitScalar(1, 4), UnitScalar(0, 4), UnitScalar(0, 4)))
-
-    def merging(pt, depth):
-        return real(CubePoint((UnitScalar(0, 4),) * 3) if pt == moved else pt, depth)
-
-    monkeypatch.setattr(measure, "forward_map", merging)
+    # at d=3 -n 4 the box runs at depth 4; its cell at (1, 0, 0) / 2^4,
+    # packed grid index 1, is sent onto the cell at the origin, so the
+    # image loses 8^-4 of measure.  No union of seed 0 (at most 64 of the
+    # 4096 cells) holds both cells.
+    monkeypatch.setattr(measure, "forward_map_batch", _merging(1, 0))
     code, out, _ = run(capsys, "verify", "measure", "-d", "3", "-n", "4")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["name"], r["passed"], r["statistic"]) for r in records] == [
         ("measure-unions", True, 0.0), ("rect_measure", False, 1.0)]
+
+
+def test_verify_measure_unions_fail_a_map_merging_two_cells(capsys, monkeypatch):
+    # at d=2 -n 1 a union holds up to all four cells.  Each union that
+    # holds grid cells (1, 0) and (0, 1), packed 1 and 2, loses a quarter
+    # of its measure: 34 of seed 0's 200.  The half box x < 1/2 holds
+    # neither cell (1, 0) nor the merge, so it passes.
+    monkeypatch.setattr(measure, "forward_map_batch", _merging(1, 2))
+    real_pushforward = measure.pushforward
+    seen = []
+
+    def recording(unions):
+        seen.extend(unions)
+        return real_pushforward(unions)
+
+    monkeypatch.setattr(measure, "pushforward", recording)
+    code, out, _ = run(capsys, "verify", "measure", "-d", "2", "-n", "1")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["passed"], r["statistic"]) for r in records] == [
+        ("measure-unions", False, 34.0), ("rect_measure", True, 0.0)]
+    assert len(seen) == 200
+    assert sum({1, 2} <= u.members for u in seen) == 34
 
 
 def test_verify_adjacency(capsys):
@@ -289,6 +320,21 @@ def test_verify_roundtrip_and_measure(capsys):
 
 
 def test_verify_roundtrip_counts_each_failing_trial_once(capsys, monkeypatch):
+    # d*n = 6 bits: the trials run on the batch kernels
+    real = measure.forward_map_batch
+
+    def next_cell(cells, depth, d):
+        return (real(cells, depth, d) + np.uint64(1)) & np.uint64((1 << d * depth) - 1)
+
+    monkeypatch.setattr(measure, "forward_map_batch", next_cell)
+    code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "3")
+    assert code == 1
+    assert json.loads(out)["statistic"] == 1000
+
+
+def test_verify_roundtrip_beyond_64_bits_counts_each_failing_trial(capsys,
+                                                                  monkeypatch):
+    # d*n = 66 bits: the trials run on the scalar maps
     real = measure.forward_map
 
     def next_cell(pt, depth):
@@ -296,9 +342,12 @@ def test_verify_roundtrip_counts_each_failing_trial_once(capsys, monkeypatch):
         return UnitScalar((t.mantissa + 1) % (1 << t.precision), t.precision)
 
     monkeypatch.setattr(measure, "forward_map", next_cell)
-    code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "3")
+    code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "33")
     assert code == 1
     assert json.loads(out)["statistic"] == 1000
+    monkeypatch.setattr(measure, "forward_map", real)
+    code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "33")
+    assert code == 0 and json.loads(out)["statistic"] == 0
 
 
 def test_verify_uniformity_records_seed(capsys):
@@ -667,9 +716,28 @@ def test_index_beyond_a_printable_integer_exits_2_naming_the_flag(capsys, comman
 def test_index_bound_admits_a_printable_integer(capsys):
     # 2^14284 - 1 has 4300 digits, the most Python prints by default
     code, out, _ = run(capsys, "unmap", "-d", "4", "-n", "3571", "1/2^1")
-    assert code == 0 and out.endswith("/2^3571 (0.5 0.5 0.0 1.0)\n")
+    assert code == 0 and out.endswith("/2^3571 (0.5 0.5 0.0 0.9999999999999999)\n")
     code, out, _ = run(capsys, "map", "-d", "1", "-n", "14284", "1/2^1")
     assert code == 0 and out.startswith(f"{1 << 14283}/2^14284 ")
+
+
+@pytest.mark.parametrize("argv,annotation", [
+    # (2^60 - 1)/2^60 and (2^3571 - 1)/2^3571 round to 1.0; the annotation
+    # shows the float below it
+    (["map", "-d", "1", "-n", "60", f"{(1 << 60) - 1}/2^60"], "(0.9999999999999999)"),
+    (["unmap", "-d", "1", "-n", "3571", f"{(1 << 3571) - 1}/2^3571"],
+     "(0.9999999999999999)"),
+    (["map", "-d", "2", "-n", "30", f"{(1 << 30) - 1}/2^30", "0/2^1"],
+     "(0.9999999999999999)"),
+    # (2^55 - 1)/2^56 and (2^54 + 1)/2^55 keep round-to-nearest
+    (["map", "-d", "1", "-n", "56", f"{(1 << 55) - 1}/2^56"], "(0.5)"),
+    (["unmap", "-d", "1", "-n", "55", f"{(1 << 54) + 1}/2^55"], "(0.5)"),
+    (["unmap", "-d", "2", "-n", "1", "3/4^1"], "(0.5 0.0)"),
+])
+def test_decimal_annotation_stays_below_one(capsys, argv, annotation):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith(f" {annotation}\n")
 
 
 # sha256 of `cubefold sample --spec tests/data/coin_uniform.json -N 40000

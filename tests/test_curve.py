@@ -16,6 +16,7 @@ from cubefold.curve import (
     child_order,
     compose_n_to_m,
     forward_map,
+    forward_map_batch,
     interval_to_address,
     inverse_map,
     inverse_map_batch,
@@ -33,6 +34,7 @@ from helpers import (
     brute_force_corner,
     brute_force_locate,
     make_point,
+    packed_cell,
 )
 
 
@@ -390,6 +392,74 @@ def test_batch_matches_child_order_walk_over_three_or_more_steps(case):
     batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
     assert batch.tolist() == [list(brute_force_corner(d, depth, q))
                               for q in indices]
+
+
+def _grid_cells():
+    # d, depth <= 64 // d, and 64-bit words whose low d * depth bits are
+    # packed grid indices; the bits above them must be ignored
+    return st.integers(1, 8).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(0, 64 // d),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cells())
+@example((1, 64, [0, 2**64 - 1, 0x0123456789ABCDEF]))
+@example((2, 32, [2**64 - 1, 2**63, 0xFEDCBA9876543210]))
+@example((3, 21, [2**64 - 1, 2**62, 0x0123456789ABCDEF]))
+@example((4, 16, [2**64 - 1, 0xFEDCBA9876543210]))
+@example((5, 12, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((6, 10, [2**64 - 1, 0xFEDCBA9876543210]))
+@example((7, 9, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((8, 8, [2**64 - 1, 2**56, 0xFEDCBA9876543210]))
+@example((3, 7, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((2, 9, [2**64 - 1, 0xFEDCBA9876543210]))
+@example((5, 3, [2**64 - 1, 0x0123456789ABCDEF]))
+@example((8, 0, [2**64 - 1]))
+def test_forward_batch_matches_scalar_forward_map(case):
+    # (3, 7), (2, 9) and (5, 3) end in a step shorter than L = max(1, 8 // d)
+    d, depth, words = case
+    batch = forward_map_batch(np.array(words, dtype=np.uint64), depth, d)
+    assert batch.dtype == np.uint64 and batch.shape == (len(words),)
+    mask = (1 << depth) - 1
+    for w, q in zip(words, batch.tolist()):
+        pt = CubePoint(tuple(UnitScalar(w >> a * depth & mask, depth)
+                             for a in range(d)))
+        assert forward_map(pt, depth) == UnitScalar(q, d * depth)
+
+
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 9), (2, 5), (3, 3), (4, 2),
+                                     (5, 2), (8, 1), (3, 4)])
+def test_forward_batch_matches_child_order_cells(d, depth):
+    # every cell: its digit path, read base 2**d, is its segment index
+    cells = brute_force_cells(d, depth)
+    paths = sorted(cells)
+    packed = np.array([packed_cell(cells[p], depth) for p in paths], dtype=np.uint64)
+    expected = [sum(j << d * (depth - 1 - k) for k, j in enumerate(p)) for p in paths]
+    assert forward_map_batch(packed, depth, d).tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segment_cells())
+@example((1, 64, [0, 2**64 - 1]))
+@example((4, 16, [2**64 - 1, 2**63]))
+@example((8, 8, [2**64 - 1, 2**56]))
+@example((3, 7, [2**64 - 1, 0x0123456789ABCDEF]))
+def test_forward_batch_inverts_the_inverse_batch(case):
+    d, depth, words = case
+    indices = np.array([w >> (64 - d * depth) for w in words], dtype=np.uint64)
+    corners = inverse_map_batch(indices, depth, d)
+    packed = np.array([packed_cell(row, depth) for row in corners.tolist()],
+                      dtype=np.uint64)
+    assert forward_map_batch(packed, depth, d).tolist() == indices.tolist()
+
+
+def test_forward_batch_keeps_the_kernel_limits():
+    with pytest.raises(PrecisionError, match=r"must be <= 64 for batch use, got 2\*33$"):
+        forward_map_batch(np.zeros(1, dtype=np.uint64), 33, 2)
+    with pytest.raises(RangeError):
+        forward_map_batch(np.zeros(1, dtype=np.uint64), 1, 9)
+    assert forward_map_batch([], 8, 8).tolist() == []
 
 
 @pytest.mark.parametrize("d,depth", [(1, 100), (2, 40), (3, 30), (8, 9),

@@ -24,7 +24,13 @@ from cubefold.measure import (
     rect_measure_check,
 )
 from cubefold.stats import chi2_threshold, chi_squared
-from helpers import brute_force_cells, make_point, stream_bin_counts
+from helpers import (
+    brute_force_cells,
+    brute_force_corner,
+    make_point,
+    packed_cell,
+    stream_bin_counts,
+)
 
 
 def _random_cube_union(rng, d, depth, count):
@@ -95,10 +101,10 @@ def test_disjoint_unions_have_disjoint_images():
         a = _random_cube_union(rng, 2, 4, 20)
         b_members = set()
         while len(b_members) < 10:
-            q = rng.randrange(256)
-            if q not in a.members:
-                b_members.add(interval_to_address(
-                    SegmentInterval(2, 4, q)).digits)
+            path = interval_to_address(SegmentInterval(2, 4, rng.randrange(256))).digits
+            # cube members are grid cells: compare a and b in the cube
+            if not CellUnion.of_cube(2, 4, [path]).members & a.members:
+                b_members.add(path)
         b = CellUnion.of_cube(2, 4, b_members)
         assert not (pushforward(a).members & pushforward(b).members)
 
@@ -149,12 +155,66 @@ def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
     members = frozenset({np.int64(3), np.uint8(2), 15})
     cu = CellUnion(CUBE, 2, 2, members)
     assert cu.measure() == Fraction(3, 16)
-    assert pushforward(cu).members == members
+    # grid cells (3, 0), (2, 0) and (3, 3) at depth 2 have the digit paths
+    # (3, 3), (3, 2) and (2, 2) in helpers.brute_force_cells
+    assert pushforward(cu).members == {15, 14, 10}
 
 
 def test_pushforward_rejects_segment_union():
     with pytest.raises(RangeError):
         pushforward(CellUnion.of_segment(2, 2, [0, 1]))
+    with pytest.raises(RangeError, match="cube-side"):
+        pushforward([CellUnion.of_cube(2, 2, []), CellUnion.of_segment(2, 2, [0])])
+
+
+def test_cube_members_are_packed_grid_cells():
+    # of_cube finds each digit path's cell; pushforward sends it back
+    cells = brute_force_cells(3, 2)
+    cu = CellUnion.of_cube(3, 2, cells)
+    assert cu.members == {packed_cell(c, 2) for c in cells.values()}
+    assert pushforward(cu).members == frozenset(range(64))
+
+
+def test_pushforward_of_a_list_maps_each_union_in_one_call(monkeypatch):
+    calls = []
+    real = measure.forward_map_batch
+
+    def counting(cells, depth, d):
+        calls.append(len(cells))
+        return real(cells, depth, d)
+
+    monkeypatch.setattr(measure, "forward_map_batch", counting)
+    rng = random.Random(5)
+    unions = [_random_cube_union(rng, 2, 5, rng.randint(0, 30)) for _ in range(20)]
+    images = pushforward(unions)
+    assert calls == [sum(len(u.members) for u in unions)]
+    assert images == [pushforward(u) for u in unions]
+    assert pushforward([]) == []
+    with pytest.raises(RangeError, match="one dimension and depth"):
+        pushforward([unions[0], CellUnion.of_cube(2, 4, [])])
+
+
+@pytest.mark.parametrize("d,depth", [(2, 33), (3, 22), (1, 65), (8, 9)])
+def test_cell_helpers_take_the_scalar_maps_beyond_64_bits(monkeypatch, d, depth):
+    # beyond the batch kernel's 64 bits the cells still follow child_order
+    def refuse(*args):
+        raise AssertionError("batch kernel called beyond 64 bits")
+
+    monkeypatch.setattr(measure, "forward_map_batch", refuse)
+    monkeypatch.setattr(measure, "inverse_map_batch", refuse)
+    rng = random.Random(d * depth)
+    indices = [0, (1 << d * depth) - 1] + [rng.getrandbits(d * depth) for _ in range(6)]
+    cells = measure._cube_cells(indices, depth, d)
+    assert cells == [packed_cell(brute_force_corner(d, depth, q), depth) for q in indices]
+    assert measure._segment_cells(cells, depth, d) == indices
+    paths = [interval_to_address(SegmentInterval(d, depth, q)).digits for q in indices]
+    assert pushforward(CellUnion.of_cube(d, depth, paths)).members == set(indices)
+
+
+def test_rect_measure_check_beyond_64_bits():
+    # two cells of side 2^-33 at d=2: the scalar forward map decides
+    box = DyadicRect(make_point([6, 0], 33), (32, 33))
+    assert rect_measure_check(box, 33).passed
 
 
 def test_report_pass_flag_follows_statistic():
