@@ -30,23 +30,28 @@ bits in axis order at their final place (axis a's at bit a * depth +
 low, low = depth - start - L) and, in the bits below, the flips the
 step adds, repeated over every later bit of each axis; an int64 `nxt`
 entry holds the next rotation already scaled to the next step's key.
-A step is one mask, one add, one XOR and two gathers on one key.  The
-tables of one (d, depth) take at most 240 KiB, at d=8 depth 8.  The
-one stream `measure._corner_blocks` calls the kernel per block of `BLOCK`
-indices for the exhaustive suites and the audit's bin table, so each
-uint64 temporary takes 128 KiB; the sampler calls it once per 2**15-row chunk.
+A step is one mask, one add, one XOR and two gathers on one key, and the
+accumulator it XORs into is the kernel's output: the packed grid index
+of the lower corner, axis a's coordinate at bit a * depth, which is the
+corner's flat index on the 2**depth grid, axis 0 varying fastest.  Each
+reader takes out the axes it needs.  The tables of one (d, depth) take
+at most 240 KiB, at d=8 depth 8.  The one stream `measure._corner_blocks`
+calls the kernel per block of `BLOCK` indices for the exhaustive suites
+and the audit's bin table, so each uint64 temporary of a call (the key,
+the gathered entries, the accumulator) takes 128 KiB; the sampler calls
+it once per 2**15-row chunk.
 
-The forward kernel `forward_map_batch` takes packed grid indices, axis a's
-coordinate at bit a * depth as in the inverse kernel's accumulator.  It
-interleaves them into octant order once, one byte table per byte, and
-then runs the inverse kernel's step shape under the scalar forward map's
-key, rotation * 2**(d*L) + octant word: a `comb` entry rewrites the word
-into its digits and XORs the flips it adds onto every later octant, so
-the next step reads its octants as the unflipped state sees them.  Its
+The forward kernel `forward_map_batch` takes packed grid indices, the
+inverse kernel's output, in an array of any shape.  It interleaves them
+into octant order once, one byte table per byte, and then runs the
+inverse kernel's step shape under the scalar forward map's key,
+rotation * 2**(d*L) + octant word: a `comb` entry rewrites the word into
+its digits and XORs the flips it adds onto every later octant, so the
+next step reads its octants as the unflipped state sees them.  Its
 tables take 16 KiB more than the inverse kernel's.  Both kernels take
-d * depth <= 64.  `measure` maps lists of cells through one
-private helper per direction that calls a kernel up to 64 bits and the
-scalar map per cell beyond.
+d * depth <= 64.  `measure` maps arrays of cells through one private
+helper per direction that calls a kernel up to 64 bits and the scalar
+map once per distinct cell beyond.
 """
 
 from __future__ import annotations
@@ -389,11 +394,12 @@ def _check_batch(depth: int, d: int) -> None:
 def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.ndarray:
     """Vectorized inverse over depth-n segment cell indices.
 
-    Returns an (N, d) uint64 array of lower-corner mantissas at precision
-    `depth` per coordinate.  Must agree with inverse_map on every index;
-    requires dimension * depth <= 64.  All coordinates build up in one
-    uint64 per index, axis a in bits a*depth .. (a+1)*depth - 1, one
-    `comb` entry per step of `_batch_steps`.
+    Returns one uint64 per index, the packed grid index of its cell's
+    lower corner: axis a's mantissa at precision `depth` in bits
+    a*depth .. (a+1)*depth - 1, the layout forward_map_batch reads.  Must
+    agree with inverse_map on every index; requires dimension * depth <=
+    64.  The index builds up by one `comb` entry per step of
+    `_batch_steps`.
     """
     d = dimension
     _check_batch(depth, d)
@@ -409,11 +415,7 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
         acc ^= comb[key]
         if nxt is not None:
             key_rot = nxt[key]
-    coords = np.empty((d, q.shape[0]), dtype=np.uint64)
-    mask = np.uint64((1 << depth) - 1)
-    for axis in range(d):
-        coords[axis] = (acc >> np.uint64(axis * depth)) & mask
-    return coords.T
+    return acc
 
 
 @lru_cache(maxsize=None)

@@ -6,21 +6,24 @@ generated algebra, so nothing beyond cells and unions needs checking
 bit-exactly.  Statistical checks push uniform segment draws through the
 inverse map and test the image for uniformity.
 
-`SUITES` holds the five `verify` suites and their bounds.  One stream,
-`_corner_blocks`, feeds the batch kernel `BLOCK` indices at a time to
-`cells`, `adjacency` and the uniformity audit's bin table.  `roundtrip`,
-`measure` and `pushforward` map whole lists of cells through
-`_cube_cells` and `_segment_cells`, the batch kernels up to
-d*depth = 64 bits and the scalar maps beyond.
+`SUITES` holds the five `verify` suites and their bounds.  Cube cells
+are packed grid indices throughout, the batch inverse kernel's output.
+One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
+a time to `cells`, `adjacency` and the uniformity audit's bin table.
+`roundtrip`, `measure`, `rect_measure_check` and `pushforward` map whole
+arrays of cells through `_cube_cells` and `_segment_cells`, the batch
+kernels up to d*depth = 64 bits and the scalar maps beyond, where the
+cells are Python ints in object arrays.  `verify measure` draws its
+unions as the rows of one cell matrix and compares the distinct cells of
+each row with the distinct images, counted by one sort per side.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import operator
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +95,7 @@ class CellUnion:
                 raise RangeError("member depth mismatch")
             indices.append(address_to_interval(a).index)
         return cls(CUBE, dimension, depth,
-                   frozenset(_cube_cells(indices, depth, dimension)))
+                   frozenset(_cube_cells(indices, depth, dimension).tolist()))
 
     @classmethod
     def of_segment(cls, dimension: int, depth: int, indices) -> "CellUnion":
@@ -102,30 +105,37 @@ class CellUnion:
         return Fraction(len(self.members), 1 << (self.dimension * self.depth))
 
 
-def _cube_cells(indices, depth: int, d: int) -> list:
+def _cube_cells(indices, depth: int, d: int) -> np.ndarray:
     """Packed grid indices of the cube cells matched to segment cells
-    `indices`: the batch kernel up to d*depth = 64 bits, the scalar map
-    beyond."""
+    `indices`, in a 1-D array: the batch kernel's uint64 up to d*depth =
+    64 bits, the scalar map's Python ints beyond."""
     if d * depth <= 64:
-        corners = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
-        cells = corners[:, 0].copy()
-        for axis in range(1, d):
-            cells |= corners[:, axis] << np.uint64(axis * depth)
-        return cells.tolist()
-    return [sum(c.mantissa << axis * depth for axis, c in
-                enumerate(inverse_map(UnitScalar(q, d * depth), depth, d).coords))
-            for q in map(int, indices)]
+        return inverse_map_batch(np.asarray(indices, dtype=np.uint64), depth, d)
+    return np.array([sum(c.mantissa << axis * depth for axis, c in enumerate(
+        inverse_map(UnitScalar(q, d * depth), depth, d).coords))
+        for q in map(int, indices)], dtype=object)
 
 
-def _segment_cells(cells, depth: int, d: int) -> list:
-    """Segment cell indices of cube cells given as packed grid indices:
-    the batch kernel up to d*depth = 64 bits, the scalar map beyond."""
+def _segment_cells(cells, depth: int, d: int) -> np.ndarray:
+    """Segment cell indices of cube cells given as packed grid indices, in
+    an array of the cells' shape: the batch kernel's uint64 up to d*depth
+    = 64 bits, the scalar map's Python ints beyond, one call per distinct
+    cell."""
     if d * depth <= 64:
-        return forward_map_batch(np.array(cells, dtype=np.uint64), depth, d).tolist()
+        return forward_map_batch(np.asarray(cells, dtype=np.uint64), depth, d)
+    cells = np.asarray(cells, dtype=object)
     mask = (1 << depth) - 1
-    return [forward_map(CubePoint(tuple(UnitScalar(c >> axis * depth & mask, depth)
-                                        for axis in range(d))), depth).mantissa
-            for c in map(int, cells)]
+    images = {c: forward_map(CubePoint(tuple(UnitScalar(c >> axis * depth & mask, depth)
+                                             for axis in range(d))), depth).mantissa
+              for c in dict.fromkeys(map(int, cells.flat))}
+    return np.array([images[int(c)] for c in cells.flat],
+                    dtype=object).reshape(cells.shape)
+
+
+def _distinct(cells) -> np.ndarray:
+    """Number of distinct cells along the last axis of a non-empty one."""
+    cells = np.sort(cells, axis=-1)
+    return 1 + np.count_nonzero(cells[..., 1:] != cells[..., :-1], axis=-1)
 
 
 def pushforward(cu):
@@ -146,7 +156,7 @@ def pushforward(cu):
     if unions:
         d, depth = unions[0].dimension, unions[0].depth
         members = itertools.chain.from_iterable(u.members for u in unions)
-        cells = iter(_segment_cells(list(members), depth, d))
+        cells = iter(_segment_cells(list(members), depth, d).tolist())
         images = [CellUnion(SEGMENT, d, depth, frozenset(itertools.islice(cells, len(u.members))))
                   for u in unions]
     return images[0] if isinstance(cu, CellUnion) else images
@@ -169,7 +179,7 @@ class VerificationReport:
                    float(statistic) <= float(threshold), seed)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
@@ -188,7 +198,7 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     cells = [0]  # packed grid indices, as in CellUnion
     for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
         cells = [c | x << axis * depth for c in cells for x in range(b, b + (1 << depth - k))]
-    exact = len(set(_segment_cells(cells, depth, len(base)))) == len(cells)
+    exact = _distinct(_segment_cells(cells, depth, len(base))) == len(cells)
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
         0 if exact else 1, 0,
@@ -196,9 +206,10 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
 
 
 def _corner_blocks(d: int, depth: int):
-    """Lower corners of every depth-n cube cell, in segment order: the
-    kernel's uint64 (N, d) output for each `BLOCK` of indices, computed as
-    it is read.  The kernel's limits are checked at the call."""
+    """Lower corners of every depth-n cube cell, in segment order, as
+    packed grid indices: the kernel's uint64 output for each `BLOCK` of
+    indices, computed as it is read.  The kernel's limits are checked at
+    the call."""
     _check_batch(depth, d)
     total = 1 << (d * depth)
     return (inverse_map_batch(
@@ -209,11 +220,19 @@ def _corner_blocks(d: int, depth: int):
 def _cell_bins(grid_k: int, depth: int) -> np.ndarray:
     """Flat k x k grid bin of each depth-n segment cell's lower corner (d=2)."""
     bins = np.empty(1 << (2 * depth), dtype=np.intp)
-    k = np.uint64(grid_k)
-    for lo, corners in zip(range(0, len(bins), BLOCK), _corner_blocks(2, depth)):
-        corners *= k
-        corners >>= np.uint64(depth)
-        bins[lo:lo + BLOCK] = corners[:, 0] * k + corners[:, 1]
+    k, shift = np.uint64(grid_k), np.uint64(depth)
+    mask = np.uint64((1 << depth) - 1)
+    for lo, cells in zip(range(0, len(bins), BLOCK), _corner_blocks(2, depth)):
+        # in place: a fresh temporary per operation takes three times as long
+        x = cells & mask
+        x *= k
+        x >>= shift
+        x *= k
+        cells >>= shift
+        cells *= k
+        cells >>= shift
+        x += cells
+        bins[lo:lo + BLOCK] = x
     return bins
 
 
@@ -296,48 +315,70 @@ def _suite_cells(d, depth):
     # between equal-measure cells.
     blocks = _exhaustive_blocks(d, depth)  # checks the bounds before `seen`
     seen = np.zeros(1 << (d * depth), dtype=bool)
-    for corners in blocks:
-        seen[np.ravel_multi_index(corners.astype(np.int64).T, (1 << depth,) * d)] = True
+    for cells in blocks:
+        seen[cells.view(np.int64)] = True
     collisions = len(seen) - np.count_nonzero(seen)
     yield VerificationReport.from_statistic(
         "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
 
 
 def _suite_adjacency(d, depth):
-    # the last corner of each block is carried into the next block's check
-    violations, last = 0, None
-    for corners in _exhaustive_blocks(d, depth):
-        corners = corners.astype(np.int64)
-        if last is not None:
-            violations += int(np.abs(corners[0] - last).sum() != 1)
-        diff = np.abs(np.diff(corners, axis=0))
-        violations += int(np.count_nonzero(diff.sum(axis=1) != 1))
-        last = corners[-1]
+    # Consecutive cells p1, p2 share a face iff they differ by one along
+    # one axis a: |p2 - p1| = 2^(a*depth) and p1 ^ p2 lies in axis a's
+    # bits.  The last test rejects x_a wrapping from 2^depth - 1 to 0
+    # while axis a+1 steps by one, whose packed difference is the same.
+    # The last cell of each block is carried into the next block's check.
+    axes = sum(1 << a * depth for a in range(d))
+    violations, last = 0, np.empty(0, dtype=np.int64)
+    for cells in _exhaustive_blocks(d, depth):
+        cells = np.concatenate((last, cells.view(np.int64)))
+        p1, p2 = cells[:-1], cells[1:]
+        step = np.abs(p2 - p1)
+        flipped = p1 ^ p2
+        ok = ((flipped | step) & (step - 1) == 0) & (step & axes != 0)
+        ok &= flipped >> depth < step
+        violations += len(ok) - int(np.count_nonzero(ok))
+        last = cells[-1:]
     yield VerificationReport.from_statistic(
         "adjacency", f"exhaustive d={d} depth={depth}", violations, 0)
 
 
+def _uniform_cells(rng: random.Random, shape, bits: int) -> np.ndarray:
+    """Uniform integers below 2**bits in an array of `shape`: uint64 up
+    to 64 bits, Python ints in an object array beyond.  Each is the top
+    of its own power-of-two number of bytes of one `getrandbits` draw."""
+    size = 1 << max(0, (bits - 1).bit_length() - 3)
+    count = int(np.prod(shape))
+    raw = rng.getrandbits(8 * size * count).to_bytes(size * count, "little")
+    if bits <= 64:
+        cells = np.frombuffer(raw, f"<u{size}").astype(np.uint64) >> np.uint64(8 * size - bits)
+    else:
+        cells = np.array([int.from_bytes(raw[i:i + size], "little") >> 8 * size - bits
+                          for i in range(0, len(raw), size)], dtype=object)
+    return cells.reshape(shape)
+
+
 def _suite_roundtrip(d, depth, seed):
-    rng = random.Random(seed)
-    indices = [rng.getrandbits(d * depth) for _ in range(ROUNDTRIP_TRIALS)]
+    indices = _uniform_cells(random.Random(seed), ROUNDTRIP_TRIALS, d * depth)
     back = _segment_cells(_cube_cells(indices, depth, d), depth, d)
-    failures = sum(map(operator.ne, back, indices))
+    failures = np.count_nonzero(back != indices)
     yield VerificationReport.from_statistic(
         "roundtrip", f"random d={d} depth={depth} trials={ROUNDTRIP_TRIALS}",
         failures, 0, seed)
 
 
 def _suite_measure(d, depth, seed):
+    # Row i of `cells` is union i: counts[i] uniform cube cells (packed
+    # grid indices), then its first cell again in the unused slots, which
+    # adds no cell.  A union keeps its measure iff its distinct cells have
+    # as many distinct images.  Python's generator draws, as in roundtrip:
+    # importing numpy.random would add 4 to 6 MiB to the command's RSS.
     rng = random.Random(seed)
-    bits = d * depth
-    unions = []
-    for _ in range(MEASURE_UNIONS):
-        count = rng.randint(0, min(1 << bits, 64))
-        # each draw, read as a packed grid index, is a uniform cube cell
-        unions.append(CellUnion(CUBE, d, depth,
-                                frozenset(rng.getrandbits(bits) for _ in range(count))))
-    failures = sum(image.measure() != cu.measure()
-                   for cu, image in zip(unions, pushforward(unions)))
+    width = min(1 << d * depth, 64)
+    counts = np.array([rng.randrange(width + 1) for _ in range(MEASURE_UNIONS)])
+    cells = _uniform_cells(rng, (MEASURE_UNIONS, width), d * depth)
+    cells = np.where(np.arange(width) < counts[:, None], cells, cells[:, :1])
+    failures = np.count_nonzero(_distinct(cells) != _distinct(_segment_cells(cells, depth, d)))
     yield VerificationReport.from_statistic(
         "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
         failures, 0, seed)

@@ -361,6 +361,7 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     if depth < 1:
         raise RangeError("depth must be >= 1")
 
+    mask = np.uint64((1 << depth) - 1)
     half_cell = 0.5 ** (depth + 1)
     scale = 0.5 ** depth
     out = np.empty((count, n), dtype=float)
@@ -369,9 +370,9 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
         rows = out[start:start + _CHUNK]
         rng = np.random.default_rng(streams.spawn(1)[0])
         q = _draw_bits(rng, n * depth, len(rows))
-        coords = inverse_map_batch(q, depth, n)
+        packed = inverse_map_batch(q, depth, n)
         for axis, spec in enumerate(specs):
-            cells = coords[:, axis]
+            cells = (packed >> np.uint64(axis * depth)) & mask
             u = cells.astype(float) * scale + half_cell
             rows[:, axis] = spec.quantile_batch(u, spec.cell_elements(cells, depth))
     return SampleBatch(out, seed, depth, specs)

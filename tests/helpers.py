@@ -6,7 +6,8 @@ maps, the quantile oracle only evaluates the CDF forward on mesh points,
 and the Kolmogorov-Smirnov statistic and threshold use only the standard
 library.  The one exception is `stream_bin_counts`, the differential
 oracle of the uniformity audit's bin table: it runs the batch kernel on
-every draw, where the audit maps each cell once.
+every draw, where the audit maps each cell once.  `unpack_corners` reads
+the kernel's packed grid indices as (N, d) corners for every test.
 """
 
 import math
@@ -22,13 +23,23 @@ def make_point(mantissas, precision: int) -> CubePoint:
     return CubePoint(tuple(UnitScalar(m, precision) for m in mantissas))
 
 
+def unpack_corners(cells, depth: int, d: int) -> np.ndarray:
+    """(N, d) uint64 corners of packed grid indices: column a holds axis
+    a's coordinate, bits a * depth .. (a+1) * depth - 1 of the index."""
+    cells = np.asarray(cells, dtype=np.uint64)
+    mask = np.uint64((1 << depth) - 1)
+    return np.stack([(cells >> np.uint64(a * depth)) & mask for a in range(d)],
+                    axis=-1)
+
+
 def stream_bin_counts(indices, grid_k: int, depth: int) -> np.ndarray:
     """k x k grid bin counts of the inverse-mapped segment cells `indices`
     (d=2), the kernel run on each block of BLOCK draws."""
     k = np.uint64(grid_k)
     counts = np.zeros(grid_k * grid_k, dtype=np.int64)
     for lo in range(0, len(indices), BLOCK):
-        coords = inverse_map_batch(indices[lo:lo + BLOCK], depth, 2)
+        coords = unpack_corners(inverse_map_batch(indices[lo:lo + BLOCK], depth, 2),
+                                depth, 2)
         bx = (coords[:, 0] * k) >> np.uint64(depth)
         by = (coords[:, 1] * k) >> np.uint64(depth)
         counts += np.bincount((bx * k + by).astype(np.int64),

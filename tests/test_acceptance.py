@@ -25,7 +25,7 @@ from cubefold.dyadic import UnitScalar
 from cubefold.measure import CellUnion, monte_carlo_uniformity, pushforward
 from cubefold.sampling import DistributionSpec, sample_independent, split_uniform
 from cubefold.stats import chi2_threshold, chi_squared_contingency
-from helpers import mesh_scan_quantile
+from helpers import mesh_scan_quantile, unpack_corners
 
 
 def _report(num, label, ok, detail=""):
@@ -91,7 +91,7 @@ def test_criterion_4_adjacency():
     failures = 0
     for n in range(1, 9):
         idx = np.arange(4 ** n, dtype=np.uint64)
-        corners = inverse_map_batch(idx, n, 2).astype(np.int64)
+        corners = unpack_corners(inverse_map_batch(idx, n, 2), n, 2).astype(np.int64)
         diff = np.abs(np.diff(corners, axis=0))
         failures += int(np.count_nonzero(
             (diff.sum(axis=1) != 1) | (diff.max(axis=1) != 1)))

@@ -14,7 +14,7 @@ import pytest
 import cubefold
 from cubefold import curve, measure, sampling
 from cubefold.cli import main
-from cubefold.dyadic import RangeError, UnitScalar
+from cubefold.dyadic import CubePoint, RangeError, UnitScalar
 
 
 def run(capsys, *argv):
@@ -163,17 +163,33 @@ def test_exhaustive_suites_see_the_first_cell_of_block_two(capsys, monkeypatch,
 
 
 def test_adjacency_checks_the_step_between_blocks(capsys, monkeypatch):
-    # every cell from BLOCK on moves by the same offset, so consecutive
-    # cells still share a face everywhere except across the first block end
+    # every cell from BLOCK on moves by the same offset, past the last
+    # axis, so consecutive cells still share a face everywhere except
+    # across the first block end
     real = measure.inverse_map_batch
 
     def shifted(indices, depth, dimension):
-        corners = real(indices, depth, dimension)
-        corners[indices >= curve.BLOCK, 0] += np.uint64(1 << depth)
-        return corners
+        cells = real(indices, depth, dimension)
+        cells[indices >= curve.BLOCK] += np.uint64(1 << dimension * depth)
+        return cells
 
     monkeypatch.setattr(measure, "inverse_map_batch", shifted)
     code, out, _ = run(capsys, "verify", "adjacency", "-d", "2", "-n", "8")
+    assert code == 1
+    assert json.loads(out)["statistic"] == 1
+
+
+def test_adjacency_rejects_an_axis_wrapping_into_the_next(capsys, monkeypatch):
+    # -d 2 -n 2: the rows x_1 = 0, 1, 2, 3 of the 4 x 4 grid, run left to
+    # right, left to right, right to left, left to right.  Only the step
+    # from (3, 0) to (0, 1) leaves the face: x_0 wraps to 0 as x_1 steps by
+    # one, a packed difference of +1, as for a step along axis 0.
+    rows = [[0, 1, 2, 3], [0, 1, 2, 3], [3, 2, 1, 0], [0, 1, 2, 3]]
+    path = np.array([x + 4 * y for y, row in enumerate(rows) for x in row],
+                    dtype=np.uint64)
+    monkeypatch.setattr(measure, "inverse_map_batch",
+                        lambda indices, depth, dimension: path[indices.astype(np.intp)])
+    code, out, _ = run(capsys, "verify", "adjacency", "-d", "2", "-n", "2")
     assert code == 1
     assert json.loads(out)["statistic"] == 1
 
@@ -280,27 +296,65 @@ def test_verify_measure_half_box_fails_a_map_merging_two_cells(capsys,
         ("measure-unions", True, 0.0), ("rect_measure", False, 1.0)]
 
 
+def _drawn_unions(monkeypatch):
+    """The cells of every `_segment_cells` call, in order; the first call
+    of `verify measure` maps its unions, one row each."""
+    real = measure._segment_cells
+    seen = []
+
+    def recording(cells, depth, d):
+        seen.append(np.asarray(cells).tolist())
+        return real(cells, depth, d)
+
+    monkeypatch.setattr(measure, "_segment_cells", recording)
+    return seen
+
+
 def test_verify_measure_unions_fail_a_map_merging_two_cells(capsys, monkeypatch):
     # at d=2 -n 1 a union holds up to all four cells.  Each union that
     # holds grid cells (1, 0) and (0, 1), packed 1 and 2, loses a quarter
-    # of its measure: 34 of seed 0's 200.  The half box x < 1/2 holds
-    # neither cell (1, 0) nor the merge, so it passes.
+    # of its measure.  The half box x < 1/2 holds neither cell (1, 0) nor
+    # the merge, so it passes.
     monkeypatch.setattr(measure, "forward_map_batch", _merging(1, 2))
-    real_pushforward = measure.pushforward
-    seen = []
-
-    def recording(unions):
-        seen.extend(unions)
-        return real_pushforward(unions)
-
-    monkeypatch.setattr(measure, "pushforward", recording)
+    seen = _drawn_unions(monkeypatch)
     code, out, _ = run(capsys, "verify", "measure", "-d", "2", "-n", "1")
     assert code == 1
+    unions = [set(row) for row in seen[0]]
+    assert len(unions) == 200 and all(u <= {0, 1, 2, 3} for u in unions)
+    merged = sum({1, 2} <= u for u in unions)
+    assert merged > 0
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["name"], r["passed"], r["statistic"]) for r in records] == [
-        ("measure-unions", False, 34.0), ("rect_measure", True, 0.0)]
-    assert len(seen) == 200
-    assert sum({1, 2} <= u.members for u in seen) == 34
+        ("measure-unions", False, merged), ("rect_measure", True, 0.0)]
+
+
+def test_verify_measure_unions_beyond_64_bits_fail_a_map_merging_two_cells(
+        capsys, monkeypatch):
+    # d*n = 66 bits: the scalar forward map serves the unions.  Two cells
+    # of one drawn union are merged, the second sent where the first goes;
+    # every union holding both loses a cell.  The half box runs at depth 6
+    # on the batch kernel and passes.
+    seen = _drawn_unions(monkeypatch)
+    assert run(capsys, "verify", "measure", "-d", "2", "-n", "33")[0] == 0
+    row = next(row for row in seen[0] if len(set(row)) > 1)
+    a, b = list(dict.fromkeys(row))[:2]
+    mask = (1 << 33) - 1
+    point_a, point_b = (CubePoint((UnitScalar(c & mask, 33), UnitScalar(c >> 33, 33)))
+                        for c in (a, b))
+    real = measure.forward_map
+
+    def merging(pt, depth):
+        return real(point_a if pt == point_b else pt, depth)
+
+    monkeypatch.setattr(measure, "forward_map", merging)
+    seen.clear()
+    code, out, _ = run(capsys, "verify", "measure", "-d", "2", "-n", "33")
+    assert code == 1
+    merged = sum({a, b} <= set(row) for row in seen[0])
+    assert merged >= 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["passed"], r["statistic"]) for r in records] == [
+        ("measure-unions", False, merged), ("rect_measure", True, 0.0)]
 
 
 def test_verify_adjacency(capsys):

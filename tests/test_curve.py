@@ -35,6 +35,7 @@ from helpers import (
     brute_force_locate,
     make_point,
     packed_cell,
+    unpack_corners,
 )
 
 
@@ -182,13 +183,15 @@ def test_cells_match_brute_force_enumeration():
         indices = [sum(j << (d * (depth - 1 - k)) for k, j in enumerate(digits))
                    for digits in cells]
         batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
-        assert list(map(tuple, batch.tolist())) == list(cells.values())
+        assert list(map(tuple, unpack_corners(batch, depth, d).tolist())) == \
+            list(cells.values())
 
 
 @pytest.mark.parametrize("d,depth", [(1, 6), (2, 6), (3, 4)])
 def test_partition_exhaustive(d, depth):
     base = 1 << d
-    corners = inverse_map_batch(np.arange(base ** depth, dtype=np.uint64), depth, d)
+    corners = unpack_corners(
+        inverse_map_batch(np.arange(base ** depth, dtype=np.uint64), depth, d), depth, d)
     flat = np.ravel_multi_index(corners.T.astype(np.int64), ((1 << depth),) * d)
     assert len(np.unique(flat)) == base ** depth
 
@@ -196,8 +199,8 @@ def test_partition_exhaustive(d, depth):
 @pytest.mark.parametrize("d,depth", [(1, 8), (2, 8), (3, 5)])
 def test_adjacency_consecutive_cells_share_a_face(d, depth):
     base = 1 << d
-    corners = inverse_map_batch(
-        np.arange(base ** depth, dtype=np.uint64), depth, d).astype(np.int64)
+    corners = unpack_corners(inverse_map_batch(
+        np.arange(base ** depth, dtype=np.uint64), depth, d), depth, d).astype(np.int64)
     diff = np.abs(np.diff(corners, axis=0))
     assert np.all(diff.sum(axis=1) == 1)
     assert np.all(diff.max(axis=1) == 1)
@@ -305,12 +308,32 @@ def test_inverse_map_reads_values_at_any_precision(t, d, depth, extra):
     assert [c.precision for c in out.coords] == [depth] * d
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_batch_returns_one_packed_grid_index_per_index(d):
+    # small depths, every cell where they are few, and the deepest depth
+    # the kernel takes, 64 // d (d * depth = 64 at d = 1, 2, 4, 8)
+    rng = random.Random(d)
+    for depth in (0, 1, 2, 3, 64 // d):
+        total = 1 << d * depth
+        qs = list(range(total)) if total <= 512 else \
+            [0, total - 1] + [rng.randrange(total) for _ in range(30)]
+        batch = inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d)
+        assert batch.dtype == np.uint64 and batch.shape == (len(qs),)
+        assert batch.tolist() == [packed_cell(brute_force_corner(d, depth, q), depth)
+                                  for q in qs]
+        assert batch.tolist() == [
+            packed_cell([c.mantissa for c in inverse_map(UnitScalar(q, d * depth),
+                                                         depth, d).coords], depth)
+            for q in qs]
+
+
 def test_batch_matches_scalar():
     rng = random.Random(7)
     for d, depth in [(1, 4), (2, 4), (3, 4), (5, 4), (8, 4), (1, 64), (2, 32),
                      (3, 21), (4, 16), (8, 8)]:
         qs = [rng.randrange((1 << d) ** depth) for _ in range(50)]
-        batch = inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d)
+        batch = unpack_corners(inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d),
+                               depth, d)
         for q, row in zip(qs, batch):
             pt = inverse_map(UnitScalar(q, d * depth), depth, d)
             assert tuple(c.mantissa for c in pt.coords) == tuple(int(v) for v in row)
@@ -327,7 +350,8 @@ def test_batch_spread_tables_depend_on_depth():
         for pair in pairs:
             for d, depth in pair:
                 qs = [rng.randrange((1 << d) ** depth) for _ in range(16)]
-                batch = inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d)
+                batch = unpack_corners(
+                    inverse_map_batch(np.array(qs, dtype=np.uint64), depth, d), depth, d)
                 for q, row in zip(qs, batch.tolist()):
                     pt = inverse_map(UnitScalar(q, d * depth), depth, d)
                     assert [c.mantissa for c in pt.coords] == row
@@ -352,7 +376,8 @@ def test_batch_scalar_and_forward_maps_agree(case):
     d, depth, words = case
     bits = d * depth
     indices = [w >> (64 - bits) for w in words]
-    batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
+    batch = unpack_corners(inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d),
+                           depth, d)
     for q, row in zip(indices, batch.tolist()):
         pt = inverse_map(UnitScalar(q, bits), depth, d)
         assert [c.mantissa for c in pt.coords] == row
@@ -390,8 +415,8 @@ def test_batch_matches_child_order_walk_over_three_or_more_steps(case):
     assert len(curve._steps(d, depth)) >= 3
     indices = [w >> (64 - d * depth) for w in words]
     batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
-    assert batch.tolist() == [list(brute_force_corner(d, depth, q))
-                              for q in indices]
+    assert unpack_corners(batch, depth, d).tolist() == \
+        [list(brute_force_corner(d, depth, q)) for q in indices]
 
 
 def _grid_cells():
@@ -448,9 +473,7 @@ def test_forward_batch_matches_child_order_cells(d, depth):
 def test_forward_batch_inverts_the_inverse_batch(case):
     d, depth, words = case
     indices = np.array([w >> (64 - d * depth) for w in words], dtype=np.uint64)
-    corners = inverse_map_batch(indices, depth, d)
-    packed = np.array([packed_cell(row, depth) for row in corners.tolist()],
-                      dtype=np.uint64)
+    packed = inverse_map_batch(indices, depth, d)
     assert forward_map_batch(packed, depth, d).tolist() == indices.tolist()
 
 

@@ -30,6 +30,7 @@ from helpers import (
     make_point,
     packed_cell,
     stream_bin_counts,
+    unpack_corners,
 )
 
 
@@ -121,7 +122,7 @@ def test_pushforward_lands_on_brute_force_cells(d, depth):
         chosen = rng.sample(paths, rng.randint(0, min(len(paths), 40)))
         image = pushforward(CellUnion.of_cube(d, depth, chosen))
         indices = np.array(sorted(image.members), dtype=np.uint64)
-        corners = inverse_map_batch(indices, depth, d)
+        corners = unpack_corners(inverse_map_batch(indices, depth, d), depth, d)
         assert sorted(map(tuple, corners.tolist())) == \
             sorted(cells[p] for p in chosen)
 
@@ -205,10 +206,25 @@ def test_cell_helpers_take_the_scalar_maps_beyond_64_bits(monkeypatch, d, depth)
     rng = random.Random(d * depth)
     indices = [0, (1 << d * depth) - 1] + [rng.getrandbits(d * depth) for _ in range(6)]
     cells = measure._cube_cells(indices, depth, d)
-    assert cells == [packed_cell(brute_force_corner(d, depth, q), depth) for q in indices]
-    assert measure._segment_cells(cells, depth, d) == indices
+    assert cells.tolist() == [packed_cell(brute_force_corner(d, depth, q), depth)
+                              for q in indices]
+    assert measure._segment_cells(cells, depth, d).tolist() == indices
     paths = [interval_to_address(SegmentInterval(d, depth, q)).digits for q in indices]
     assert pushforward(CellUnion.of_cube(d, depth, paths)).members == set(indices)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 6, 8, 9, 33, 64, 65, 200])
+def test_uniform_cells_fill_their_bits(bits):
+    # the draws of roundtrip and measure: below 2^bits, uint64 up to 64
+    # bits, and the top and bottom bits each set in some draws, clear in
+    # others
+    cells = measure._uniform_cells(random.Random(bits), (50, 40), bits)
+    assert cells.shape == (50, 40)
+    assert cells.dtype == (np.uint64 if bits <= 64 else object)
+    values = [int(c) for c in cells.flat]
+    assert all(0 <= v < 1 << bits for v in values)
+    for b in {0, bits - 1} if bits else ():
+        assert 0 < sum(v >> b & 1 for v in values) < len(values)
 
 
 def test_rect_measure_check_beyond_64_bits():
