@@ -21,25 +21,29 @@ the word being the next L digits of the segment index q, read at
 q >> d*(depth - start - L).  An entry holds the L child octants in
 visit order, first highest, as the unflipped state sees them, and the
 flips and rotation after them; `digits` inverts the octants.  The
-scalar maps gather all octants in one integer and convert between
-octant and axis order once, through binary digit strings.  Tables are
-lists of d * 2**(d*L) <= 2048 entries below 256, built on first use per
-(d, L) and cached.  The batch kernel turns them into one pair per step,
-cached per (d, depth): a uint64 `comb` entry holds the step's corner
-bits in axis order at their final place (axis a's at bit a * depth +
-low, low = depth - start - L) and, in the bits below, the flips the
-step adds, repeated over every later bit of each axis; an int64 `nxt`
-entry holds the next rotation already scaled to the next step's key.
-A step is one mask, one add, one XOR and two gathers on one key, and the
-accumulator it XORs into is the kernel's output: the packed grid index
-of the lower corner, axis a's coordinate at bit a * depth, which is the
-corner's flat index on the 2**depth grid, axis 0 varying fastest.  Each
-reader takes out the axes it needs.  The tables of one (d, depth) take
-at most 240 KiB, at d=8 depth 8.  The one stream `measure._corner_blocks`
-calls the kernel per block of `BLOCK` indices for the exhaustive suites
-and the audit's bin table, so each uint64 temporary of a call (the key,
-the gathered entries, the accumulator) takes 128 KiB; the sampler calls
-it once per 2**15-row chunk.
+scalar walks `_forward_cell` and `_inverse_cell` run on one Python int
+per cell, between a segment index and the cell's packed grid index
+(below).  Read as bits, a packed index is a d x depth matrix, one row
+per axis, and its octants are the transpose of that matrix; each walk
+writes the transpose once, through binary digit strings.  `forward_map`
+and `inverse_map` only convert between exact values and that index.
+Tables are lists of d * 2**(d*L) <= 2048 entries below 256, built on
+first use per (d, L) and cached.  The batch kernel turns them into one
+pair per step, cached per (d, depth): a uint64 `comb` entry holds the
+step's corner bits in axis order at their final place (axis a's at bit
+a * depth + low, low = depth - start - L) and, in the bits below, the
+flips the step adds, repeated over every later bit of each axis; an
+int64 `nxt` entry holds the next rotation already scaled to the next
+step's key.  A step is one mask, one add, one XOR and two gathers on one
+key, and the accumulator it XORs into is the kernel's output: the packed
+grid index of the lower corner, axis a's coordinate at bit a * depth,
+which is the corner's flat index on the 2**depth grid, axis 0 varying
+fastest.  Each reader takes out the axes it needs.  The tables of one
+(d, depth) take at most 240 KiB, at d=8 depth 8.  The one stream
+`measure._corner_blocks` calls the kernel per block of `BLOCK` indices
+for the exhaustive suites and the audit's bin table, so each uint64
+temporary of a call (the key, the gathered entries, the accumulator)
+takes 128 KiB; the sampler calls it once per 2**15-row chunk.
 
 The forward kernel `forward_map_batch` takes packed grid indices, the
 inverse kernel's output, in an array of any shape.  It interleaves them
@@ -48,10 +52,11 @@ inverse kernel's step shape under the scalar forward map's key,
 rotation * 2**(d*L) + octant word: a `comb` entry rewrites the word into
 its digits and XORs the flips it adds onto every later octant, so the
 next step reads its octants as the unflipped state sees them.  Its
-tables take 16 KiB more than the inverse kernel's.  Both kernels take
-d * depth <= 64.  `measure` maps arrays of cells through one private
-helper per direction that calls a kernel up to 64 bits and the scalar
-map once per distinct cell beyond.
+tables take 16 KiB more than the inverse kernel's.  The kernels run up
+to d * depth = 64 bits.  Beyond, `forward_map_batch` and
+`inverse_map_batch` run the scalar walk once per distinct cell and
+return Python ints in an object array, so both batch maps take any
+depth.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar, echo
+from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar
 
 MAX_DIMENSION = 8
 # indices per batch-kernel call of measure._corner_blocks
@@ -265,23 +270,18 @@ def interval_to_address(iv: SegmentInterval) -> CellAddress:
     return CellAddress(d, tuple(digits))
 
 
-def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
-    """Left endpoint of the segment cell matched to the point's cube cell.
-
-    Coordinates of any precisions are read by value, each in its cell
-    floor(x * 2**depth).  The limit value lies within (2**d)**-depth of
-    the result; refining the depth never moves the output by that much
-    or more.
-    """
-    d = pt.dimension
-    _check_cell(d, depth)
-    # The point's octants, first highest, as binary digits behind a
-    # leading "0": axis a's bit of level k is character k*d + d - a.
-    text = bytearray(b"0" * (d * depth + 1))
-    for axis, c in enumerate(pt.coords):
-        cell = (c.mantissa << depth) >> c.precision
-        text[d - axis::d] = bin(cell | 1 << depth)[3:].encode()
-    octants = int(text, 2)
+def _forward_cell(cell: int, depth: int, d: int) -> int:
+    """Segment cell index of the cube cell with packed grid index `cell`;
+    bits above d * depth are ignored."""
+    bits = d * depth
+    # Read as bits, first highest, the cell is a d x depth matrix: row j
+    # is axis d-1-j, level 0 first.  Its transpose is the octants, first
+    # highest, each with axis d-1's bit highest.
+    rows = bin(cell & ((1 << bits) - 1) | 1 << bits)[3:].encode()
+    text = bytearray(bits)
+    for j in range(d):
+        text[j::d] = rows[j * depth:(j + 1) * depth]
+    octants = int(text or b"0", 2)
     rotation = flips = q = 0
     for start, width in _steps(d, depth):
         _, t_flips, rotations, t_digits = _digit_table(d, width)
@@ -294,18 +294,12 @@ def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
         key = rotation << w | word
         flips ^= t_flips[key]
         rotation = rotations[key]
-    return UnitScalar(q, d * depth)
+    return q
 
 
-def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
-    """Lower corner of the cube cell matched to t's segment cell.
-
-    t of any precision is read by value, in cell floor(t * 2**(d*depth)).
-    """
-    d = dimension
-    _check_cell(d, depth)
-    bits = d * depth
-    q = (t.mantissa << bits) >> t.precision
+def _inverse_cell(q: int, depth: int, d: int) -> int:
+    """Packed grid index of the cube cell matched to segment cell `q`;
+    bits above d * depth are ignored."""
     rotation = flips = octants = 0
     for start, width in _steps(d, depth):
         cells, t_flips, rotations, _ = _digit_table(d, width)
@@ -315,10 +309,39 @@ def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
         octants = octants << w | cells[key] ^ flips * ((1 << w) - 1) // ((1 << d) - 1)
         flips ^= t_flips[key]
         rotation = rotations[key]
-    # axis a's bit of level k is character k*d + d-1-a of the octants
-    text = bin(octants | 1 << bits)[3:]
-    return CubePoint(tuple(UnitScalar(int(text[d - 1 - axis::d] or "0", 2), depth)
-                           for axis in range(d)))
+    # the transpose of `_forward_cell`'s: column j of the depth x d matrix
+    # of octant bits is row j of the cell's, axis d-1-j
+    text = bin(octants | 1 << d * depth)[3:]
+    return int("".join([text[j::d] for j in range(d)]) or "0", 2)
+
+
+def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
+    """Left endpoint of the segment cell matched to the point's cube cell.
+
+    Coordinates of any precisions are read by value, each in its cell
+    floor(x * 2**depth).  The limit value lies within (2**d)**-depth of
+    the result; refining the depth never moves the output by that much
+    or more.
+    """
+    d = pt.dimension
+    _check_cell(d, depth)
+    cell = 0
+    for axis, c in enumerate(pt.coords):
+        cell |= (c.mantissa << depth) >> c.precision << axis * depth
+    return UnitScalar(_forward_cell(cell, depth, d), d * depth)
+
+
+def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
+    """Lower corner of the cube cell matched to t's segment cell.
+
+    t of any precision is read by value, in cell floor(t * 2**(d*depth)).
+    """
+    d = dimension
+    _check_cell(d, depth)
+    cell = _inverse_cell((t.mantissa << d * depth) >> t.precision, depth, d)
+    mask = (1 << depth) - 1
+    return CubePoint(tuple([UnitScalar(cell >> axis * depth & mask, depth)
+                            for axis in range(d)]))
 
 
 def point_to_address(pt: CubePoint, depth: int) -> CellAddress:
@@ -384,25 +407,30 @@ def _batch_steps(d: int, depth: int) -> tuple:
     return tuple(out)
 
 
-def _check_batch(depth: int, d: int) -> None:
-    _check_cell(d, depth)
-    if d * depth > 64:
-        raise PrecisionError("dimension * depth must be <= 64 for batch use, "
-                             f"got {d}*{echo(depth)}")
+def _each_cell(core, cells, depth: int, d: int) -> np.ndarray:
+    """`core` over an array of cells beyond the kernels' 64 bits: Python
+    ints in an object array of the cells' shape, one call per distinct
+    cell."""
+    cells = np.asarray(cells, dtype=object)
+    flat = [int(c) for c in cells.flat]
+    images = {c: core(c, depth, d) for c in dict.fromkeys(flat)}
+    return np.array([images[c] for c in flat], dtype=object).reshape(cells.shape)
 
 
 def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.ndarray:
     """Vectorized inverse over depth-n segment cell indices.
 
-    Returns one uint64 per index, the packed grid index of its cell's
-    lower corner: axis a's mantissa at precision `depth` in bits
-    a*depth .. (a+1)*depth - 1, the layout forward_map_batch reads.  Must
-    agree with inverse_map on every index; requires dimension * depth <=
-    64.  The index builds up by one `comb` entry per step of
-    `_batch_steps`.
+    Returns, in an array of the indices' shape, the packed grid index of
+    each cell's lower corner: axis a's mantissa at precision `depth` in
+    bits a*depth .. (a+1)*depth - 1, the layout forward_map_batch reads.
+    Must agree with inverse_map on every index.  Up to dimension * depth
+    = 64 the result is uint64 and builds up by one `comb` entry per step
+    of `_batch_steps`; beyond, it holds Python ints in an object array.
     """
     d = dimension
-    _check_batch(depth, d)
+    _check_cell(d, depth)
+    if d * depth > 64:
+        return _each_cell(_inverse_cell, indices, depth, d)
     # A signed view keeps the table keys in intp; an arithmetic shift
     # followed by the mask still reads the right digits, also on the
     # first step when d * depth = 64.
@@ -465,16 +493,20 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     """Vectorized forward map over depth-n cube cells, the inverse of
     inverse_map_batch.
 
-    A cell is its packed grid index, one uint64 with axis a's coordinate
+    A cell is its packed grid index, one integer with axis a's coordinate
     (scale 2**depth) in bits a*depth .. (a+1)*depth - 1; higher bits are
-    ignored.  Returns the uint64 segment cell index of each.  Must agree
-    with forward_map on every cell; requires dimension * depth <= 64.  The
-    index is interleaved into octant order once; each step then reads its
-    word, rewrites it into digits and flips every later octant by one XOR,
-    so the flips ride in the index as the rotation rides in the key.
+    ignored.  Returns the segment cell index of each, in an array of the
+    cells' shape.  Must agree with forward_map on every cell.  Up to
+    dimension * depth = 64 the cells and the result are uint64: the index
+    is interleaved into octant order once; each step then reads its word,
+    rewrites it into digits and flips every later octant by one XOR, so
+    the flips ride in the index as the rotation rides in the key.  Beyond,
+    both are Python ints in object arrays.
     """
     d = dimension
-    _check_batch(depth, d)
+    _check_cell(d, depth)
+    if d * depth > 64:
+        return _each_cell(_forward_cell, cells, depth, d)
     interleave, steps = _forward_steps(d, depth)
     # signed, as in inverse_map_batch, so the keys stay intp
     c = np.asarray(cells, dtype=np.uint64).view(np.int64)

@@ -11,16 +11,15 @@ are packed grid indices throughout, the batch inverse kernel's output.
 One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
 a time to `cells`, `adjacency` and the uniformity audit's bin table.
 `roundtrip`, `measure`, `rect_measure_check` and `pushforward` map whole
-arrays of cells through `_cube_cells` and `_segment_cells`, the batch
-kernels up to d*depth = 64 bits and the scalar maps beyond, where the
-cells are Python ints in object arrays.  `verify measure` draws its
-unions as the rows of one cell matrix and compares the distinct cells of
-each row with the distinct images, counted by one sort per side.
+arrays of cells with one call of each batch map they need, at any depth;
+beyond d*depth = 64 bits the cells are Python ints in object arrays.
+`verify measure` draws its unions as the rows of one cell matrix and
+compares the distinct cells of each row with the distinct images,
+counted by one sort per side.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -31,12 +30,9 @@ import numpy as np
 from .curve import (
     BLOCK,
     CellAddress,
-    _check_batch,
     _check_cell,
     address_to_interval,
-    forward_map,
     forward_map_batch,
-    inverse_map,
     inverse_map_batch,
 )
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, echo
@@ -95,7 +91,7 @@ class CellUnion:
                 raise RangeError("member depth mismatch")
             indices.append(address_to_interval(a).index)
         return cls(CUBE, dimension, depth,
-                   frozenset(_cube_cells(indices, depth, dimension).tolist()))
+                   frozenset(inverse_map_batch(indices, depth, dimension).tolist()))
 
     @classmethod
     def of_segment(cls, dimension: int, depth: int, indices) -> "CellUnion":
@@ -105,61 +101,24 @@ class CellUnion:
         return Fraction(len(self.members), 1 << (self.dimension * self.depth))
 
 
-def _cube_cells(indices, depth: int, d: int) -> np.ndarray:
-    """Packed grid indices of the cube cells matched to segment cells
-    `indices`, in a 1-D array: the batch kernel's uint64 up to d*depth =
-    64 bits, the scalar map's Python ints beyond."""
-    if d * depth <= 64:
-        return inverse_map_batch(np.asarray(indices, dtype=np.uint64), depth, d)
-    return np.array([sum(c.mantissa << axis * depth for axis, c in enumerate(
-        inverse_map(UnitScalar(q, d * depth), depth, d).coords))
-        for q in map(int, indices)], dtype=object)
-
-
-def _segment_cells(cells, depth: int, d: int) -> np.ndarray:
-    """Segment cell indices of cube cells given as packed grid indices, in
-    an array of the cells' shape: the batch kernel's uint64 up to d*depth
-    = 64 bits, the scalar map's Python ints beyond, one call per distinct
-    cell."""
-    if d * depth <= 64:
-        return forward_map_batch(np.asarray(cells, dtype=np.uint64), depth, d)
-    cells = np.asarray(cells, dtype=object)
-    mask = (1 << depth) - 1
-    images = {c: forward_map(CubePoint(tuple(UnitScalar(c >> axis * depth & mask, depth)
-                                             for axis in range(d))), depth).mantissa
-              for c in dict.fromkeys(map(int, cells.flat))}
-    return np.array([images[int(c)] for c in cells.flat],
-                    dtype=object).reshape(cells.shape)
-
-
 def _distinct(cells) -> np.ndarray:
     """Number of distinct cells along the last axis of a non-empty one."""
     cells = np.sort(cells, axis=-1)
     return 1 + np.count_nonzero(cells[..., 1:] != cells[..., :-1], axis=-1)
 
 
-def pushforward(cu):
-    """Image on the segment of a cube cell union, or the list of images
-    of a sequence of unions of one dimension and depth.
+def pushforward(cu: CellUnion) -> CellUnion:
+    """Image on the segment of a cube cell union.
 
-    Every member cell goes through the forward map, the members of all
-    the unions in one call, and the image holds the segment cells they
-    land on.  A bijection keeps each union's measure; a map sending two of
-    a union's cells onto one segment cell shrinks its image.
+    Every member cell goes through the forward map, all in one call, and
+    the image holds the segment cells they land on.  A bijection keeps
+    the union's measure; a map sending two of its cells onto one segment
+    cell shrinks the image.
     """
-    unions = [cu] if isinstance(cu, CellUnion) else list(cu)
-    if any(u.space != CUBE for u in unions):
+    if cu.space != CUBE:
         raise RangeError("pushforward expects a cube-side union")
-    if len({(u.dimension, u.depth) for u in unions}) > 1:
-        raise RangeError("pushforward expects unions of one dimension and depth")
-    images = []
-    if unions:
-        d, depth = unions[0].dimension, unions[0].depth
-        members = itertools.chain.from_iterable(u.members for u in unions)
-        cells = iter(_segment_cells(list(members), depth, d).tolist())
-        images = [CellUnion(SEGMENT, d, depth, frozenset(itertools.islice(cells, len(u.members))))
-                  for u in unions]
-    return images[0] if isinstance(cu, CellUnion) else images
+    images = forward_map_batch(list(cu.members), cu.depth, cu.dimension)
+    return CellUnion(SEGMENT, cu.dimension, cu.depth, frozenset(images.tolist()))
 
 
 @dataclass(frozen=True)
@@ -198,7 +157,7 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     cells = [0]  # packed grid indices, as in CellUnion
     for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
         cells = [c | x << axis * depth for c in cells for x in range(b, b + (1 << depth - k))]
-    exact = _distinct(_segment_cells(cells, depth, len(base))) == len(cells)
+    exact = _distinct(forward_map_batch(cells, depth, len(base))) == len(cells)
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
         0 if exact else 1, 0,
@@ -207,10 +166,10 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
 
 def _corner_blocks(d: int, depth: int):
     """Lower corners of every depth-n cube cell, in segment order, as
-    packed grid indices: the kernel's uint64 output for each `BLOCK` of
-    indices, computed as it is read.  The kernel's limits are checked at
-    the call."""
-    _check_batch(depth, d)
+    packed grid indices: the inverse map's output for each `BLOCK` of
+    indices, computed as it is read.  d and depth are checked at the
+    call; the callers keep d * depth within the kernel's 64 bits."""
+    _check_cell(d, depth)
     total = 1 << (d * depth)
     return (inverse_map_batch(
                 np.arange(lo, min(lo + BLOCK, total), dtype=np.uint64), depth, d)
@@ -301,7 +260,7 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
 
 def _exhaustive_blocks(d, depth):
     """`_corner_blocks(d, depth)`, once the cell bound holds too."""
-    blocks = _corner_blocks(d, depth)  # the kernel's limits first
+    blocks = _corner_blocks(d, depth)  # d and depth first
     if d << (d * depth) > MAX_CELL_COORDS:
         raise RangeError(
             f"d={d} depth={depth} has 2^{d * depth} cells of {d} coordinates; "
@@ -360,7 +319,7 @@ def _uniform_cells(rng: random.Random, shape, bits: int) -> np.ndarray:
 
 def _suite_roundtrip(d, depth, seed):
     indices = _uniform_cells(random.Random(seed), ROUNDTRIP_TRIALS, d * depth)
-    back = _segment_cells(_cube_cells(indices, depth, d), depth, d)
+    back = forward_map_batch(inverse_map_batch(indices, depth, d), depth, d)
     failures = np.count_nonzero(back != indices)
     yield VerificationReport.from_statistic(
         "roundtrip", f"random d={d} depth={depth} trials={ROUNDTRIP_TRIALS}",
@@ -378,7 +337,7 @@ def _suite_measure(d, depth, seed):
     counts = np.array([rng.randrange(width + 1) for _ in range(MEASURE_UNIONS)])
     cells = _uniform_cells(rng, (MEASURE_UNIONS, width), d * depth)
     cells = np.where(np.arange(width) < counts[:, None], cells, cells[:, :1])
-    failures = np.count_nonzero(_distinct(cells) != _distinct(_segment_cells(cells, depth, d)))
+    failures = np.count_nonzero(_distinct(cells) != _distinct(forward_map_batch(cells, depth, d)))
     yield VerificationReport.from_statistic(
         "measure-unions", f"random d={d} depth={depth} unions={MEASURE_UNIONS}",
         failures, 0, seed)

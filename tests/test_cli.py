@@ -14,7 +14,7 @@ import pytest
 import cubefold
 from cubefold import curve, measure, sampling
 from cubefold.cli import main
-from cubefold.dyadic import CubePoint, RangeError, UnitScalar
+from cubefold.dyadic import RangeError
 
 
 def run(capsys, *argv):
@@ -112,10 +112,11 @@ def test_verify_cells_counts_corner_collisions(capsys, monkeypatch):
 
 
 def test_verify_cells_beyond_batch_precision_exits_2(capsys):
-    # 8 * 9 = 72 index bits: rejected before any cell is enumerated
+    # 8 * 9 = 72 index bits: the cell bound rejects it before any cell is
+    # enumerated
     code, out, err = run(capsys, "verify", "cells", "-d", "8", "-n", "9")
     assert code == 2 and not out
-    assert "<= 64" in err
+    assert "cells * d <= 2^24" in err
 
 
 @pytest.mark.parametrize("suite", ["cells", "adjacency"])
@@ -223,7 +224,8 @@ def test_exhaustive_suites_name_the_index_bound(capsys, suite, depth):
 def test_batch_limit_names_its_values(capsys):
     code, out, err = run(capsys, "verify", "cells", "-d", "2", "-n", "33")
     assert (code, out) == (2, "")
-    assert err == "error: dimension * depth must be <= 64 for batch use, got 2*33\n"
+    assert err == ("error: d=2 depth=33 has 2^66 cells of 2 coordinates; "
+                   "exhaustive suites take cells * d <= 2^24\n")
 
 
 def test_verify_usage_error_prints_no_partial_record(capsys, monkeypatch):
@@ -272,12 +274,13 @@ def test_verify_measure_runs_the_half_box_at_every_dimension(capsys, d, n, depth
 
 def _merging(moved, onto):
     """A batch forward map that sends packed grid cell `moved` where it
-    sends `onto`, merging the two cells' images."""
+    sends `onto`, merging the two cells' images, at any depth.  Python
+    ints compare exactly with a cell of any size."""
     real = measure.forward_map_batch
 
     def merging(cells, depth, d):
-        cells = np.asarray(cells, dtype=np.uint64)
-        return real(np.where(cells == moved, np.uint64(onto), cells), depth, d)
+        cells = np.asarray(cells, dtype=object)
+        return real(np.where(cells == moved, onto, cells), depth, d)
 
     return merging
 
@@ -297,16 +300,16 @@ def test_verify_measure_half_box_fails_a_map_merging_two_cells(capsys,
 
 
 def _drawn_unions(monkeypatch):
-    """The cells of every `_segment_cells` call, in order; the first call
-    of `verify measure` maps its unions, one row each."""
-    real = measure._segment_cells
+    """The cells of every `forward_map_batch` call, in order; the first
+    call of `verify measure` maps its unions, one row each."""
+    real = measure.forward_map_batch
     seen = []
 
     def recording(cells, depth, d):
         seen.append(np.asarray(cells).tolist())
         return real(cells, depth, d)
 
-    monkeypatch.setattr(measure, "_segment_cells", recording)
+    monkeypatch.setattr(measure, "forward_map_batch", recording)
     return seen
 
 
@@ -330,28 +333,20 @@ def test_verify_measure_unions_fail_a_map_merging_two_cells(capsys, monkeypatch)
 
 def test_verify_measure_unions_beyond_64_bits_fail_a_map_merging_two_cells(
         capsys, monkeypatch):
-    # d*n = 66 bits: the scalar forward map serves the unions.  Two cells
-    # of one drawn union are merged, the second sent where the first goes;
-    # every union holding both loses a cell.  The half box runs at depth 6
-    # on the batch kernel and passes.
+    # d*n = 66 bits: the batch forward map walks each cell in Python ints.
+    # Two cells of one drawn union are merged, the second sent where the
+    # first goes; every union holding both loses a cell.  Seed 0 draws the
+    # same unions on both runs.  The half box runs at depth 6 on the batch
+    # kernel and passes.
     seen = _drawn_unions(monkeypatch)
     assert run(capsys, "verify", "measure", "-d", "2", "-n", "33")[0] == 0
     row = next(row for row in seen[0] if len(set(row)) > 1)
     a, b = list(dict.fromkeys(row))[:2]
-    mask = (1 << 33) - 1
-    point_a, point_b = (CubePoint((UnitScalar(c & mask, 33), UnitScalar(c >> 33, 33)))
-                        for c in (a, b))
-    real = measure.forward_map
-
-    def merging(pt, depth):
-        return real(point_a if pt == point_b else pt, depth)
-
-    monkeypatch.setattr(measure, "forward_map", merging)
-    seen.clear()
-    code, out, _ = run(capsys, "verify", "measure", "-d", "2", "-n", "33")
-    assert code == 1
     merged = sum({a, b} <= set(row) for row in seen[0])
     assert merged >= 1
+    monkeypatch.setattr(measure, "forward_map_batch", _merging(b, a))
+    code, out, _ = run(capsys, "verify", "measure", "-d", "2", "-n", "33")
+    assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
     assert [(r["name"], r["passed"], r["statistic"]) for r in records] == [
         ("measure-unions", False, merged), ("rect_measure", True, 0.0)]
@@ -388,18 +383,17 @@ def test_verify_roundtrip_counts_each_failing_trial_once(capsys, monkeypatch):
 
 def test_verify_roundtrip_beyond_64_bits_counts_each_failing_trial(capsys,
                                                                   monkeypatch):
-    # d*n = 66 bits: the trials run on the scalar maps
-    real = measure.forward_map
+    # d*n = 66 bits: the batch maps walk each trial in Python ints
+    real = measure.forward_map_batch
 
-    def next_cell(pt, depth):
-        t = real(pt, depth)
-        return UnitScalar((t.mantissa + 1) % (1 << t.precision), t.precision)
+    def next_cell(cells, depth, d):
+        return (real(cells, depth, d) + 1) % (1 << d * depth)
 
-    monkeypatch.setattr(measure, "forward_map", next_cell)
+    monkeypatch.setattr(measure, "forward_map_batch", next_cell)
     code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "33")
     assert code == 1
     assert json.loads(out)["statistic"] == 1000
-    monkeypatch.setattr(measure, "forward_map", real)
+    monkeypatch.setattr(measure, "forward_map_batch", real)
     code, out, _ = run(capsys, "verify", "roundtrip", "-d", "2", "-n", "33")
     assert code == 0 and json.loads(out)["statistic"] == 0
 

@@ -478,11 +478,24 @@ def test_forward_batch_inverts_the_inverse_batch(case):
 
 
 def test_forward_batch_keeps_the_kernel_limits():
-    with pytest.raises(PrecisionError, match=r"must be <= 64 for batch use, got 2\*33$"):
-        forward_map_batch(np.zeros(1, dtype=np.uint64), 33, 2)
+    with pytest.raises(RangeError, match="depth must be >= 0"):
+        forward_map_batch(np.zeros(1, dtype=np.uint64), -1, 2)
     with pytest.raises(RangeError):
         forward_map_batch(np.zeros(1, dtype=np.uint64), 1, 9)
     assert forward_map_batch([], 8, 8).tolist() == []
+    assert forward_map_batch([], 33, 2).tolist() == []
+
+
+@pytest.mark.parametrize("d,depth", [(2, 31), (3, 20), (2, 33), (3, 22)])
+def test_forward_batch_ignores_bits_above_the_cell(d, depth):
+    # bit d * depth + 1 changes no image, in a uint64 array up to
+    # 64 bits and in an object array beyond
+    rng = random.Random(d * depth)
+    cells = [rng.getrandbits(d * depth) for _ in range(8)]
+    dtype = np.uint64 if d * depth < 64 else object
+    high = np.array([c | 1 << d * depth + 1 for c in cells], dtype=dtype)
+    assert forward_map_batch(high, depth, d).tolist() == \
+        forward_map_batch(np.array(cells, dtype=dtype), depth, d).tolist()
 
 
 @pytest.mark.parametrize("d,depth", [(1, 100), (2, 40), (3, 30), (8, 9),

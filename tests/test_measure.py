@@ -9,6 +9,7 @@ from cubefold import measure
 from cubefold.curve import (
     BLOCK,
     SegmentInterval,
+    forward_map_batch,
     interval_to_address,
     inverse_map_batch,
 )
@@ -162,10 +163,8 @@ def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
 
 
 def test_pushforward_rejects_segment_union():
-    with pytest.raises(RangeError):
-        pushforward(CellUnion.of_segment(2, 2, [0, 1]))
     with pytest.raises(RangeError, match="cube-side"):
-        pushforward([CellUnion.of_cube(2, 2, []), CellUnion.of_segment(2, 2, [0])])
+        pushforward(CellUnion.of_segment(2, 2, [0, 1]))
 
 
 def test_cube_members_are_packed_grid_cells():
@@ -176,39 +175,20 @@ def test_cube_members_are_packed_grid_cells():
     assert pushforward(cu).members == frozenset(range(64))
 
 
-def test_pushforward_of_a_list_maps_each_union_in_one_call(monkeypatch):
-    calls = []
-    real = measure.forward_map_batch
-
-    def counting(cells, depth, d):
-        calls.append(len(cells))
-        return real(cells, depth, d)
-
-    monkeypatch.setattr(measure, "forward_map_batch", counting)
-    rng = random.Random(5)
-    unions = [_random_cube_union(rng, 2, 5, rng.randint(0, 30)) for _ in range(20)]
-    images = pushforward(unions)
-    assert calls == [sum(len(u.members) for u in unions)]
-    assert images == [pushforward(u) for u in unions]
-    assert pushforward([]) == []
-    with pytest.raises(RangeError, match="one dimension and depth"):
-        pushforward([unions[0], CellUnion.of_cube(2, 4, [])])
-
-
 @pytest.mark.parametrize("d,depth", [(2, 33), (3, 22), (1, 65), (8, 9)])
-def test_cell_helpers_take_the_scalar_maps_beyond_64_bits(monkeypatch, d, depth):
-    # beyond the batch kernel's 64 bits the cells still follow child_order
-    def refuse(*args):
-        raise AssertionError("batch kernel called beyond 64 bits")
-
-    monkeypatch.setattr(measure, "forward_map_batch", refuse)
-    monkeypatch.setattr(measure, "inverse_map_batch", refuse)
+def test_cell_helpers_take_the_scalar_maps_beyond_64_bits(d, depth):
+    # beyond the kernels' 64 bits the batch maps walk each cell in Python
+    # ints, in an object array of the input's shape; the cells still
+    # follow child_order
     rng = random.Random(d * depth)
     indices = [0, (1 << d * depth) - 1] + [rng.getrandbits(d * depth) for _ in range(6)]
-    cells = measure._cube_cells(indices, depth, d)
-    assert cells.tolist() == [packed_cell(brute_force_corner(d, depth, q), depth)
-                              for q in indices]
-    assert measure._segment_cells(cells, depth, d).tolist() == indices
+    cells = inverse_map_batch(np.array(indices, dtype=object).reshape(2, 4), depth, d)
+    assert cells.dtype == object and cells.shape == (2, 4)
+    assert cells.ravel().tolist() == [packed_cell(brute_force_corner(d, depth, q), depth)
+                                      for q in indices]
+    back = forward_map_batch(cells, depth, d)
+    assert back.dtype == object and back.shape == (2, 4)
+    assert back.ravel().tolist() == indices
     paths = [interval_to_address(SegmentInterval(d, depth, q)).digits for q in indices]
     assert pushforward(CellUnion.of_cube(d, depth, paths)).members == set(indices)
 
