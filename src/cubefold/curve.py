@@ -41,9 +41,9 @@ which is the corner's flat index on the 2**depth grid, axis 0 varying
 fastest.  Each reader takes out the axes it needs.  The tables of one
 (d, depth) take at most 240 KiB, at d=8 depth 8.  The one stream
 `measure._corner_blocks` calls the kernel per block of `BLOCK` indices
-for the exhaustive suites and the audit's bin table, so each uint64
-temporary of a call (the key, the gathered entries, the accumulator)
-takes 128 KiB; the sampler calls it once per 2**15-row chunk.
+for the exhaustive suites and the audit's fold onto its grid, so each
+uint64 temporary of a call (the key, the gathered entries, the
+accumulator) takes 128 KiB; the sampler calls it once per 2**15-row chunk.
 
 The forward kernel `forward_map_batch` takes packed grid indices, the
 inverse kernel's output, in an array of any shape.  It interleaves them

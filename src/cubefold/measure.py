@@ -9,7 +9,8 @@ inverse map and test the image for uniformity.
 `SUITES` holds the five `verify` suites and their bounds.  Cube cells
 are packed grid indices throughout, the batch inverse kernel's output.
 One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
-a time to `cells`, `adjacency` and the uniformity audit's bin table.
+a time to `cells`, `adjacency` and the uniformity audit's fold of its
+per-cell counts onto the grid.
 `roundtrip`, `measure`, `rect_measure_check` and `pushforward` map whole
 arrays of cells with one call of each batch map they need, at any depth;
 beyond d*depth = 64 bits the cells are Python ints in object arrays.
@@ -21,6 +22,7 @@ counted by one sort per side.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,12 +178,14 @@ def _corner_blocks(d: int, depth: int):
             for lo in range(0, total, BLOCK))
 
 
-def _cell_bins(grid_k: int, depth: int) -> np.ndarray:
-    """Flat k x k grid bin of each depth-n segment cell's lower corner (d=2)."""
-    bins = np.empty(1 << (2 * depth), dtype=np.intp)
+def _bin_counts(cell_counts: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
+    """Fold per-cell counts of the 4^n depth-n segment cells onto the flat
+    k x k grid (d=2): each cell's count goes to the bin of its lower
+    corner."""
+    counts = np.zeros(grid_k * grid_k, dtype=np.int64)
     k, shift = np.uint64(grid_k), np.uint64(depth)
     mask = np.uint64((1 << depth) - 1)
-    for lo, cells in zip(range(0, len(bins), BLOCK), _corner_blocks(2, depth)):
+    for lo, cells in zip(range(0, len(cell_counts), BLOCK), _corner_blocks(2, depth)):
         # in place: a fresh temporary per operation takes three times as long
         x = cells & mask
         x *= k
@@ -191,8 +195,8 @@ def _cell_bins(grid_k: int, depth: int) -> np.ndarray:
         cells *= k
         cells >>= shift
         x += cells
-        bins[lo:lo + BLOCK] = x
-    return bins
+        np.add.at(counts, x.view(np.int64), cell_counts[lo:lo + BLOCK])
+    return counts
 
 
 _CHUNK = 1 << 17
@@ -210,11 +214,13 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     Draws uniform segment cells at depth n = max(8, bits of k - 1),
     inverts them into the square, bins the depth-n lower corners and
     compares against their exact expectation at 99.9% confidence.
-    Each cell is mapped once, into a bin table; chunk i of `_CHUNK` draws
-    takes child i of the seed, spawned when the loop reaches it, so counts
-    are reproducible under any partitioning.  Consecutive chunks are
-    counted by one bincount once they hold k*k draws or the last is drawn.
+    The draws are counted per depth-n cell, then the 4^n cell counts are
+    folded onto the grid, each cell mapped once; chunk i of `_CHUNK`
+    draws takes child i of the seed, spawned when the loop reaches it, so
+    counts are reproducible under any partitioning.  The three arguments
+    are integers (`operator.index`), and seed is >= 0.
     """
+    sample_count, grid_k, seed = map(operator.index, (sample_count, grid_k, seed))
     if grid_k < 1:
         raise RangeError("grid must be at least 1x1")
     if grid_k > 1 << 31:  # before k*k is printed; keeps 2*depth <= 62
@@ -224,26 +230,20 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
             f"need at least {100 * grid_k * grid_k} samples for a "
             f"{grid_k}x{grid_k} grid"
         )
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {echo(seed)}")
     if grid_k == 1:
         return VerificationReport.from_statistic(
             "uniformity", f"N={sample_count} grid=1x1", 0.0, 0.0, seed)
 
     depth = max(8, (grid_k - 1).bit_length())
-    nbins = grid_k * grid_k
-    bins = _cell_bins(grid_k, depth)
-    counts = np.zeros(nbins, dtype=np.int64)
-    pending = []  # bins of drawn chunks not yet counted
+    cell_counts = np.zeros(1 << (2 * depth), dtype=np.int64)
     streams = np.random.SeedSequence(seed)
     for start in range(0, sample_count, _CHUNK):
         q = _draw_cells(np.random.default_rng(streams.spawn(1)[0]),
                         min(_CHUNK, sample_count - start), depth)
-        pending.append(bins[q])
-        # a bincount sweeps all k*k bins: give it at least as many draws
-        if len(pending) * _CHUNK >= nbins or start + _CHUNK >= sample_count:
-            counts += np.bincount(
-                pending[0] if len(pending) == 1 else np.concatenate(pending),
-                minlength=nbins)
-            pending = []
+        np.add.at(cell_counts, q.view(np.int64), 1)
+    counts = _bin_counts(cell_counts, grid_k, depth)
 
     # A bijection puts one corner on each point of the 2**depth grid, so
     # every grid point is equally likely; along an axis bin i holds

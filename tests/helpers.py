@@ -5,9 +5,10 @@ the single-cell walk use only child_order, never the digit tables or the
 maps, the quantile oracle only evaluates the CDF forward on mesh points,
 and the Kolmogorov-Smirnov statistic and threshold use only the standard
 library.  The one exception is `stream_bin_counts`, the differential
-oracle of the uniformity audit's bin table: it runs the batch kernel on
-every draw, where the audit maps each cell once.  `unpack_corners` reads
-the kernel's packed grid indices as (N, d) corners for every test.
+oracle of the uniformity audit's fold of per-cell counts: it runs the
+batch kernel on every draw, where the audit maps each cell once.
+`unpack_corners` reads the kernel's packed grid indices as (N, d)
+corners for every test.
 """
 
 import math

@@ -198,7 +198,8 @@ def test_adjacency_rejects_an_axis_wrapping_into_the_next(capsys, monkeypatch):
 @pytest.mark.parametrize("consume", [
     lambda: main(["verify", "cells", "-d", "2", "-n", "8"]),
     lambda: main(["verify", "adjacency", "-d", "2", "-n", "8"]),
-    lambda: measure._cell_bins(16, 8)], ids=["cells", "adjacency", "cell-bins"])
+    lambda: measure._bin_counts(np.ones(4 ** 8, dtype=np.int64), 16, 8)],
+    ids=["cells", "adjacency", "cell-bins"])
 def test_block_consumers_read_one_corner_stream(capsys, monkeypatch, consume):
     # 4^8 cells: measure's kernel binding sees the four blocks in order
     calls = []

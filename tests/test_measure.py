@@ -19,7 +19,7 @@ from cubefold.measure import (
     SEGMENT,
     CellUnion,
     VerificationReport,
-    _cell_bins,
+    _bin_counts,
     monte_carlo_uniformity,
     pushforward,
     rect_measure_check,
@@ -342,7 +342,7 @@ def test_monte_carlo_records_frozen(args):
 def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
                                                              sample_count,
                                                              grid_k):
-    # the bin table against the kernel run on every draw of each chunk
+    # the folded cell counts against the kernel run on every draw of each chunk
     drawn, seen = [], []
     whole = np.zeros(grid_k * grid_k, dtype=np.int64)
 
@@ -363,56 +363,31 @@ def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
     assert len(seen) == 1 and seen[0].tolist() == whole.tolist()
 
 
-@pytest.mark.parametrize("chunk, grid_k, sample_count, per_bincount", [
-    (64, 10, 10_000, 2), (64, 10, 12_800, 2), (64, 12, 14_400, 3),
-    (measure._CHUNK, 16, 3 * measure._CHUNK + 7, 1)])
-def test_monte_carlo_counts_chunks_together_up_to_k_squared_draws(
-        monkeypatch, chunk, grid_k, sample_count, per_bincount):
-    # one bincount per chunk once swept k*k bins for each chunk's draws:
-    # chunks are counted together until they hold k*k draws, and below
-    # that (k <= 362 at 2^17-draw chunks) each chunk is still one bincount
-    draws, seen, calls = [], [], []
-    real_draw, real_bincount = measure._draw_cells, np.bincount
-
-    def recording_draw(rng, size, depth):
-        draws.append(real_draw(rng, size, depth))
-        return draws[-1]
-
-    def recording_chi_squared(counts, expected):
-        seen.append(counts.copy())
-        return chi_squared(counts, expected)
-
-    def counting_bincount(x, *args, **kwargs):
-        calls.append(len(x))
-        return real_bincount(x, *args, **kwargs)
-
-    monkeypatch.setattr(measure, "_CHUNK", chunk)
-    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
-    monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
-    with monkeypatch.context() as mp:
-        mp.setattr(measure.np, "bincount", counting_bincount)
-        monte_carlo_uniformity(sample_count, grid_k, seed=5)
-    q = np.concatenate(draws)
-    assert len(q) == sample_count and len(seen) == 1
-    assert seen[0].tolist() == stream_bin_counts(q, grid_k, 8).tolist()
-    assert len(calls) == -(-len(draws) // per_bincount)
-    assert all(n >= grid_k * grid_k for n in calls[:-1])
-    assert sum(calls) == sample_count
-
-
 @pytest.mark.parametrize("grid_k", [*range(1, 34), 100, 257])
 def test_cell_bins_hold_the_exact_grid_law(grid_k):
-    # every depth-n cell once: bin i, j holds per_axis[i] * per_axis[j]
+    # one count per depth-n cell, folded: bin i, j holds per_axis[i] * per_axis[j]
     depth = max(8, (grid_k - 1).bit_length())
     ceil = [-(-i * (1 << depth) // grid_k) for i in range(grid_k + 1)]
     per_axis = [hi - lo for lo, hi in zip(ceil, ceil[1:])]
-    counts = np.bincount(_cell_bins(grid_k, depth))
+    counts = _bin_counts(np.ones(4 ** depth, dtype=np.int64), grid_k, depth)
+    assert counts.dtype == np.int64
     assert counts.tolist() == np.outer(per_axis, per_axis).ravel().tolist()
+
+
+@pytest.mark.parametrize("grid_k", [3, 16, 100, 257])
+def test_bin_counts_match_the_kernel_run_on_every_draw(grid_k):
+    # random per-cell counts, folded, against the streaming oracle run on
+    # the same draws spelled out one by one
+    depth = max(8, (grid_k - 1).bit_length())
+    cell_counts = np.random.default_rng(grid_k).integers(0, 4, size=4 ** depth)
+    draws = np.repeat(np.arange(4 ** depth, dtype=np.uint64), cell_counts)
+    folded = _bin_counts(cell_counts, grid_k, depth)
+    assert folded.tolist() == stream_bin_counts(draws, grid_k, depth).tolist()
 
 
 @pytest.mark.parametrize("sample_count", [250_000, 1_000_000])
 def test_monte_carlo_maps_each_cell_once_whatever_n(monkeypatch, sample_count):
-    # the kernel maps the 4^8 cells into the bin table, not each draw
+    # the kernel maps the 4^8 cells once, to fold their counts, not each draw
     mapped = []
     real = measure.inverse_map_batch
 
@@ -434,6 +409,34 @@ def test_monte_carlo_names_the_grid_bound(grid_k):
         monte_carlo_uniformity(10 ** 6, grid_k, 0)
     with pytest.raises(RangeError, match=r"^need at least \d+ samples for a 2147483648x"):
         monte_carlo_uniformity(10 ** 6, 1 << 31, 0)
+
+
+@pytest.mark.parametrize("args", [
+    (np.int64(250_000), np.int64(16), np.int64(3)),
+    (np.uint64(250_000), np.uint8(16), np.uint8(3))], ids=["int64", "uint8"])
+def test_monte_carlo_reads_numpy_integer_arguments_as_ints(args):
+    # a numpy k had no bit_length, and a uint8 k overflowed in 100*k*k
+    assert monte_carlo_uniformity(*args).to_json() == FROZEN_UNIFORMITY[(250000, 16, 3)]
+
+
+@pytest.mark.parametrize("args", [(250_000.0, 16, 3), (250_000, 16.0, 3),
+                                  (250_000, 16, 3.0), (250_000, "16", 3)],
+                         ids=["N", "k", "seed", "str-k"])
+def test_monte_carlo_rejects_non_integer_arguments(args):
+    with pytest.raises(TypeError):
+        monte_carlo_uniformity(*args)
+
+
+@pytest.mark.parametrize("grid_k", [1, 16])
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), -10 ** 3000],
+                         ids=["-1", "int64", "-10^3000"])
+def test_monte_carlo_names_a_negative_seed_before_any_draw(monkeypatch, grid_k, seed):
+    def no_draw(rng, size, depth):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(measure, "_draw_cells", no_draw)
+    with pytest.raises(RangeError, match=r"^seed must be >= 0, got -\d"):
+        monte_carlo_uniformity(250_000, grid_k, seed)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
