@@ -4,8 +4,8 @@ It reads values, parses flags and dispatches; the `verify` suites live in
 `measure`.  Each flag is checked once: `-d`, `-n` and `--seed` by their
 argparse type and `d*n` by a bound, the plain ints `verify -N`/`-k` by
 `monte_carlo_uniformity` and `sample -N`/`--depth` by `sample_independent`.
-`verify` calls `measure.SUITES[suite]` with exactly the `SUITE_FLAGS`
-values it takes and rejects any other flag given.  Exit codes: 0 success,
+`verify` calls `measure.SUITES[suite]` with the `SUITE_FLAGS` values its
+parameters name and rejects any other flag given.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error or an output too large to
 allocate (`MemoryError`); an error echoes each value cut by `dyadic.echo`.
 Exact values are read by `parse_scalar` and printed as `m/2^p` or `q/4^n`;
@@ -16,6 +16,7 @@ value below 1 which rounds up to 1.0 shows the float just below it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -86,21 +87,23 @@ def _cmd_unmap(args) -> int:
     return 0
 
 
-_CELL_SUITES = ("cells", "adjacency", "roundtrip", "measure")
-# every verify flag: suite parameter -> (flags, type, default, suites taking it)
+# every verify flag: suite parameter -> (flags, type, default)
 SUITE_FLAGS = {
-    "d": (("-d", "--dimension"), _dimension, 2, _CELL_SUITES),
-    "depth": (("-n", "--depth"), _depth, 6, _CELL_SUITES),
-    "sample_count": (("-N", "--samples"), _int, 1_000_000, ("uniformity",)),
-    "grid_k": (("-k", "--grid"), _int, 16, ("uniformity",)),
-    "seed": (("--seed",), _seed, 0, ("roundtrip", "measure", "uniformity"))}
+    "d": (("-d", "--dimension"), _dimension, 2),
+    "depth": (("-n", "--depth"), _depth, 6),
+    "sample_count": (("-N", "--samples"), _int, 1_000_000),
+    "grid_k": (("-k", "--grid"), _int, 16),
+    "seed": (("--seed",), _seed, 0)}
+# a suite takes the flags of its parameters
+_PARAMETERS = {name: inspect.signature(suite).parameters
+               for name, suite in measure.SUITES.items()}
 
 
 def _cmd_verify(args) -> int:
     kwargs = {}
-    for dest, (flags, _, default, suites) in SUITE_FLAGS.items():
+    for dest, (flags, _, default) in SUITE_FLAGS.items():
         value = getattr(args, dest)
-        if args.suite in suites:
+        if dest in _PARAMETERS[args.suite]:
             kwargs[dest] = default if value is None else value
         elif value is not None:
             raise ValueError(f"verify {args.suite} takes no {'/'.join(flags)}")
@@ -149,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-n", "--depth", type=_depth, default=1)
     p_verify = command("verify", _cmd_verify, "run a verification suite")
     p_verify.add_argument("suite", choices=measure.SUITES)
-    for dest, (flags, type_, default, suites) in SUITE_FLAGS.items():
+    for dest, (flags, type_, default) in SUITE_FLAGS.items():
+        suites = [name for name, parameters in _PARAMETERS.items() if dest in parameters]
         p_verify.add_argument(
             *flags, dest=dest, type=type_, metavar=flags[-1][2:].upper(),
             help=f"default {default}; taken by {', '.join(suites)} only")

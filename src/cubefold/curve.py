@@ -15,48 +15,55 @@ swap / identity / identity / swap-and-reflect.
 subdivision.  The maps walk digit tables built from it (the state table
 form of Butz's algorithm, after Skilling 2004 and Hamilton & Rau-Chaplin
 2008), L = max(1, 8 // d) digits per lookup; a depth that is not a
-multiple of L ends with one shorter step.  A state's flips act on
-octants by XOR, so every table is keyed by rotation * 2**(d*L) + word,
-the word being the next L digits of the segment index q, read at
-q >> d*(depth - start - L).  An entry holds the L child octants in
-visit order, first highest, as the unflipped state sees them, and the
-flips and rotation after them; `digits` inverts the octants.  The
-scalar walks `_forward_cell` and `_inverse_cell` run on one Python int
-per cell, between a segment index and the cell's packed grid index
-(below).  Read as bits, a packed index is a d x depth matrix, one row
-per axis, and its octants are the transpose of that matrix; each walk
-writes the transpose once, through binary digit strings.  `forward_map`
-and `inverse_map` only convert between exact values and that index.
-Tables are lists of d * 2**(d*L) <= 2048 entries below 256, built on
-first use per (d, L) and cached.  The batch kernel turns them into one
-pair per step, cached per (d, depth): a uint64 `comb` entry holds the
-step's corner bits in axis order at their final place (axis a's at bit
-a * depth + low, low = depth - start - L) and, in the bits below, the
-flips the step adds, repeated over every later bit of each axis; an
-int64 `nxt` entry holds the next rotation already scaled to the next
-step's key.  A step is one mask, one add, one XOR and two gathers on one
-key, and the accumulator it XORs into is the kernel's output: the packed
-grid index of the lower corner, axis a's coordinate at bit a * depth,
-which is the corner's flat index on the 2**depth grid, axis 0 varying
-fastest.  Each reader takes out the axes it needs.  The tables of one
-(d, depth) take at most 240 KiB, at d=8 depth 8.  The one stream
+multiple of L ends with one shorter step.  Every walk reads one plan,
+`_plan(d, depth, forward)`, with one step (shift, mask, rep, out, adds,
+nxt) per lookup.  The step's input word is the `mask` bits at `shift`:
+the next digits of the segment index q on the inverse walk, the next
+octants on the forward walk.  A state's flips act on octants by XOR, so
+each list is keyed by rotation * 2**(d*width) + word, the word as the
+state with that rotation and no flips sees it, and the forward walk
+first XORs the state's flips, repeated over the word's octants by
+`rep`, into its word.  `out` holds the output word: the width child
+octants in visit order, first highest, or their digits.  `adds` holds
+the flips the step XORs onto the state's, and `nxt` the next rotation
+already shifted into the next step's key, 0 after the last step.  The
+lists hold d * 2**(d*width) <= 2048 entries, built from `_digit_table`
+on first use and cached per (d, width, next width, direction).  The
+scalar walks `_forward_cell` and `_inverse_cell` run the plan on one
+Python int per cell, between a segment index and the cell's packed grid
+index: read as bits, a packed index is a d x depth matrix, one row per
+axis, and its octants are the transpose of that matrix, which each walk
+writes once through binary digit strings.  `forward_map` and
+`inverse_map` only convert between exact values and that index.
+
+Up to d * depth = 64 bits the batch maps run numpy kernels on uint64,
+both through one loop, `_walk`.  `_kernel` turns each plan step into an
+int64 `comb` table under the same key, built from out << shift | adds
+repeated over every later octant, and the step's `nxt` as an array,
+None where it is all zeros (after the last step, and at d = 1).  A
+step is one mask, one add, one XOR and two gathers on one key.  Beyond 64
+bits both batch maps run the scalar walk once per distinct cell and
+return Python ints in an object array, so they take any depth.
+
+The inverse kernel `inverse_map_batch` transposes each `comb` entry into
+axis order with `_transpose` (axis a's bits at bit a * depth), so the
+accumulator it XORs them into, from zero, is its output: the packed grid
+index of the lower corner, axis a's coordinate at bit a * depth, which is
+the corner's flat index on the 2**depth grid, axis 0 varying fastest.
+Each reader takes out the axes it needs.  The tables of one (d, depth)
+take at most 240 KiB, at d=8 depth 8.  The one stream
 `measure._corner_blocks` calls the kernel per block of `BLOCK` indices
 for the exhaustive suites and the audit's fold onto its grid, so each
 uint64 temporary of a call (the key, the gathered entries, the
 accumulator) takes 128 KiB; the sampler calls it once per 2**15-row chunk.
 
 The forward kernel `forward_map_batch` takes packed grid indices, the
-inverse kernel's output, in an array of any shape.  It interleaves them
-into octant order once, one byte table per byte, and then runs the
-inverse kernel's step shape under the scalar forward map's key,
-rotation * 2**(d*L) + octant word: a `comb` entry rewrites the word into
-its digits and XORs the flips it adds onto every later octant, so the
-next step reads its octants as the unflipped state sees them.  Its
-tables take 16 KiB more than the inverse kernel's.  The kernels run up
-to d * depth = 64 bits.  Beyond, `forward_map_batch` and
-`inverse_map_batch` run the scalar walk once per distinct cell and
-return Python ints in an object array, so both batch maps take any
-depth.
+inverse kernel's output, in an array of any shape.  It transposes them
+into octant order with `_transpose`, one byte-table gather per byte, and
+walks that array in place: its `comb` entries also XOR in the step's
+octant word, so each rewrites the word into its digits and flips every
+later octant, and the next step reads its octants as the unflipped state
+sees them.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar
+from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar, echo
 
 MAX_DIMENSION = 8
 # indices per batch-kernel call of measure._corner_blocks
@@ -76,7 +83,7 @@ BLOCK = 1 << 14
 
 def _check_cell(d: int, depth: int) -> None:
     if not 1 <= d <= MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}, got {d}")
+        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}, got {echo(d)}")
     if depth < 0:
         raise RangeError("depth must be >= 0")
 
@@ -160,19 +167,6 @@ def child_order(state: OrientationState):
     return children
 
 
-@lru_cache(maxsize=None)
-def _steps(d: int, depth: int) -> tuple[tuple[int, int], ...]:
-    """(first digit, digit count) of each table lookup over `depth` digits.
-
-    L = max(1, 8 // d) digits per lookup keeps d * L <= 8, so every word
-    and table entry fits in a byte; a remainder takes one last step.
-    """
-    width = max(1, 8 // d)
-    full, rest = divmod(depth, width)
-    steps = tuple((k * width, width) for k in range(full))
-    return steps + ((full * width, rest),) if rest else steps
-
-
 class _DigitTable(NamedTuple):
     """Transitions over `width` digits for one dimension d.
 
@@ -212,6 +206,45 @@ def _digit_table(d: int, width: int) -> _DigitTable:
                        digits.tolist())
 
 
+@lru_cache(maxsize=None)
+def _step_lists(d: int, width: int, next_width: int, forward: bool) -> tuple:
+    """The (out, adds, nxt) lists of a step of `width` digits followed by
+    one of `next_width` digits, 0 after the last step; see `_plan`."""
+    table = _digit_table(d, width)
+    bits = d * width
+    out, adds, rotations = table.cells, table.flips, table.rotations
+    if forward:
+        # each octant word's key, rotation << bits | octants, to its digit word's
+        keys = [key >> bits << bits | word for key, word in enumerate(table.digits)]
+        out = table.digits
+        adds = [table.flips[key] for key in keys]
+        rotations = [table.rotations[key] for key in keys]
+    nxt = [r << d * next_width if next_width else 0 for r in rotations]
+    return out, adds, nxt
+
+
+@lru_cache(maxsize=None)
+def _plan(d: int, depth: int, forward: bool) -> tuple:
+    """The steps of a walk over `depth` digits, first digit first: one
+    (shift, mask, rep, out, adds, nxt) per table lookup (see the module
+    docstring).
+
+    L = max(1, 8 // d) digits per lookup keeps d * L <= 8, so every word
+    and table entry fits in a byte; a remainder takes one last step.
+    """
+    full_width = max(1, 8 // d)
+    full, rest = divmod(depth, full_width)
+    widths = [full_width] * full + ([rest] if rest else [])
+    plan = []
+    low = depth
+    for width, next_width in zip(widths, widths[1:] + [0]):
+        low -= width
+        bits = d * width
+        plan.append((d * low, (1 << bits) - 1, ((1 << bits) - 1) // ((1 << d) - 1),
+                     *_step_lists(d, width, next_width, forward)))
+    return tuple(plan)
+
+
 @dataclass(frozen=True)
 class CellAddress:
     """Digit path j_1..j_n into the recursive subdivision, zero-based."""
@@ -224,7 +257,7 @@ class CellAddress:
         hi = 1 << self.dimension
         for j in self.digits:
             if not 0 <= j < hi:
-                raise RangeError(f"digit {j} out of range 0..{hi - 1}")
+                raise RangeError(f"digit {echo(j)} out of range 0..{hi - 1}")
 
     @property
     def depth(self) -> int:
@@ -246,7 +279,7 @@ class SegmentInterval:
         _check_cell(self.dimension, self.depth)
         if not 0 <= self.index < (1 << (self.dimension * self.depth)):
             raise RangeError(
-                f"index {self.index} out of range at depth {self.depth}"
+                f"index {echo(self.index)} out of range at depth {self.depth}"
             )
 
     def left(self) -> UnitScalar:
@@ -282,33 +315,24 @@ def _forward_cell(cell: int, depth: int, d: int) -> int:
     for j in range(d):
         text[j::d] = rows[j * depth:(j + 1) * depth]
     octants = int(text or b"0", 2)
-    rotation = flips = q = 0
-    for start, width in _steps(d, depth):
-        _, t_flips, rotations, t_digits = _digit_table(d, width)
-        w = d * width
-        cells = (octants >> d * (depth - start - width)) & ((1 << w) - 1)
-        # the state's flips act on every octant of the word
-        cells ^= flips * ((1 << w) - 1) // ((1 << d) - 1)
-        word = t_digits[rotation << w | cells]
-        q = q << w | word
-        key = rotation << w | word
-        flips ^= t_flips[key]
-        rotation = rotations[key]
+    key_rot = flips = q = 0
+    for shift, mask, rep, out, adds, nxt in _plan(d, depth, True):
+        key = key_rot | (octants >> shift & mask ^ flips * rep)
+        q |= out[key] << shift
+        flips ^= adds[key]
+        key_rot = nxt[key]
     return q
 
 
 def _inverse_cell(q: int, depth: int, d: int) -> int:
     """Packed grid index of the cube cell matched to segment cell `q`;
     bits above d * depth are ignored."""
-    rotation = flips = octants = 0
-    for start, width in _steps(d, depth):
-        cells, t_flips, rotations, _ = _digit_table(d, width)
-        w = d * width
-        key = rotation << w | (q >> d * (depth - start - width)) & ((1 << w) - 1)
-        # the state's flips act on every octant of the word
-        octants = octants << w | cells[key] ^ flips * ((1 << w) - 1) // ((1 << d) - 1)
-        flips ^= t_flips[key]
-        rotation = rotations[key]
+    key_rot = flips = octants = 0
+    for shift, mask, rep, out, adds, nxt in _plan(d, depth, False):
+        key = key_rot | q >> shift & mask
+        octants |= (out[key] ^ flips * rep) << shift
+        flips ^= adds[key]
+        key_rot = nxt[key]
     # the transpose of `_forward_cell`'s: column j of the depth x d matrix
     # of octant bits is row j of the cell's, axis d-1-j
     text = bin(octants | 1 << d * depth)[3:]
@@ -374,37 +398,71 @@ def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoin
     return inverse_map(t, target_depth, target_dimension)
 
 
-def _spread(words, width: int, depth: int, d: int) -> np.ndarray:
-    """Words of `width` octants, first highest, as uint64 in axis order:
-    axis a's `width` bits at bit a * depth, first highest."""
-    words = np.array(words, dtype=np.uint64)
-    out = np.zeros_like(words)
-    for bit in range(d * width):
-        level, axis = divmod(bit, d)
-        out |= ((words >> np.uint64(bit)) & np.uint64(1)) << np.uint64(axis * depth + level)
+@lru_cache(maxsize=None)
+def _byte_tables(rows: int, cols: int) -> tuple:
+    """One 256-entry uint64 table per byte of a rows x cols bit matrix:
+    each byte value's bits moved to their places in the transpose."""
+    bits = rows * cols
+    # matrix bit r * cols + c moves to bit c * rows + r
+    moved = np.array([1 << (b % cols * rows + b // cols) for b in range(bits)] + [0] * 7,
+                     dtype=np.uint64)
+    byte = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint64)
+    tables = tuple(byte @ moved[lo:lo + 8] for lo in range(0, bits, 8))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _transpose(x, rows: int, cols: int) -> np.ndarray:
+    """Each uint64 of x, read as a rows x cols bit matrix (bit c of row r
+    at bit r * cols + c), as its transpose (that bit at c * rows + r);
+    bits from rows * cols up are dropped.  One table gather per byte."""
+    # signed, so the gather keys stay intp
+    x = np.asarray(x, dtype=np.uint64).view(np.int64)
+    out = np.zeros(x.shape, dtype=np.uint64)
+    for lo, table in zip(range(0, 64, 8), _byte_tables(rows, cols)):
+        out |= table[(x >> lo) & 255]
     return out
 
 
 @lru_cache(maxsize=None)
-def _batch_steps(d: int, depth: int) -> tuple:
-    """One (shift, mask, comb, nxt) per step of `_steps(d, depth)`: the
-    shift and mask that read the step's word of the index and the step's
-    `comb` and `nxt` tables (see the module docstring); the last step's
-    `nxt` is None."""
-    steps = _steps(d, depth)
-    out = []
-    for k, (start, width) in enumerate(steps):
-        table = _digit_table(d, width)
-        low = depth - start - width
-        comb = (_spread(table.cells, width, depth, d) << np.uint64(low)
-                | _spread(table.flips, 1, depth, d) * np.uint64((1 << low) - 1))
+def _kernel(d: int, depth: int, forward: bool) -> tuple:
+    """One (shift, mask, comb, nxt) per step of `_plan(d, depth, forward)`,
+    read-only int64 arrays keyed like the plan's lists; `nxt` is None
+    where the plan's is all zeros (see the module docstring)."""
+    steps = []
+    for shift, mask, _, out, adds, nxt in _plan(d, depth, forward):
+        comb = (np.array(out, dtype=np.uint64) << np.uint64(shift)
+                | np.array(adds, dtype=np.uint64)
+                * np.uint64(((1 << shift) - 1) // ((1 << d) - 1)))
+        if forward:  # rewrite the octant word in place
+            comb ^= (np.arange(len(out), dtype=np.uint64) & np.uint64(mask)) << np.uint64(shift)
+        else:
+            comb = _transpose(comb, depth, d)
+        comb = comb.view(np.int64)
         comb.flags.writeable = False
-        nxt = None
-        if k + 1 < len(steps):
-            nxt = np.array(table.rotations, dtype=np.int64) << (d * steps[k + 1][1])
+        # an all-zero nxt (after the last step, and at d = 1) keeps key_rot 0
+        if any(nxt):
+            nxt = np.array(nxt, dtype=np.int64)
             nxt.flags.writeable = False
-        out.append((d * low, (1 << (d * width)) - 1, comb, nxt))
-    return tuple(out)
+        else:
+            nxt = None
+        steps.append((shift, mask, comb, nxt))
+    return tuple(steps)
+
+
+def _walk(src: np.ndarray, acc: np.ndarray, steps: tuple) -> np.ndarray:
+    """XOR each step's `comb` entries into `acc`, keyed by the step's word
+    of `src`: int64 arrays, which may be the same one.  Returns `acc` as
+    uint64."""
+    key_rot = 0
+    for shift, mask, comb, nxt in steps:
+        key = (src >> shift) & mask
+        key += key_rot
+        acc ^= comb[key]
+        if nxt is not None:
+            key_rot = nxt[key]
+    return acc.view(np.uint64)
 
 
 def _each_cell(core, cells, depth: int, d: int) -> np.ndarray:
@@ -425,7 +483,7 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     bits a*depth .. (a+1)*depth - 1, the layout forward_map_batch reads.
     Must agree with inverse_map on every index.  Up to dimension * depth
     = 64 the result is uint64 and builds up by one `comb` entry per step
-    of `_batch_steps`; beyond, it holds Python ints in an object array.
+    of `_kernel`; beyond, it holds Python ints in an object array.
     """
     d = dimension
     _check_cell(d, depth)
@@ -435,58 +493,7 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     # followed by the mask still reads the right digits, also on the
     # first step when d * depth = 64.
     q = np.asarray(indices, dtype=np.uint64).view(np.int64)
-    acc = np.zeros(q.shape, dtype=np.uint64)
-    key_rot = 0
-    for shift, mask, comb, nxt in _batch_steps(d, depth):
-        key = (q >> shift) & mask
-        key += key_rot
-        acc ^= comb[key]
-        if nxt is not None:
-            key_rot = nxt[key]
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _forward_steps(d: int, depth: int) -> tuple:
-    """Tables of `forward_map_batch` for one (d, depth), as int64.
-
-    `interleave` holds one (shift, table) per byte of a packed grid index: the
-    table sends the byte's bits to their octant-order places, axis a's
-    bit b at bit b * d + a.  `steps` holds one (shift, mask, comb, nxt)
-    per step of `_steps(d, depth)`, keyed like the scalar forward map's
-    `digits` lookup: `comb` XORs the step's octant word into its digit
-    word and adds the step's flips to every later octant; `nxt` holds the
-    next rotation scaled to the next step's key, None after the last.
-    """
-    bits = d * depth
-    byte = np.arange(256, dtype=np.uint64)
-    interleave = []
-    for lo in range(0, bits, 8):
-        table = np.zeros(256, dtype=np.uint64)
-        for j in range(min(8, bits - lo)):
-            axis, b = divmod(lo + j, depth)
-            table |= ((byte >> np.uint64(j)) & np.uint64(1)) << np.uint64(b * d + axis)
-        table.flags.writeable = False
-        interleave.append((lo, table.view(np.int64)))
-    steps = _steps(d, depth)
-    out = []
-    for k, (start, width) in enumerate(steps):
-        table = _digit_table(d, width)
-        w = d * width
-        low = d * (depth - start - width)
-        key = np.arange(d << w)
-        # rotation << w | digit word: the key of the flips and rotations
-        dkey = key >> w << w | np.array(table.digits)
-        comb = ((key ^ dkey).astype(np.uint64) << np.uint64(low)
-                | np.array(table.flips, dtype=np.uint64)[dkey]
-                * np.uint64(((1 << low) - 1) // ((1 << d) - 1))).view(np.int64)
-        comb.flags.writeable = False
-        nxt = None
-        if k + 1 < len(steps):
-            nxt = np.array(table.rotations, dtype=np.int64)[dkey] << (d * steps[k + 1][1])
-            nxt.flags.writeable = False
-        out.append((low, (1 << w) - 1, comb, nxt))
-    return tuple(interleave), tuple(out)
+    return _walk(q, np.zeros(q.shape, dtype=np.int64), _kernel(d, depth, False))
 
 
 def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarray:
@@ -498,7 +505,7 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     ignored.  Returns the segment cell index of each, in an array of the
     cells' shape.  Must agree with forward_map on every cell.  Up to
     dimension * depth = 64 the cells and the result are uint64: the index
-    is interleaved into octant order once; each step then reads its word,
+    is transposed into octant order once; each step then reads its word,
     rewrites it into digits and flips every later octant by one XOR, so
     the flips ride in the index as the rotation rides in the key.  Beyond,
     both are Python ints in object arrays.
@@ -507,17 +514,5 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     _check_cell(d, depth)
     if d * depth > 64:
         return _each_cell(_forward_cell, cells, depth, d)
-    interleave, steps = _forward_steps(d, depth)
-    # signed, as in inverse_map_batch, so the keys stay intp
-    c = np.asarray(cells, dtype=np.uint64).view(np.int64)
-    q = np.zeros(c.shape, dtype=np.int64)
-    for shift, table in interleave:
-        q |= table[(c >> shift) & 255]
-    key_rot = 0
-    for shift, mask, comb, nxt in steps:
-        key = (q >> shift) & mask
-        key += key_rot
-        q ^= comb[key]
-        if nxt is not None:
-            key_rot = nxt[key]
-    return q.view(np.uint64)
+    q = _transpose(cells, d, depth).view(np.int64)
+    return _walk(q, q, _kernel(d, depth, True))

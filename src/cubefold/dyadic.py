@@ -29,6 +29,12 @@ ECHO_WIDTH = 40
 
 def echo(value) -> str:
     """str(value) for an error message, cut to ECHO_WIDTH with "..."."""
+    if isinstance(value, int) and value.bit_length() > 4 * ECHO_WIDTH:
+        # Only the leading digits show.  Dividing by 10^k, k at most the
+        # digit count less ECHO_WIDTH, keeps them without converting the
+        # whole int, which str() refuses beyond 4300 digits by default.
+        k = (value.bit_length() - 1) * 3 // 10 - ECHO_WIDTH
+        value = value // 10 ** k if value > 0 else -(-value // 10 ** k)
     text = str(value)
     return text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH - 3] + "..."
 
@@ -47,12 +53,12 @@ class UnitScalar:
 
     def __post_init__(self):
         if self.precision < 0:
-            raise RangeError(f"precision must be >= 0, got {self.precision}")
+            raise RangeError(f"precision must be >= 0, got {echo(self.precision)}")
         # bit_length, not 1 << precision: a huge precision costs nothing
         if self.mantissa < 0 or self.mantissa.bit_length() > self.precision:
             raise RangeError(
                 f"mantissa {echo(self.mantissa)} out of range for precision "
-                f"{self.precision}: need 0 <= m < 2^{self.precision}"
+                f"{echo(self.precision)}: need 0 <= m < 2^{echo(self.precision)}"
             )
 
     def as_fraction(self) -> Fraction:

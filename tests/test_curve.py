@@ -116,7 +116,7 @@ def test_point_to_address_matches_brute_force_depth2():
 def _no_walk(monkeypatch):
     def walked(*args):
         raise AssertionError("the table walk started before the checks")
-    monkeypatch.setattr(curve, "_steps", walked)
+    monkeypatch.setattr(curve, "_plan", walked)
 
 
 def test_point_to_address_needs_precision(monkeypatch):
@@ -412,7 +412,7 @@ def _deep_segment_cells():
 @example((3, 7, [2**64 - 1, 0xFEDCBA9876543210]))
 def test_batch_matches_child_order_walk_over_three_or_more_steps(case):
     d, depth, words = case
-    assert len(curve._steps(d, depth)) >= 3
+    assert len(curve._plan(d, depth, False)) >= 3
     indices = [w >> (64 - d * depth) for w in words]
     batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
     assert unpack_corners(batch, depth, d).tolist() == \
@@ -544,6 +544,38 @@ def test_digit_table_entries_follow_child_order(d):
                 assert table.flips[key] == state.flips
                 assert table.rotations[key] == state.rotation
                 assert table.digits[rotation << bits | cells] == word
+
+    # every step of the plans, both directions, at depths that end in a
+    # shorter step where L > 1
+    full = max(1, 8 // d)
+    for depth in sorted({0, 1, full, full + 1, 2 * full, 3 * full - 1}):
+        for forward in (False, True):
+            plan = curve._plan(d, depth, forward)
+            widths = [mask.bit_length() // d for _, mask, *_ in plan]
+            assert sum(widths) == depth and widths[:-1] == [full] * (len(plan) - 1)
+            # the words tile the index, first highest
+            assert [shift for shift, *_ in plan] == \
+                [d * sum(widths[k + 1:]) for k in range(len(plan))]
+            for k, (shift, mask, rep, out, adds, nxt) in enumerate(plan):
+                width = widths[k]
+                bits = d * width
+                assert 0 < width <= full and mask == (1 << bits) - 1
+                assert rep == sum(1 << d * j for j in range(width))
+                assert len(out) == len(adds) == len(nxt) == d << bits
+                for rotation in range(d):
+                    for word in range(1 << bits):
+                        state = OrientationState(d, rotation, 0)
+                        cells = 0
+                        for level in range(width):
+                            digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
+                            octant, state = step(state, digit)
+                            cells = cells << d | octant
+                        # the forward lists are keyed by the octant word
+                        key = rotation << bits | (cells if forward else word)
+                        assert out[key] == (word if forward else cells)
+                        assert adds[key] == state.flips
+                        assert nxt[key] == (state.rotation << d * widths[k + 1]
+                                            if k + 1 < len(plan) else 0)
 
 
 def test_compose_identity_at_cell_level():

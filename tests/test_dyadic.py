@@ -14,6 +14,7 @@ from cubefold.dyadic import (
     format_scalar,
     parse_scalar,
 )
+from cubefold import curve, measure, sampling
 from helpers import make_point
 
 
@@ -163,3 +164,29 @@ def test_rect_fit_matches_fraction_sum(p, k, data):
     else:
         with pytest.raises(RangeError):
             DyadicRect(make_point([m], p), (k,))
+
+
+HUGE = 10 ** 5000  # more digits than str() converts
+COIN = sampling.DistributionSpec(atoms=[("0", "1/2"), ("1", "1/2")], name="coin")
+
+
+@pytest.mark.parametrize("call,error,shown", [
+    (lambda: measure.monte_carlo_uniformity(10 ** 6, HUGE, 0), RangeError, "1" + "0" * 36),
+    (lambda: sampling.sample_independent(0, 10, [COIN], depth=HUGE), PrecisionError,
+     "1" + "0" * 36),
+    (lambda: UnitScalar(HUGE, 3), RangeError, "1" + "0" * 36),
+    (lambda: UnitScalar(0, -HUGE), RangeError, "-1" + "0" * 35),
+    (lambda: curve.inverse_map_batch([0], 3, HUGE), RangeError, "1" + "0" * 36),
+    (lambda: curve.SegmentInterval(2, 3, 10 ** 60), RangeError, "1" + "0" * 36),
+    (lambda: curve.SegmentInterval(2, 3, HUGE), RangeError, "1" + "0" * 36),
+    (lambda: curve.CellAddress(2, (0, HUGE)), RangeError, "1" + "0" * 36),
+], ids=["grid", "sample-depth", "mantissa", "precision", "dimension",
+        "index-61-digits", "index", "digit"])
+def test_errors_echo_a_huge_int_cut(call, error, shown):
+    # str() of an int of over 4300 digits raised Python's digit-limit
+    # ValueError in place of the intended error, and shorter ints showed whole
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert f"{shown}..." in message
+    assert max(map(len, re.findall(r"[-\d.]+", message))) <= 40
