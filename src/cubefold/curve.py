@@ -27,14 +27,18 @@ first XORs the state's flips, repeated over the word's octants by
 octants in visit order, first highest, or their digits.  `adds` holds
 the flips the step XORs onto the state's, and `nxt` the next rotation
 already shifted into the next step's key, 0 after the last step.  The
-lists hold d * 2**(d*width) <= 2048 entries, built from `_digit_table`
-on first use and cached per (d, width, next width, direction).  The
-scalar walks `_forward_cell` and `_inverse_cell` run the plan on one
-Python int per cell, between a segment index and the cell's packed grid
-index: read as bits, a packed index is a d x depth matrix, one row per
-axis, and its octants are the transpose of that matrix, which each walk
-writes once through binary digit strings.  `forward_map` and
-`inverse_map` only convert between exact values and that index.
+lists hold d * 2**(d*width) <= 2048 entries, built in Python ints on
+first use and cached per (d, width, next width, direction): `_words`
+walks every digit word of a width from each rotation, one digit at a
+time from the one-level moves of `_child_move`, and `_step_lists`
+writes each walk at its digit key, or at its octant key for the forward
+lists.  The scalar walks `_forward_cell` and `_inverse_cell` run the
+plan on one Python int per cell, between a segment index and the cell's
+packed grid index: read as bits, a packed index is a d x depth matrix,
+one row per axis, and its octants are the transpose of that matrix,
+which each walk writes once through binary digit strings; they use no
+numpy.  `forward_map` and `inverse_map` only convert between exact
+values and that index.
 
 Up to d * depth = 64 bits the batch maps run numpy kernels on uint64,
 both through one loop, `_walk`.  `_kernel` turns each plan step into an
@@ -70,7 +74,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,20 +117,18 @@ def _tables(d: int):
     return gc, entry, tuple(direction)
 
 
-def _rot_left(x, s, d: int):
-    s = s % d
-    return ((x << s) | (x >> (d - s))) & ((1 << d) - 1)
-
-
 def _child_move(rotation, gc, entry, direction, d: int):
     """One level down from a state with `rotation` and no flips.
 
     Given the child's row of `_tables`, returns its octant, the flips it
-    adds to the state and its rotation.  Works elementwise on integer
-    arrays as well as on ints.
+    adds to the state and its rotation: the row's octant and flips, each
+    a d-bit vector, rotated left by rotation + 1 places.  Works
+    elementwise on integer arrays as well as on ints.
     """
-    s = rotation + 1
-    return _rot_left(gc, s, d), _rot_left(entry, s, d), (s + direction) % d
+    s = (rotation + 1) % d
+    mask = (1 << d) - 1
+    return ((gc << s | gc >> d - s) & mask, (entry << s | entry >> d - s) & mask,
+            (s + direction) % d)
 
 
 @dataclass(frozen=True)
@@ -167,59 +168,37 @@ def child_order(state: OrientationState):
     return children
 
 
-class _DigitTable(NamedTuple):
-    """Transitions over `width` digits for one dimension d.
-
-    Every list is indexed by rotation * 2**(d*width) + word, where word
-    packs the digits base 2**d, first digit highest.  `cells` holds the
-    octants of the cells the digits pass through, as `child_order` yields
-    them from the state with that rotation and no flips, packed the same
-    way.  `flips` is XORed onto the state's flips after the digits,
-    `rotations` replaces its rotation.  `digits` inverts `cells` under
-    the same key.
-    """
-
-    cells: list
-    flips: list
-    rotations: list
-    digits: list
-
-
 @lru_cache(maxsize=None)
-def _digit_table(d: int, width: int) -> _DigitTable:
-    gc, entry, direction = (np.array(t, dtype=np.int64) for t in _tables(d))
-    octant1, flips1, rotation1 = _child_move(
-        np.arange(d)[:, None], gc, entry, direction, d)
-    bits = d * width
-    first_rotation, word = np.divmod(np.arange(d << bits), 1 << bits)
-    rotation = first_rotation
-    flips = np.zeros_like(word)
-    cells = np.zeros_like(word)
-    for level in range(width):
-        digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
-        cells = (cells << d) | (octant1[rotation, digit] ^ flips)
-        flips ^= flips1[rotation, digit]
-        rotation = rotation1[rotation, digit]
-    digits = np.empty_like(word)
-    digits[(first_rotation << bits) | cells] = word
-    return _DigitTable(cells.tolist(), flips.tolist(), rotation.tolist(),
-                       digits.tolist())
+def _words(d: int, width: int) -> list:
+    """The walk of `width` digits from each state with no flips: one
+    (cells, flips, rotation) per key rotation << d*width | word, in key
+    order, where the word packs the digits base 2**d, first highest.
+    `cells` packs the octants `child_order` visits along them the same
+    way; `flips` and `rotation` are the end state's.  Width 1 holds the
+    one-level moves; a wider walk extends each entry of the walk a digit
+    shorter by every digit in turn."""
+    if width == 1:
+        return [_child_move(r, gc, entry, direction, d)
+                for r in range(d) for gc, entry, direction in zip(*_tables(d))]
+    moves = _words(d, 1)
+    return [(cells << d | octant ^ flips, flips ^ adds, child)
+            for cells, flips, rotation in _words(d, width - 1)
+            for octant, adds, child in moves[rotation << d:rotation + 1 << d]]
 
 
 @lru_cache(maxsize=None)
 def _step_lists(d: int, width: int, next_width: int, forward: bool) -> tuple:
     """The (out, adds, nxt) lists of a step of `width` digits followed by
-    one of `next_width` digits, 0 after the last step; see `_plan`."""
-    table = _digit_table(d, width)
+    one of `next_width` digits, 0 after the last step; see `_plan`.  The
+    forward lists hold each walk at its octant key, rotation << bits |
+    cells, with the digit word as `out`."""
     bits = d * width
-    out, adds, rotations = table.cells, table.flips, table.rotations
-    if forward:
-        # each octant word's key, rotation << bits | octants, to its digit word's
-        keys = [key >> bits << bits | word for key, word in enumerate(table.digits)]
-        out = table.digits
-        adds = [table.flips[key] for key in keys]
-        rotations = [table.rotations[key] for key in keys]
-    nxt = [r << d * next_width if next_width else 0 for r in rotations]
+    out, adds, nxt = ([0] * (d << bits) for _ in range(3))
+    for key, (cells, flips, rotation) in enumerate(_words(d, width)):
+        if forward:
+            key, cells = key >> bits << bits | cells, key & (1 << bits) - 1
+        out[key], adds[key] = cells, flips
+        nxt[key] = rotation << d * next_width if next_width else 0
     return out, adds, nxt
 
 

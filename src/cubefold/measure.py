@@ -97,7 +97,7 @@ class CellUnion:
 
     @classmethod
     def of_segment(cls, dimension: int, depth: int, indices) -> "CellUnion":
-        return cls(SEGMENT, dimension, depth, frozenset(int(q) for q in indices))
+        return cls(SEGMENT, dimension, depth, frozenset(indices))
 
     def measure(self) -> Fraction:
         return Fraction(len(self.members), 1 << (self.dimension * self.depth))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -345,15 +346,18 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     CDF element is chosen from the integer cell; only the interpolation
     inside it is float, so a midpoint that rounds to 1.0 is still valid.
     Chunk i of `_CHUNK` rows draws from child i of the seed, spawned in turn.
+    seed, count and depth are integers (`operator.index`), and seed is >= 0.
     """
+    seed, count = operator.index(seed), operator.index(count)
     specs = tuple(specs)
     n = len(specs)
     if not 1 <= n <= MAX_DIMENSION:
         raise RangeError(f"need 1..{MAX_DIMENSION} distributions, got {n}")
     if count < 0:
         raise RangeError("count must be >= 0")
-    if depth is None:
-        depth = 64 // n
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {echo(seed)}")
+    depth = 64 // n if depth is None else operator.index(depth)
     if n * depth > 64:
         raise PrecisionError(
             f"{n}*{echo(depth)} bits per draw exceeds the 64-bit uniform source"

@@ -518,6 +518,32 @@ def test_scalar_maps_match_child_order_walk_beyond_the_batch_kernel(d, depth):
         assert (out.mantissa, out.precision) == (q, bits)
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_scalar_maps_build_their_tables_without_numpy(monkeypatch, d):
+    # every cache of curve cleared, so the plans and their lists are built
+    # while curve.np is unusable
+    for cached in vars(curve).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    monkeypatch.setattr(curve, "np", _NoNumpy())
+    full = max(1, 8 // d)
+    rng = random.Random(d)
+    for depth in sorted({0, 1, full + 1, 64 // d + 1}):
+        bits = d * depth
+        for q in {0, (1 << bits) - 1, rng.getrandbits(bits)}:
+            corner = brute_force_corner(d, depth, q)
+            pt = inverse_map(UnitScalar(q, bits), depth, d)
+            assert [(c.mantissa, c.precision) for c in pt.coords] == \
+                [(m, depth) for m in corner]
+            out = forward_map(pt, depth)
+            assert (out.mantissa, out.precision) == (q, bits)
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_digit_table_entries_follow_child_order(d):
     # every table a depth can use, L = 1 .. max(1, 8 // d) digits
@@ -528,9 +554,13 @@ def test_digit_table_entries_follow_child_order(d):
             children[state] = child_order(state)
         return children[state][digit]
 
-    for width in range(1, max(1, 8 // d) + 1):
-        table = curve._digit_table(d, width)
+    full = max(1, 8 // d)
+    for width in range(1, full + 1):
         bits = d * width
+        lists = {(next_width, forward): curve._step_lists(d, width, next_width, forward)
+                 for next_width in range(full + 1) for forward in (False, True)}
+        for out, adds, nxt in lists.values():
+            assert len(out) == len(adds) == len(nxt) == d << bits
         for rotation in range(d):
             for word in range(1 << bits):
                 state = OrientationState(d, rotation, 0)
@@ -539,15 +569,17 @@ def test_digit_table_entries_follow_child_order(d):
                     digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
                     octant, state = step(state, digit)
                     cells = cells << d | octant
-                key = rotation << bits | word
-                assert table.cells[key] == cells
-                assert table.flips[key] == state.flips
-                assert table.rotations[key] == state.rotation
-                assert table.digits[rotation << bits | cells] == word
+                for (next_width, forward), (out, adds, nxt) in lists.items():
+                    # the inverse lists are keyed by the digit word, the
+                    # forward lists by the octant word
+                    key = rotation << bits | (cells if forward else word)
+                    assert out[key] == (word if forward else cells)
+                    assert adds[key] == state.flips
+                    assert nxt[key] == (state.rotation << d * next_width
+                                        if next_width else 0)
 
     # every step of the plans, both directions, at depths that end in a
     # shorter step where L > 1
-    full = max(1, 8 // d)
     for depth in sorted({0, 1, full, full + 1, 2 * full, 3 * full - 1}):
         for forward in (False, True):
             plan = curve._plan(d, depth, forward)

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -160,6 +161,26 @@ def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
     # grid cells (3, 0), (2, 0) and (3, 3) at depth 2 have the digit paths
     # (3, 3), (3, 2) and (2, 2) in helpers.brute_force_cells
     assert pushforward(cu).members == {15, 14, 10}
+
+
+@pytest.mark.parametrize("indices,bad", [([1.5, 3], "1.5"), ([1, "3"], "'3'"),
+                                         (np.array([2.0]), repr(np.float64(2.0)))],
+                         ids=["float", "str", "numpy-float"])
+def test_of_segment_rejects_indices_that_are_not_integers(indices, bad):
+    # int() would truncate 1.5 and parse "3"; the constructor's check names them
+    with pytest.raises(RangeError, match=rf"^cell index {re.escape(bad)} is not an integer$"):
+        CellUnion.of_segment(2, 2, indices)
+
+
+def test_of_segment_takes_a_uint64_array_as_the_equal_ints():
+    ints = [0, 3, 15, 7]
+    cu = CellUnion.of_segment(2, 2, np.array(ints, dtype=np.uint64))
+    assert cu == CellUnion.of_segment(2, 2, ints)
+    assert cu.measure() == Fraction(4, 16)
+    # above 2^63 too, at the 64-bit boundary
+    top = [(1 << 64) - 1, 1 << 63]
+    assert CellUnion.of_segment(8, 8, np.array(top, dtype=np.uint64)) == \
+        CellUnion.of_segment(8, 8, top)
 
 
 def test_pushforward_rejects_segment_union():

@@ -390,6 +390,37 @@ def test_sample_independent_rejects_excess_bits():
 
 
 @pytest.mark.parametrize("call,error,message", [
+    (lambda: sample_independent(-1, 10, [UNIFORM]), RangeError,
+     "seed must be >= 0, got -1"),
+    (lambda: sample_independent(np.int64(-5), 10, [UNIFORM]), RangeError,
+     "seed must be >= 0, got -5"),
+    (lambda: sample_independent(0, 10, [UNIFORM], depth=2.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: sample_independent(1.5, 10, [UNIFORM]), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: sample_independent(0, 10.0, [UNIFORM]), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: sample_independent("1", 10, [UNIFORM]), TypeError,
+     "'str' object cannot be interpreted as an integer"),
+], ids=["seed-1", "seed-int64", "depth-float", "seed-float", "count-float",
+        "seed-str"])
+def test_sample_independent_reads_integer_arguments(monkeypatch, call, error, message):
+    # as monte_carlo_uniformity does: every check before any draw
+    def no_draw(rng, bits, count):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(sampling, "_draw_bits", no_draw)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sample_independent_takes_numpy_integer_arguments():
+    a = sample_independent(np.uint8(3), np.int64(10), [UNIFORM, COIN], depth=np.int32(16))
+    b = sample_independent(3, 10, [UNIFORM, COIN], depth=16)
+    assert a.samples.tobytes() == b.samples.tobytes() and a.depth == b.depth == 16
+
+
+@pytest.mark.parametrize("call,error,message", [
     (lambda: sample_independent(0, 10, []), RangeError,
      "need 1..8 distributions, got 0"),
     (lambda: sample_independent(0, 10, [UNIFORM] * 9), RangeError,
