@@ -222,13 +222,13 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     """
     sample_count, grid_k, seed = map(operator.index, (sample_count, grid_k, seed))
     if grid_k < 1:
-        raise RangeError("grid must be at least 1x1")
+        raise RangeError(f"grid must be at least 1x1, got k={echo(grid_k)}")
     if grid_k > 1 << 31:  # before k*k is printed; keeps 2*depth <= 62
         raise RangeError(f"grid must have k <= 2^31, got k={echo(grid_k)}")
     if sample_count < 100 * grid_k * grid_k:
         raise RangeError(
             f"need at least {100 * grid_k * grid_k} samples for a "
-            f"{grid_k}x{grid_k} grid"
+            f"{grid_k}x{grid_k} grid, got N={echo(sample_count)}"
         )
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {echo(seed)}")

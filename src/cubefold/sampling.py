@@ -354,7 +354,7 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     if not 1 <= n <= MAX_DIMENSION:
         raise RangeError(f"need 1..{MAX_DIMENSION} distributions, got {n}")
     if count < 0:
-        raise RangeError("count must be >= 0")
+        raise RangeError(f"count must be >= 0, got {echo(count)}")
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {echo(seed)}")
     depth = 64 // n if depth is None else operator.index(depth)
@@ -363,7 +363,7 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
             f"{n}*{echo(depth)} bits per draw exceeds the 64-bit uniform source"
         )
     if depth < 1:
-        raise RangeError("depth must be >= 1")
+        raise RangeError(f"depth must be >= 1, got {echo(depth)}")
 
     mask = np.uint64((1 << depth) - 1)
     half_cell = 0.5 ** (depth + 1)

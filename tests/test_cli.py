@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cubefold
-from cubefold import curve, measure, sampling
+from cubefold import cli, curve, measure, sampling
 from cubefold.cli import main
 from cubefold.dyadic import RangeError
 
@@ -694,8 +694,8 @@ def test_sample_spec_error_shows_json_numbers_as_written(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["-N", "-1"], "count must be >= 0"),
-    (["--depth", "0"], "depth must be >= 1"),
+    (["-N", "-1"], "count must be >= 0, got -1"),
+    (["--depth", "0"], "depth must be >= 1, got 0"),
     (["--depth", "40"], "2*40 bits per draw exceeds the 64-bit uniform source"),
 ], ids=["draws-1", "depth0", "depth40"])
 def test_sample_library_checks_exit_2_with_their_message(tmp_path, capsys, flags,
@@ -831,10 +831,12 @@ def run_exit(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("command", [
-    ["map", "1/2^1", "1/2^1"], ["unmap", "1/4^1"], ["verify", "cells"],
-    ["verify", "adjacency"], ["verify", "roundtrip"], ["verify", "measure"]],
-    ids=["map", "unmap", "cells", "adjacency", "roundtrip", "measure"])
+CELL_COMMANDS = [["map", "1/2^1", "1/2^1"], ["unmap", "1/4^1"], ["verify", "cells"],
+                 ["verify", "adjacency"], ["verify", "roundtrip"], ["verify", "measure"]]
+
+
+@pytest.mark.parametrize("command", CELL_COMMANDS,
+                         ids=["map", "unmap", "cells", "adjacency", "roundtrip", "measure"])
 @pytest.mark.parametrize("flag,value,message", [
     ("-n", "-1", "argument -n/--depth: depth must be >= 0, got -1"),
     ("--depth", "-3", "argument -n/--depth: depth must be >= 0, got -3"),
@@ -930,3 +932,106 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path,
     assert later[2][1].split()[0].endswith("/4^2")
     for (_, second), result in zip(steps, later):
         assert result == _fresh(*second)
+
+
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
+    argv = ["map", "-d", "2", "-n", "6", "3/2^6", "7/2^6"]
+    monkeypatch.setattr(sys, "argv", ["cubefold", *argv])
+    code = main()
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.split()[0] == "48/4^6"
+    assert run(capsys, *argv) == (code, out, err)
+
+
+SPEC_FILE = ["--spec", COIN_UNIFORM]
+# the argument lists the tests above run to an error, and the cases where a
+# command's parser and the root parser could part: help, no or an unknown
+# command, flag spellings, and arguments a command's parser leaves over
+ROUTE_ARGVS = [
+    ["map", "-d", "2", "-n", "2", "1/2^1"],
+    ["frobnicate"],
+    ["unmap", "-d", "2", "-n", "1", "nonsense"],
+    *(["unmap", "-d", "2", "-n", "2", value]
+      for value in ("16/4^2", "16/2^2", "1/3^2", "1/1^2", "1/0^2")),
+    ["verify", "cells", "-d", "8", "-n", "9"],
+    *(["verify", suite, "-d", "2", "-n", depth]
+      for suite in ("cells", "adjacency") for depth in ("27", "13", "33", "8000")),
+    *(["verify", "uniformity", "-N", "30000", "-k", "8", *flags]
+      for flags in (["-d", "3"], ["-d", "1"], ["-n", "8"], ["-d", "2", "-n", "6"],
+                    ["-d", "2"])),
+    *(["verify", suite, "-d", "2", "-n", "3", *flags]
+      for suite, flags in (("cells", ["--seed", "3"]), ("adjacency", ["--seed", "0"]),
+                           ("cells", ["-k", "5", "-N", "7"]), ("adjacency", ["-k", "5"]),
+                           ("roundtrip", ["-N", "7"]),
+                           ("measure", ["-k", "5", "--seed", "1"]))),
+    *([*command, "--seed", "-1"]
+      for command in (["verify", "roundtrip", "-n", "3"], ["verify", "measure", "-n", "3"],
+                      ["verify", "uniformity", "-N", "30000", "-k", "8"],
+                      ["sample", *SPEC_FILE, "-N", "5"])),
+    ["verify", "nonsense"],
+    *(["sample", *SPEC_FILE, *flags]
+      for flags in (["-N", "-1"], ["--depth", "0"], ["--depth", "40"],
+                    ["-N", "100000000000000000"])),
+    ["sample", "--spec", "/nonexistent.json", "-N", "1"],
+    *([arg.format(n=n) for arg in command]
+      for command in (["map", "-d", "2", "-n", "{n}", "1/2^1", "1/2^1"],
+                      ["unmap", "-d", "2", "-n", "{n}", "1/2^1"],
+                      ["verify", "roundtrip", "-d", "2", "-n", "{n}"],
+                      ["verify", "measure", "-d", "2", "-n", "{n}"])
+      for n in ("7143", "8000", "1000000000000")),
+    *([command[0], flag, value, *command[1:]]
+      for command in CELL_COMMANDS
+      for flag, value in (("-n", "-1"), ("--depth", "-3"), ("-d", "0"), ("-d", "9"))),
+    ["map", "-n", "abc", "0/2^1", "0/2^1"],
+    ["unmap", "-d", "1", "-n", "1", f"{LONG}/2^20000"],
+    ["unmap", "-d", "1", "-n", "1", f"1/2^{LONG}"],
+    ["verify", "cells", "-n", LONG],
+    ["unmap", "x" * 3000],
+    ["unmap", "-d", "1", "-n", "1", f"{LONG[:4000]}/2^1"],
+    ["verify", "uniformity", "-N", LONG],
+    ["verify", "uniformity", "-k", LONG[:3000]],
+    ["sample", *SPEC_FILE, "--depth", LONG[:4000]],
+    ["sample", "--spec", "x" * 200],
+    ["sample", *SPEC_FILE, "-N", "2", "-o", "no-such-dir/" + "x" * 288],
+    [], ["-h"], ["--help"], ["map", "-h"], ["verify", "-h"], ["sample", "--help"],
+    ["MAP"], ["ma", "1/2^1"], ["--", "map", "1/2^1"],
+    ["map", "--dim", "2", "-n", "3", "1/2^1", "1/2^1"],
+    ["map", "--depth=3", "1/2^1", "1/2^1"],
+    ["map", "-d2", "-n3", "1/2^1", "1/2^1"],
+    ["map", "--d", "2", "1/2^1", "1/2^1"],
+    ["map", "-d", "2", "-n", "2", "--", "1/2^1", "1/2^1"],
+    ["unmap", "-d", "2", "-n", "2", "6/4^2"],
+    ["verify", "cells", "-d", "2", "-n", "3"],
+    ["verify", "uniformity", "-N", "30000", "-k", "8", "--seed", "7"],
+    ["sample", *SPEC_FILE, "-N", "3", "--seed", "1"],
+    # left over: the root parser's usage and message, not the command's
+    ["unmap", "-d", "2", "-n", "3", "1/4", "1/8"],
+    ["map", "1/2", "-d", "2", "1/4"],
+    ["map", "-n", "3", "-1/2", "1/2"],
+    ["verify", "cells", "-d", "2", "extra"],
+    ["sample", *SPEC_FILE, "--bogus"],
+]
+
+
+def _route_id(argv):
+    return " ".join("SPEC" if arg == COIN_UNIFORM else arg for arg in argv)[:60]
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=_route_id)
+def test_each_command_parses_as_the_root_parser_does(capsys, monkeypatch, argv):
+    # main gives the exit code, stdout, stderr and namespace (less the
+    # command name) that PARSER.parse_args followed by the handler gives
+    def namespace():
+        try:
+            args = vars(cli._parse(list(argv)))
+        except SystemExit:
+            args = None
+        capsys.readouterr()
+        if args is not None:
+            args.pop("command", None)
+        return args
+
+    direct = run_exit(capsys, *argv), namespace()
+    monkeypatch.setattr(cli, "_parse", cli.PARSER.parse_args)
+    assert (run_exit(capsys, *argv), namespace()) == direct

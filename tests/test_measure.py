@@ -314,12 +314,13 @@ def test_monte_carlo_single_bin_trivially_passes():
 
 
 def test_monte_carlo_rejects_undersampling():
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError,
+                       match=r"^need at least 25600 samples for a 16x16 grid, got N=100$"):
         monte_carlo_uniformity(100, 16, seed=0)
 
 
 def test_monte_carlo_rejects_an_empty_grid():
-    with pytest.raises(RangeError, match=r"^grid must be at least 1x1$"):
+    with pytest.raises(RangeError, match=r"^grid must be at least 1x1, got k=0$"):
         monte_carlo_uniformity(100, 0, 0)
 
 

@@ -426,9 +426,9 @@ def test_sample_independent_takes_numpy_integer_arguments():
     (lambda: sample_independent(0, 10, [UNIFORM] * 9), RangeError,
      "need 1..8 distributions, got 9"),
     (lambda: sample_independent(0, -1, [UNIFORM]), RangeError,
-     "count must be >= 0"),
+     "count must be >= 0, got -1"),
     (lambda: sample_independent(0, 10, [UNIFORM], depth=0), RangeError,
-     "depth must be >= 1"),
+     "depth must be >= 1, got 0"),
     (lambda: DistributionSpec(), SpecValidationError,
      "atoms: distribution has no elements"),
     (lambda: DistributionSpec(pieces=[("0", "1", "1/2", "1/4")]),
