@@ -11,8 +11,10 @@ For d=2 the root-level order is lower-left, upper-left, upper-right,
 lower-right (the classical U order), with child orientations
 swap / identity / identity / swap-and-reflect.
 
-`OrientationState` and `child_order` define one level of the
-subdivision.  The maps walk digit tables built from it (the state table
+`_child_move` holds the whole one-level definition of the subdivision:
+the octant, entry flips and turn of child i from i alone.
+`OrientationState` and `child_order` apply it to a state with flips.
+The maps walk digit tables built from it (the state table
 form of Butz's algorithm, after Skilling 2004 and Hamilton & Rau-Chaplin
 2008), L = max(1, 8 // d) digits per lookup; a depth that is not a
 multiple of L ends with one shorter step.  Every walk reads one plan,
@@ -91,44 +93,30 @@ def _check_cell(d: int, depth: int) -> None:
         raise RangeError("depth must be >= 0")
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
+def _child_move(rotation: int, i: int, d: int) -> tuple:
+    """Child i, in visit order, of a state with `rotation` and no flips:
+    the whole one-level definition of the subdivision.
 
-
-def _trailing_ones(i: int) -> int:
-    # the trailing ones of i are the trailing zeros of i + 1
-    return ((i + 1) & -(i + 1)).bit_length() - 1
-
-
-@lru_cache(maxsize=None)
-def _tables(d: int):
-    """Per-dimension child tables: Gray octants, entry flips, directions."""
-    size = 1 << d
-    gc = tuple(_gray(i) for i in range(size))
-    entry = tuple(0 if i == 0 else _gray(2 * ((i - 1) // 2)) for i in range(size))
-    direction = []
-    for i in range(size):
-        if i == 0:
-            direction.append(0)
-        elif i % 2 == 0:
-            direction.append(_trailing_ones(i - 1) % d)
-        else:
-            direction.append(_trailing_ones(i) % d)
-    return gc, entry, tuple(direction)
-
-
-def _child_move(rotation, gc, entry, direction, d: int):
-    """One level down from a state with `rotation` and no flips.
-
-    Given the child's row of `_tables`, returns its octant, the flips it
-    adds to the state and its rotation: the row's octant and flips, each
-    a d-bit vector, rotated left by rotation + 1 places.  Works
-    elementwise on integer arrays as well as on ints.
+    Returns the child's octant, the flips it adds to the state and its
+    rotation.  Before rotation the octant is the Gray code of i, the
+    flips are the child's entry corner, the Gray code of the largest
+    even index below i, and the turn is the trailing ones of i - 1 for
+    even i, of i for odd i, mod d (Hamilton, "Compact Hilbert indices",
+    2006); the first child enters at corner 0 with no turn.  The octant
+    and flips, d-bit vectors, are rotated left by rotation + 1 places.
     """
+    octant = i ^ i >> 1
+    entry = turn = 0
+    if i:
+        entry = i - 1 & ~1
+        entry ^= entry >> 1
+        # the trailing ones of i - 1 or i are the trailing zeros of i + (i & 1)
+        even = i + (i & 1)
+        turn = (even & -even).bit_length() - 1
     s = (rotation + 1) % d
     mask = (1 << d) - 1
-    return ((gc << s | gc >> d - s) & mask, (entry << s | entry >> d - s) & mask,
-            (s + direction) % d)
+    return ((octant << s | octant >> d - s) & mask, (entry << s | entry >> d - s) & mask,
+            (s + turn) % d)
 
 
 @dataclass(frozen=True)
@@ -161,8 +149,8 @@ def child_order(state: OrientationState):
     """
     d = state.dimension
     children = []
-    for row in zip(*_tables(d)):
-        octant, flips, rotation = _child_move(state.rotation, *row, d)
+    for i in range(1 << d):
+        octant, flips, rotation = _child_move(state.rotation, i, d)
         children.append((octant ^ state.flips,
                          OrientationState(d, rotation, state.flips ^ flips)))
     return children
@@ -178,8 +166,7 @@ def _words(d: int, width: int) -> list:
     one-level moves; a wider walk extends each entry of the walk a digit
     shorter by every digit in turn."""
     if width == 1:
-        return [_child_move(r, gc, entry, direction, d)
-                for r in range(d) for gc, entry, direction in zip(*_tables(d))]
+        return [_child_move(r, i, d) for r in range(d) for i in range(1 << d)]
     moves = _words(d, 1)
     return [(cells << d | octant ^ flips, flips ^ adds, child)
             for cells, flips, rotation in _words(d, width - 1)
@@ -366,6 +353,7 @@ def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoin
     is floor(n*depth / m), so source and image cells have equal measure at
     matched depths.
     """
+    _check_cell(target_dimension, depth)
     n = pt.dimension
     target_depth = (n * depth) // target_dimension
     if target_depth < 1:
@@ -444,6 +432,26 @@ def _walk(src: np.ndarray, acc: np.ndarray, steps: tuple) -> np.ndarray:
     return acc.view(np.uint64)
 
 
+def _cell_array(cells) -> np.ndarray:
+    """`cells` as an array of integers >= 0, or RangeError naming the
+    first that is not one.  An unsigned array passes as it is."""
+    x = np.asarray(cells)
+    if x.dtype.kind == "u" or x.size == 0:
+        return x
+    if x.dtype.kind == "i":
+        if x.min() >= 0:
+            return x
+        bad = x[x < 0][0].item()
+    else:
+        # numpy reads a list mixing ints of 63 and 64 bits as floats:
+        # look at each value as given
+        x = np.asarray(cells, dtype=object)
+        bad = next((c for c in x.flat if not isinstance(c, (int, np.integer)) or c < 0), None)
+        if bad is None:
+            return x
+    raise RangeError(f"cell index {echo(bad)} is not an integer >= 0")
+
+
 def _each_cell(core, cells, depth: int, d: int) -> np.ndarray:
     """`core` over an array of cells beyond the kernels' 64 bits: Python
     ints in an object array of the cells' shape, one call per distinct
@@ -462,10 +470,12 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     bits a*depth .. (a+1)*depth - 1, the layout forward_map_batch reads.
     Must agree with inverse_map on every index.  Up to dimension * depth
     = 64 the result is uint64 and builds up by one `comb` entry per step
-    of `_kernel`; beyond, it holds Python ints in an object array.
+    of `_kernel`; beyond, it holds Python ints in an object array.  An
+    index that is not an integer >= 0 raises RangeError.
     """
     d = dimension
     _check_cell(d, depth)
+    indices = _cell_array(indices)
     if d * depth > 64:
         return _each_cell(_inverse_cell, indices, depth, d)
     # A signed view keeps the table keys in intp; an arithmetic shift
@@ -487,10 +497,12 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     is transposed into octant order once; each step then reads its word,
     rewrites it into digits and flips every later octant by one XOR, so
     the flips ride in the index as the rotation rides in the key.  Beyond,
-    both are Python ints in object arrays.
+    both are Python ints in object arrays.  A cell that is not an integer
+    >= 0 raises RangeError.
     """
     d = dimension
     _check_cell(d, depth)
+    cells = _cell_array(cells)
     if d * depth > 64:
         return _each_cell(_forward_cell, cells, depth, d)
     q = _transpose(cells, d, depth).view(np.int64)

@@ -44,10 +44,11 @@ CUBE = "cube"
 SEGMENT = "segment"
 ROUNDTRIP_TRIALS = 1000
 MEASURE_UNIONS = 200
-# cells * d bound of the exhaustive suites, checked before any allocation.
-# They stream the corners in blocks of BLOCK cells; what grows with the
-# cell count is the one-byte-per-cell `seen` array of `cells`, 16 MiB at
-# the bound (d=1 depth=24), where a suite peaks below 50 MiB RSS
+# cells * d bound of the exhaustive suites and of `rect_measure_check`,
+# checked before any allocation.  The suites stream the corners in blocks
+# of BLOCK cells; what grows with the cell count is the one-byte-per-cell
+# `seen` array of `cells`, 16 MiB at the bound (d=1 depth=24), where a
+# suite peaks below 50 MiB RSS
 MAX_CELL_COORDS = 1 << 24
 
 
@@ -149,6 +150,8 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     The image measure equals the box volume exactly iff no two box cells
     share an image cell, so the check counts the distinct images against
     the box's cells; the statistic is the number of failures (0 or 1).
+    The box's cells * d must stay within `MAX_CELL_COORDS`, checked
+    before any cell is built.
     """
     for k in rect.side_exponents:
         if k > depth:
@@ -156,10 +159,15 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     base = [(c.mantissa << depth) >> c.precision for c in rect.lower.coords]
     if any(UnitScalar(b, depth) != c for b, c in zip(base, rect.lower.coords)):
         raise RangeError("corner not aligned to the depth grid")
+    d, bits = len(base), sum(depth - k for k in rect.side_exponents)
+    if d << bits > MAX_CELL_COORDS:
+        raise RangeError(
+            f"box has 2^{bits} cells of {d} coordinates; rect_measure_check "
+            f"takes cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
     cells = [0]  # packed grid indices, as in CellUnion
     for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
         cells = [c | x << axis * depth for c in cells for x in range(b, b + (1 << depth - k))]
-    exact = _distinct(forward_map_batch(cells, depth, len(base))) == len(cells)
+    exact = _distinct(forward_map_batch(cells, depth, d)) == len(cells)
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
         0 if exact else 1, 0,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -56,6 +57,19 @@ def test_declared_root_table_d1():
     order = child_order(OrientationState.identity(1))
     assert [octant for octant, _ in order] == [0, 1]
     assert all(state == OrientationState.identity(1) for _, state in order)
+
+
+# sha256 of the lines `d r octant rotation flips` of every child of
+# `child_order(OrientationState(d, r, 0))`, d = 1..8, every rotation r
+ONE_LEVEL_SHA256 = "b82d9096482af33983f89fc36ee9d9214d3abad4d8597b4966603cb2a9bcea44"
+
+
+def test_every_one_level_move_is_pinned():
+    lines = [f"{d} {r} {octant} {state.rotation} {state.flips}\n"
+             for d in range(1, 9) for r in range(d)
+             for octant, state in child_order(OrientationState(d, r, 0))]
+    assert len(lines) == 3586
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ONE_LEVEL_SHA256
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -486,6 +500,26 @@ def test_forward_batch_keeps_the_kernel_limits():
     assert forward_map_batch([], 33, 2).tolist() == []
 
 
+@pytest.mark.parametrize("depth", [2, 40])
+@pytest.mark.parametrize("batch_map", [inverse_map_batch, forward_map_batch])
+@pytest.mark.parametrize("cells,bad", [
+    ([1.5], "1.5"), ([-1], "-1"), (np.array([0, -3]), "-3"),
+    (np.array([2.0]), "2.0"), ([1, 2**63, 0.5], "0.5"),
+], ids=["float", "negative", "negative-int64", "float-array", "mixed"])
+def test_batch_maps_reject_a_cell_that_is_no_integer_or_negative(depth, batch_map, cells, bad):
+    # on both sides of the kernels' 64 bits (d * depth = 4 and 80)
+    with pytest.raises(RangeError, match=f"^cell index {re.escape(bad)} is not an integer >= 0$"):
+        batch_map(cells, depth, 2)
+
+
+def test_batch_maps_read_a_list_of_63_and_64_bit_ints_exactly():
+    # numpy reads this list as floats; the maps read each int as given
+    cells = [1, 2**63 + 2**40 + 3]
+    for batch_map in (inverse_map_batch, forward_map_batch):
+        assert batch_map(cells, 32, 2).tolist() == \
+            batch_map(np.array(cells, dtype=np.uint64), 32, 2).tolist()
+
+
 @pytest.mark.parametrize("d,depth", [(2, 31), (3, 20), (2, 33), (3, 22)])
 def test_forward_batch_ignores_bits_above_the_cell(d, depth):
     # bit d * depth + 1 changes no image, in a uint64 array up to
@@ -638,6 +672,17 @@ def test_compose_2_to_3_preserves_cell_volume():
 def test_compose_rejects_insufficient_precision():
     with pytest.raises(PrecisionError):
         compose_n_to_m(make_point([1, 1], 1), 1, 3)  # 2 bits, no 3-d digit
+
+
+@pytest.mark.parametrize("depth,target,message", [
+    (3, 0, "dimension must be in 1..8, got 0"),
+    (3, -1, "dimension must be in 1..8, got -1"),
+    (3, 9, "dimension must be in 1..8, got 9"),
+    (-1, 2, "depth must be >= 0"),
+])
+def test_compose_rejects_an_unsupported_target_dimension_or_depth(depth, target, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        compose_n_to_m(make_point([1, 1], 3), depth, target)
 
 
 def test_interval_text_roundtrip():

@@ -268,6 +268,16 @@ def test_rect_measure_check_rejects_misaligned():
         rect_measure_check(shifted, 2)  # corner 1/8 off the depth-2 grid
 
 
+def test_rect_measure_check_bounds_the_cells_it_builds(monkeypatch):
+    monkeypatch.setattr(measure, "MAX_CELL_COORDS", 1 << 4)
+    # 2^2 cells of 2 coordinates is within 2^4; 2^4 cells are not
+    assert rect_measure_check(DyadicRect(make_point([0, 0], 2), (2, 2)), 3).passed
+    with pytest.raises(RangeError, match=re.escape(
+            "box has 2^4 cells of 2 coordinates; rect_measure_check "
+            "takes cells * d <= 2^4")):
+        rect_measure_check(DyadicRect(make_point([0, 0], 1), (1, 1)), 3)
+
+
 def test_monte_carlo_uniformity_passes():
     report = monte_carlo_uniformity(200_000, 8, seed=123)
     assert report.passed
