@@ -16,25 +16,29 @@ the octant, entry flips and turn of child i from i alone.
 `OrientationState` and `child_order` apply it to a state with flips.
 The maps walk digit tables built from it (the state table
 form of Butz's algorithm, after Skilling 2004 and Hamilton & Rau-Chaplin
-2008), L = max(1, 8 // d) digits per lookup; a depth that is not a
-multiple of L ends with one shorter step.  Every walk reads one plan,
-`_plan(d, depth, forward)`, with one step (shift, mask, rep, out, adds,
-nxt) per lookup.  The step's input word is the `mask` bits at `shift`:
-the next digits of the segment index q on the inverse walk, the next
-octants on the forward walk.  A state's flips act on octants by XOR, so
-each list is keyed by rotation * 2**(d*width) + word, the word as the
-state with that rotation and no flips sees it, and the forward walk
-first XORs the state's flips, repeated over the word's octants by
-`rep`, into its word.  `out` holds the output word: the width child
-octants in visit order, first highest, or their digits.  `adds` holds
-the flips the step XORs onto the state's, and `nxt` the next rotation
-already shifted into the next step's key, 0 after the last step.  The
-lists hold d * 2**(d*width) <= 2048 entries, built in Python ints on
-first use and cached per (d, width, next width, direction): `_words`
-walks every digit word of a width from each rotation, one digit at a
-time from the one-level moves of `_child_move`, and `_step_lists`
-writes each walk at its digit key, or at its octant key for the forward
-lists.  The scalar walks `_forward_cell` and `_inverse_cell` run the
+2008), L = max(1, 8 // d) digits per lookup.  Every walk reads one plan,
+`_plan(d, depth, forward)`: a start key, one (shift, mask) per lookup,
+the flips' repeat `rep` and three lists, out, adds and nxt, that every
+step of the direction reads.  A depth that is not a multiple of L is
+read with pad = ceil(depth / L) * L - depth leading zero digits.  Digit 0
+of a state with no flips is octant 0 with no flips and the next
+rotation, so a walk started at rotation -pad mod d crosses the pad in
+octant 0 and leaves it at the identity, where an unpadded walk starts.
+The step's input word is the `mask` bits at `shift`: the next digits of
+the segment index q on the inverse walk, the next octants on the forward
+walk.  The first step's mask covers only the depth's own digits, so bits
+above d * depth are ignored.  A state's flips act on octants by XOR, so
+each list is keyed by rotation * 2**(d*L) + word, the word as the state
+with that rotation and no flips sees it, and the forward walk first XORs
+the state's flips, repeated over the word's octants by `rep`, into its
+word.  `out` holds the output word: the L child octants in visit order,
+first highest, or their digits.  `adds` holds the flips the step XORs
+onto the state's, and `nxt` the next rotation already shifted into the
+key.  The lists hold d * 2**(d*L) <= 2048 entries, built in Python ints
+on first use and cached per (d, direction): `_step_lists` extends the
+one-level moves of `_child_move` L - 1 times, one digit at a time, into
+the inverse lists, at digit keys, and moves each of their entries to its
+octant key for the forward lists.  The scalar walks `_forward_cell` and `_inverse_cell` run the
 plan on one Python int per cell, between a segment index and the cell's
 packed grid index: read as bits, a packed index is a d x depth matrix,
 one row per axis, and its octants are the transpose of that matrix,
@@ -43,13 +47,14 @@ numpy.  `forward_map` and `inverse_map` only convert between exact
 values and that index.
 
 Up to d * depth = 64 bits the batch maps run numpy kernels on uint64,
-both through one loop, `_walk`.  `_kernel` turns each plan step into an
+both through one loop, `_walk`, which starts at the plan's start key.
+`_kernel` turns the plan's lists into arrays once, and each step into an
 int64 `comb` table under the same key, built from out << shift | adds
-repeated over every later octant, and the step's `nxt` as an array,
-None where it is all zeros (after the last step, and at d = 1).  A
-step is one mask, one add, one XOR and two gathers on one key.  Beyond 64
-bits both batch maps run the scalar walk once per distinct cell and
-return Python ints in an object array, so they take any depth.
+repeated over every later octant.  Every step shares one `nxt` array,
+but the last, and every step at d = 1, where the rotation stays 0, has
+None.  A step is one mask, one add, one XOR and two gathers on one key.
+Beyond 64 bits both batch maps run the scalar walk once per distinct
+cell and return Python ints in an object array, so they take any depth.
 
 The inverse kernel `inverse_map_batch` transposes each `comb` entry into
 axis order with `_transpose` (axis a's bits at bit a * depth), so the
@@ -57,7 +62,7 @@ accumulator it XORs them into, from zero, is its output: the packed grid
 index of the lower corner, axis a's coordinate at bit a * depth, which is
 the corner's flat index on the 2**depth grid, axis 0 varying fastest.
 Each reader takes out the axes it needs.  The tables of one (d, depth)
-take at most 240 KiB, at d=8 depth 8.  The one stream
+take at most 144 KiB, at d=8 depth 8.  The one stream
 `measure._corner_blocks` calls the kernel per block of `BLOCK` indices
 for the exhaustive suites and the audit's fold onto its grid, so each
 uint64 temporary of a call (the key, the gathered entries, the
@@ -90,7 +95,7 @@ def _check_cell(d: int, depth: int) -> None:
     if not 1 <= d <= MAX_DIMENSION:
         raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}, got {echo(d)}")
     if depth < 0:
-        raise RangeError("depth must be >= 0")
+        raise RangeError(f"depth must be >= 0, got {echo(depth)}")
 
 
 def _child_move(rotation: int, i: int, d: int) -> tuple:
@@ -132,9 +137,11 @@ class OrientationState:
     def __post_init__(self):
         _check_cell(self.dimension, 0)
         if not 0 <= self.rotation < self.dimension:
-            raise RangeError("rotation out of range")
+            raise RangeError(f"rotation out of range 0..{self.dimension - 1}, "
+                             f"got {echo(self.rotation)}")
         if not 0 <= self.flips < (1 << self.dimension):
-            raise RangeError("flips out of range")
+            raise RangeError(f"flips out of range 0..{(1 << self.dimension) - 1}, "
+                             f"got {echo(self.flips)}")
 
     @classmethod
     def identity(cls, dimension: int) -> "OrientationState":
@@ -157,58 +164,49 @@ def child_order(state: OrientationState):
 
 
 @lru_cache(maxsize=None)
-def _words(d: int, width: int) -> list:
-    """The walk of `width` digits from each state with no flips: one
-    (cells, flips, rotation) per key rotation << d*width | word, in key
-    order, where the word packs the digits base 2**d, first highest.
-    `cells` packs the octants `child_order` visits along them the same
-    way; `flips` and `rotation` are the end state's.  Width 1 holds the
-    one-level moves; a wider walk extends each entry of the walk a digit
-    shorter by every digit in turn."""
-    if width == 1:
-        return [_child_move(r, i, d) for r in range(d) for i in range(1 << d)]
-    moves = _words(d, 1)
-    return [(cells << d | octant ^ flips, flips ^ adds, child)
-            for cells, flips, rotation in _words(d, width - 1)
-            for octant, adds, child in moves[rotation << d:rotation + 1 << d]]
-
-
-@lru_cache(maxsize=None)
-def _step_lists(d: int, width: int, next_width: int, forward: bool) -> tuple:
-    """The (out, adds, nxt) lists of a step of `width` digits followed by
-    one of `next_width` digits, 0 after the last step; see `_plan`.  The
-    forward lists hold each walk at its octant key, rotation << bits |
-    cells, with the digit word as `out`."""
+def _step_lists(d: int, forward: bool) -> tuple:
+    """The (out, adds, nxt) lists every step of a walk reads, keyed by
+    rotation << d*L | word (see the module docstring): the walk of L =
+    max(1, 8 // d) digits from each state with no flips, built by
+    extending the one-level moves L - 1 times, each walk by every digit
+    in turn, which keeps key order.  The forward lists move each entry
+    of the inverse lists to its octant key, with the digit word as
+    `out`."""
+    width = max(1, 8 // d)
     bits = d * width
-    out, adds, nxt = ([0] * (d << bits) for _ in range(3))
-    for key, (cells, flips, rotation) in enumerate(_words(d, width)):
-        if forward:
-            key, cells = key >> bits << bits | cells, key & (1 << bits) - 1
-        out[key], adds[key] = cells, flips
-        nxt[key] = rotation << d * next_width if next_width else 0
-    return out, adds, nxt
+    if forward:
+        out, adds, nxt = ([0] * (d << bits) for _ in range(3))
+        for key, (cells, flips, rotation) in enumerate(zip(*_step_lists(d, False))):
+            at = key >> bits << bits | cells
+            out[at], adds[at], nxt[at] = key & (1 << bits) - 1, flips, rotation
+        return out, adds, nxt
+    walks = moves = [_child_move(r, i, d) for r in range(d) for i in range(1 << d)]
+    for _ in range(width - 1):
+        walks = [(cells << d | octant ^ flips, flips ^ adds, child)
+                 for cells, flips, rotation in walks
+                 for octant, adds, child in moves[rotation << d:rotation + 1 << d]]
+    cells, flips, rotations = zip(*walks)
+    return list(cells), list(flips), [rotation << bits for rotation in rotations]
 
 
 @lru_cache(maxsize=None)
 def _plan(d: int, depth: int, forward: bool) -> tuple:
-    """The steps of a walk over `depth` digits, first digit first: one
-    (shift, mask, rep, out, adds, nxt) per table lookup (see the module
-    docstring).
+    """The walk over `depth` digits, first digit first: (start, steps,
+    rep, out, adds, nxt), the start key, one (shift, mask) per table
+    lookup, the flips' repeat and the lists of `_step_lists`.
 
     L = max(1, 8 // d) digits per lookup keeps d * L <= 8, so every word
-    and table entry fits in a byte; a remainder takes one last step.
+    and table entry fits in a byte.  A depth that is not a multiple of L
+    is read with leading zero digits from the start key; the first
+    step's mask leaves them out (see the module docstring).
     """
-    full_width = max(1, 8 // d)
-    full, rest = divmod(depth, full_width)
-    widths = [full_width] * full + ([rest] if rest else [])
-    plan = []
-    low = depth
-    for width, next_width in zip(widths, widths[1:] + [0]):
-        low -= width
-        bits = d * width
-        plan.append((d * low, (1 << bits) - 1, ((1 << bits) - 1) // ((1 << d) - 1),
-                     *_step_lists(d, width, next_width, forward)))
-    return tuple(plan)
+    width = max(1, 8 // d)
+    bits = d * width
+    steps = tuple((shift, (1 << min(bits, d * depth - shift)) - 1)
+                  for shift in reversed(range(0, d * depth, bits)))
+    pad = len(steps) * width - depth
+    return ((-pad % d) << bits, steps, ((1 << bits) - 1) // ((1 << d) - 1),
+            *_step_lists(d, forward))
 
 
 @dataclass(frozen=True)
@@ -281,8 +279,9 @@ def _forward_cell(cell: int, depth: int, d: int) -> int:
     for j in range(d):
         text[j::d] = rows[j * depth:(j + 1) * depth]
     octants = int(text or b"0", 2)
-    key_rot = flips = q = 0
-    for shift, mask, rep, out, adds, nxt in _plan(d, depth, True):
+    key_rot, steps, rep, out, adds, nxt = _plan(d, depth, True)
+    flips = q = 0
+    for shift, mask in steps:
         key = key_rot | (octants >> shift & mask ^ flips * rep)
         q |= out[key] << shift
         flips ^= adds[key]
@@ -293,8 +292,9 @@ def _forward_cell(cell: int, depth: int, d: int) -> int:
 def _inverse_cell(q: int, depth: int, d: int) -> int:
     """Packed grid index of the cube cell matched to segment cell `q`;
     bits above d * depth are ignored."""
-    key_rot = flips = octants = 0
-    for shift, mask, rep, out, adds, nxt in _plan(d, depth, False):
+    key_rot, steps, rep, out, adds, nxt = _plan(d, depth, False)
+    flips = octants = 0
+    for shift, mask in steps:
         key = key_rot | q >> shift & mask
         octants |= (out[key] ^ flips * rep) << shift
         flips ^= adds[key]
@@ -394,35 +394,34 @@ def _transpose(x, rows: int, cols: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _kernel(d: int, depth: int, forward: bool) -> tuple:
-    """One (shift, mask, comb, nxt) per step of `_plan(d, depth, forward)`,
-    read-only int64 arrays keyed like the plan's lists; `nxt` is None
-    where the plan's is all zeros (see the module docstring)."""
+    """The start key of `_plan(d, depth, forward)` and one (shift, mask,
+    comb, nxt) per step, read-only int64 arrays keyed like the plan's
+    lists; `nxt` is None on the last step and at d = 1, where the
+    rotation stays 0 (see the module docstring)."""
+    start, plan, _, out, adds, nxt = _plan(d, depth, forward)
+    out, adds = np.array(out, dtype=np.uint64), np.array(adds, dtype=np.uint64)
+    words = np.arange(len(out), dtype=np.uint64)
+    nxt = np.array(nxt, dtype=np.int64)
+    nxt.flags.writeable = False
     steps = []
-    for shift, mask, _, out, adds, nxt in _plan(d, depth, forward):
-        comb = (np.array(out, dtype=np.uint64) << np.uint64(shift)
-                | np.array(adds, dtype=np.uint64)
-                * np.uint64(((1 << shift) - 1) // ((1 << d) - 1)))
+    for shift, mask in plan:
+        comb = (out << np.uint64(shift)
+                | adds * np.uint64(((1 << shift) - 1) // ((1 << d) - 1)))
         if forward:  # rewrite the octant word in place
-            comb ^= (np.arange(len(out), dtype=np.uint64) & np.uint64(mask)) << np.uint64(shift)
+            comb ^= (words & np.uint64(mask)) << np.uint64(shift)
         else:
             comb = _transpose(comb, depth, d)
         comb = comb.view(np.int64)
         comb.flags.writeable = False
-        # an all-zero nxt (after the last step, and at d = 1) keeps key_rot 0
-        if any(nxt):
-            nxt = np.array(nxt, dtype=np.int64)
-            nxt.flags.writeable = False
-        else:
-            nxt = None
-        steps.append((shift, mask, comb, nxt))
-    return tuple(steps)
+        steps.append((shift, mask, comb, nxt if shift and d > 1 else None))
+    return start, tuple(steps)
 
 
-def _walk(src: np.ndarray, acc: np.ndarray, steps: tuple) -> np.ndarray:
+def _walk(src: np.ndarray, acc: np.ndarray, kernel: tuple) -> np.ndarray:
     """XOR each step's `comb` entries into `acc`, keyed by the step's word
-    of `src`: int64 arrays, which may be the same one.  Returns `acc` as
-    uint64."""
-    key_rot = 0
+    of `src`: int64 arrays, which may be the same one.  `kernel` is a
+    `_kernel` result.  Returns `acc` as uint64."""
+    key_rot, steps = kernel
     for shift, mask, comb, nxt in steps:
         key = (src >> shift) & mask
         key += key_rot
@@ -452,6 +451,15 @@ def _cell_array(cells) -> np.ndarray:
     raise RangeError(f"cell index {echo(bad)} is not an integer >= 0")
 
 
+def _uint64(cells: np.ndarray) -> np.ndarray:
+    """`_cell_array`'s cells as uint64 for the kernels; Python ints of 64
+    bits or more are read modulo 2**64, as bits above the cell are."""
+    if cells.dtype == object:
+        cells = np.array([int(c) & (1 << 64) - 1 for c in cells.flat],
+                         dtype=np.uint64).reshape(cells.shape)
+    return np.asarray(cells, dtype=np.uint64)
+
+
 def _each_cell(core, cells, depth: int, d: int) -> np.ndarray:
     """`core` over an array of cells beyond the kernels' 64 bits: Python
     ints in an object array of the cells' shape, one call per distinct
@@ -470,8 +478,9 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     bits a*depth .. (a+1)*depth - 1, the layout forward_map_batch reads.
     Must agree with inverse_map on every index.  Up to dimension * depth
     = 64 the result is uint64 and builds up by one `comb` entry per step
-    of `_kernel`; beyond, it holds Python ints in an object array.  An
-    index that is not an integer >= 0 raises RangeError.
+    of `_kernel`; beyond, it holds Python ints in an object array.  Bits
+    above dimension * depth are ignored.  An index that is not an integer
+    >= 0 raises RangeError.
     """
     d = dimension
     _check_cell(d, depth)
@@ -480,8 +489,8 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
         return _each_cell(_inverse_cell, indices, depth, d)
     # A signed view keeps the table keys in intp; an arithmetic shift
     # followed by the mask still reads the right digits, also on the
-    # first step when d * depth = 64.
-    q = np.asarray(indices, dtype=np.uint64).view(np.int64)
+    # first step when d * depth = 64 or a bit above the index is set.
+    q = _uint64(indices).view(np.int64)
     return _walk(q, np.zeros(q.shape, dtype=np.int64), _kernel(d, depth, False))
 
 
@@ -505,5 +514,5 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     cells = _cell_array(cells)
     if d * depth > 64:
         return _each_cell(_forward_cell, cells, depth, d)
-    q = _transpose(cells, d, depth).view(np.int64)
+    q = _transpose(_uint64(cells), d, depth).view(np.int64)
     return _walk(q, q, _kernel(d, depth, True))

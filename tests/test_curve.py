@@ -102,8 +102,8 @@ def test_rejects_unsupported_dimension():
 
 @pytest.mark.parametrize("args,message", [
     ((9, 0, 0), "dimension must be in 1..8, got 9"),
-    ((2, 2, 0), "rotation out of range"),
-    ((2, 0, 4), "flips out of range"),
+    ((2, 2, 0), "rotation out of range 0..1, got 2"),
+    ((2, 0, 4), "flips out of range 0..3, got 4"),
 ], ids=["dimension", "rotation", "flips"])
 def test_orientation_state_guards_raise_their_message(args, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
@@ -146,7 +146,7 @@ def test_point_to_address_needs_precision(monkeypatch):
     with pytest.raises(RangeError, match="dimension must be in 1..8"):
         forward_map(make_point([0] * 9, 1), 1)
     for fn in (forward_map, point_to_address):
-        with pytest.raises(RangeError, match=r"^depth must be >= 0$"):
+        with pytest.raises(RangeError, match=r"^depth must be >= 0, got -1$"):
             fn(make_point([1, 1], 2), -1)
 
 
@@ -186,7 +186,7 @@ def test_address_interval_exhaustive_roundtrip(d, max_depth):
 
 def test_cells_match_brute_force_enumeration():
     # every d; where a table step holds several digits, the depth also
-    # takes a shorter last step
+    # reads a padded first step
     for d, depth in [(1, 5), (1, 9), (2, 4), (2, 6), (3, 3), (4, 3), (5, 2),
                      (6, 2), (7, 1), (8, 1)]:
         cells = brute_force_cells(d, depth)
@@ -288,7 +288,7 @@ def test_inverse_map_needs_precision(monkeypatch):
     assert inverse_map(UnitScalar(1, 3), 2, 2) == inverse_map(UnitScalar(2, 4), 2, 2)
     assert inverse_map(UnitScalar(1, 63), 8, 8) == inverse_map(UnitScalar(2, 64), 8, 8)
     _no_walk(monkeypatch)
-    with pytest.raises(RangeError, match=r"^depth must be >= 0$"):
+    with pytest.raises(RangeError, match=r"^depth must be >= 0, got -1$"):
         inverse_map(UnitScalar(1, 4), -1, 2)
     for dimension in (0, 9):
         with pytest.raises(RangeError, match="dimension must be in 1..8"):
@@ -426,7 +426,7 @@ def _deep_segment_cells():
 @example((3, 7, [2**64 - 1, 0xFEDCBA9876543210]))
 def test_batch_matches_child_order_walk_over_three_or_more_steps(case):
     d, depth, words = case
-    assert len(curve._plan(d, depth, False)) >= 3
+    assert len(curve._plan(d, depth, False)[1]) >= 3
     indices = [w >> (64 - d * depth) for w in words]
     batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
     assert unpack_corners(batch, depth, d).tolist() == \
@@ -456,7 +456,7 @@ def _grid_cells():
 @example((5, 3, [2**64 - 1, 0x0123456789ABCDEF]))
 @example((8, 0, [2**64 - 1]))
 def test_forward_batch_matches_scalar_forward_map(case):
-    # (3, 7), (2, 9) and (5, 3) end in a step shorter than L = max(1, 8 // d)
+    # (3, 7) and (2, 9) read leading zero digits, a padded first step
     d, depth, words = case
     batch = forward_map_batch(np.array(words, dtype=np.uint64), depth, d)
     assert batch.dtype == np.uint64 and batch.shape == (len(words),)
@@ -532,6 +532,32 @@ def test_forward_batch_ignores_bits_above_the_cell(d, depth):
         forward_map_batch(np.array(cells, dtype=dtype), depth, d).tolist()
 
 
+@pytest.mark.parametrize("d,depth", [(2, 31), (3, 21), (2, 33), (3, 23)])
+def test_inverse_maps_ignore_bits_above_the_index(d, depth):
+    # each depth is read with leading zero digits, so the first step's
+    # mask must leave out bit d * depth + 1, in a uint64 array up to 64
+    # bits and in an object array beyond; at (3, 21) that bit is 64, past
+    # a uint64, and bit 63, the sign of the kernel's int64 view, stands in
+    rng = random.Random(d * depth)
+    bits = d * depth
+    qs = [rng.getrandbits(bits) for _ in range(8)]
+    high = [q | 1 << (63 if bits == 63 else bits + 1) for q in qs]
+    dtype = np.uint64 if bits < 64 else object
+    assert inverse_map_batch(np.array(high, dtype=dtype), depth, d).tolist() == \
+        inverse_map_batch(np.array(qs, dtype=dtype), depth, d).tolist()
+    assert [curve._inverse_cell(q, depth, d) for q in high] == \
+        [curve._inverse_cell(q, depth, d) for q in qs]
+
+
+@pytest.mark.parametrize("d,depth", [(2, 2), (1, 64)])
+def test_kernel_maps_read_ints_of_64_bits_or_more_modulo_2_to_the_64(d, depth):
+    # bits above the cell are ignored, as they are in a uint64 array
+    for batch_map in (inverse_map_batch, forward_map_batch):
+        assert batch_map([2**64 + 5], depth, d).tolist() == batch_map([5], depth, d).tolist()
+        assert batch_map(np.array([2**70 + 1], dtype=object), depth, d).tolist() == \
+            batch_map([1], depth, d).tolist()
+
+
 @pytest.mark.parametrize("d,depth", [(1, 100), (2, 40), (3, 30), (8, 9),
                                      (1, 0), (8, 0)])
 def test_scalar_maps_match_child_order_walk_beyond_the_batch_kernel(d, depth):
@@ -579,8 +605,21 @@ def test_scalar_maps_build_their_tables_without_numpy(monkeypatch, d):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
+def test_zero_digits_walk_a_padded_start_to_the_identity(d):
+    # a depth read with `pad` leading zero digits starts at rotation
+    # -pad mod d: through the pad the walk visits octant 0, and after it
+    # stands where an unpadded walk starts
+    for pad in range(max(1, 8 // d)):
+        state = OrientationState(d, -pad % d, 0)
+        for _ in range(pad):
+            octant, state = child_order(state)[0]
+            assert octant == 0
+        assert state == OrientationState(d, 0, 0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
 def test_digit_table_entries_follow_child_order(d):
-    # every table a depth can use, L = 1 .. max(1, 8 // d) digits
+    # the one list set of each direction, L = max(1, 8 // d) digits
     children = {}
 
     def step(state, digit):
@@ -589,59 +628,46 @@ def test_digit_table_entries_follow_child_order(d):
         return children[state][digit]
 
     full = max(1, 8 // d)
-    for width in range(1, full + 1):
-        bits = d * width
-        lists = {(next_width, forward): curve._step_lists(d, width, next_width, forward)
-                 for next_width in range(full + 1) for forward in (False, True)}
-        for out, adds, nxt in lists.values():
-            assert len(out) == len(adds) == len(nxt) == d << bits
-        for rotation in range(d):
-            for word in range(1 << bits):
-                state = OrientationState(d, rotation, 0)
-                cells = 0
-                for level in range(width):
-                    digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
-                    octant, state = step(state, digit)
-                    cells = cells << d | octant
-                for (next_width, forward), (out, adds, nxt) in lists.items():
-                    # the inverse lists are keyed by the digit word, the
-                    # forward lists by the octant word
-                    key = rotation << bits | (cells if forward else word)
-                    assert out[key] == (word if forward else cells)
-                    assert adds[key] == state.flips
-                    assert nxt[key] == (state.rotation << d * next_width
-                                        if next_width else 0)
+    bits = d * full
+    lists = {forward: curve._step_lists(d, forward) for forward in (False, True)}
+    for out, adds, nxt in lists.values():
+        assert len(out) == len(adds) == len(nxt) == d << bits
+    for rotation in range(d):
+        for word in range(1 << bits):
+            state = OrientationState(d, rotation, 0)
+            cells = 0
+            for level in range(full):
+                digit = (word >> (d * (full - 1 - level))) & ((1 << d) - 1)
+                octant, state = step(state, digit)
+                cells = cells << d | octant
+            for forward, (out, adds, nxt) in lists.items():
+                # the inverse lists are keyed by the digit word, the
+                # forward lists by the octant word
+                key = rotation << bits | (cells if forward else word)
+                assert out[key] == (word if forward else cells)
+                assert adds[key] == state.flips
+                assert nxt[key] == state.rotation << bits
 
-    # every step of the plans, both directions, at depths that end in a
-    # shorter step where L > 1
+    # every plan, both directions, at depths with and without leading
+    # zero digits where L > 1
     for depth in sorted({0, 1, full, full + 1, 2 * full, 3 * full - 1}):
         for forward in (False, True):
-            plan = curve._plan(d, depth, forward)
-            widths = [mask.bit_length() // d for _, mask, *_ in plan]
-            assert sum(widths) == depth and widths[:-1] == [full] * (len(plan) - 1)
-            # the words tile the index, first highest
-            assert [shift for shift, *_ in plan] == \
-                [d * sum(widths[k + 1:]) for k in range(len(plan))]
-            for k, (shift, mask, rep, out, adds, nxt) in enumerate(plan):
-                width = widths[k]
-                bits = d * width
-                assert 0 < width <= full and mask == (1 << bits) - 1
-                assert rep == sum(1 << d * j for j in range(width))
-                assert len(out) == len(adds) == len(nxt) == d << bits
-                for rotation in range(d):
-                    for word in range(1 << bits):
-                        state = OrientationState(d, rotation, 0)
-                        cells = 0
-                        for level in range(width):
-                            digit = (word >> (d * (width - 1 - level))) & ((1 << d) - 1)
-                            octant, state = step(state, digit)
-                            cells = cells << d | octant
-                        # the forward lists are keyed by the octant word
-                        key = rotation << bits | (cells if forward else word)
-                        assert out[key] == (word if forward else cells)
-                        assert adds[key] == state.flips
-                        assert nxt[key] == (state.rotation << d * widths[k + 1]
-                                            if k + 1 < len(plan) else 0)
+            start, steps, rep, *plan_lists = curve._plan(d, depth, forward)
+            assert tuple(plan_lists) == lists[forward]
+            assert rep == sum(1 << d * j for j in range(full))
+            # full-width words tile the padded index, first highest
+            assert len(steps) == -(-depth // full)
+            assert [shift for shift, _ in steps] == \
+                [bits * k for k in reversed(range(len(steps)))]
+            # the masks cover the depth's own digits: all of every word
+            # but the first, which leaves out the pad
+            widths = [mask.bit_length() for _, mask in steps]
+            assert [mask for _, mask in steps] == [(1 << w) - 1 for w in widths]
+            assert sum(widths) == d * depth and widths[1:] == [bits] * (len(steps) - 1)
+            pad = len(steps) * full - depth
+            assert (pad > 0) == (bool(steps) and widths[0] < bits)
+            assert widths[:1] in ([], [d * (full - pad)])
+            assert start == (-pad % d) << bits
 
 
 def test_compose_identity_at_cell_level():
@@ -678,7 +704,7 @@ def test_compose_rejects_insufficient_precision():
     (3, 0, "dimension must be in 1..8, got 0"),
     (3, -1, "dimension must be in 1..8, got -1"),
     (3, 9, "dimension must be in 1..8, got 9"),
-    (-1, 2, "depth must be >= 0"),
+    (-1, 2, "depth must be >= 0, got -1"),
 ])
 def test_compose_rejects_an_unsupported_target_dimension_or_depth(depth, target, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):

@@ -73,6 +73,18 @@ def test_order_is_representation_independent(m1, e1, m2, e2):
     assert (a == b) == (a.as_fraction() == b.as_fraction())
 
 
+def test_scalar_str_is_its_rational_form():
+    assert str(UnitScalar(3, 4)) == "3/2^4"
+    assert parse_scalar(str(UnitScalar(3, 4))) == UnitScalar(3, 4)
+
+
+def test_scalar_compares_with_no_other_type():
+    # equality with a float is False, not a value comparison; order raises
+    assert (UnitScalar(1, 1) == 0.5) is False
+    with pytest.raises(TypeError):
+        UnitScalar(1, 1) < 0.5
+
+
 # binary input is written back in the one rational form
 RATIONAL_FORM = {"0b0.101": "5/2^3", "0b0.": "0/2^0"}
 
@@ -123,6 +135,7 @@ def test_cube_point_requires_shared_precision():
 def test_rect_volume_and_containment():
     r = DyadicRect(make_point([0, 2], 2), (1, 2))
     assert r.volume() == Fraction(1, 8)
+    assert r.dimension == 2
 
 
 def test_rect_must_fit_in_cube():

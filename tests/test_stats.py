@@ -116,6 +116,10 @@ def test_chi2_threshold_bisects_once_per_dof_and_confidence(monkeypatch):
     assert chi2_threshold(1023, 0.999) == first
 
 
+def test_chi2_cdf_is_zero_at_zero():
+    assert chi2_cdf(0.0, 3) == 0.0
+
+
 def test_chi2_cdf_threshold_roundtrip():
     for dof in (1, 4, 30):
         for conf in (0.9, 0.999):
