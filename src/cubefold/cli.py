@@ -5,9 +5,10 @@ It reads values, parses flags and dispatches; the `verify` suites live in
 handles only no command, an unknown command, `-h` and arguments the
 subparser leaves over, so every message and help text reads as it would
 if the root parser had parsed the whole command line.  Each flag is
-checked once: `-d`, `-n` and `--seed` by their argparse type and `d*n` by
-a bound, the plain ints `verify -N`/`-k` by `monte_carlo_uniformity` and
-`sample -N`/`--depth` by `sample_independent`.
+checked once, by the one integer reader `dyadic._integer`: `-d`, `-n` and
+`--seed` through their argparse type, the plain ints `verify -N`/`-k`
+inside `monte_carlo_uniformity` and `sample -N`/`--depth` inside
+`sample_independent`; `d*n` has its own bound.
 `verify` calls `measure.SUITES[suite]` with the `SUITE_FLAGS` values its
 parameters name and rejects any other flag given.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error or an output too large to
@@ -25,7 +26,7 @@ import math
 import sys
 
 from . import curve, measure
-from .dyadic import CubePoint, RangeError, echo, format_scalar, parse_scalar
+from .dyadic import CubePoint, RangeError, _integer, echo, format_scalar, parse_scalar
 from .sampling import load_specs, sample_independent
 
 # d*n bound of map, unmap and every verify suite taking -n, checked before
@@ -43,13 +44,13 @@ def _int(text):
 
 
 def _int_in(name, low, high=None):
-    """argparse type: an int >= low (and <= high), its errors naming `name`."""
-    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    """argparse type: an int >= low (and <= high), read by `dyadic._integer`,
+    its errors naming `name`."""
     def parse(text):
-        value = _int(text)
-        if value < low or high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {echo(value)}")
-        return value
+        try:
+            return _integer(_int(text), name, low, high)
+        except RangeError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 

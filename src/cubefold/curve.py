@@ -84,18 +84,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar, echo
+from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar, _integer, echo
 
 MAX_DIMENSION = 8
 # indices per batch-kernel call of measure._corner_blocks
 BLOCK = 1 << 14
 
 
-def _check_cell(d: int, depth: int) -> None:
-    if not 1 <= d <= MAX_DIMENSION:
-        raise RangeError(f"dimension must be in 1..{MAX_DIMENSION}, got {echo(d)}")
-    if depth < 0:
-        raise RangeError(f"depth must be >= 0, got {echo(depth)}")
+def _check_cell(d: int, depth: int) -> tuple:
+    """d and depth as Python ints, each read by `_integer`."""
+    return _integer(d, "dimension", 1, MAX_DIMENSION), _integer(depth, "depth", 0)
 
 
 def _child_move(rotation: int, i: int, d: int) -> tuple:
@@ -136,12 +134,8 @@ class OrientationState:
 
     def __post_init__(self):
         _check_cell(self.dimension, 0)
-        if not 0 <= self.rotation < self.dimension:
-            raise RangeError(f"rotation out of range 0..{self.dimension - 1}, "
-                             f"got {echo(self.rotation)}")
-        if not 0 <= self.flips < (1 << self.dimension):
-            raise RangeError(f"flips out of range 0..{(1 << self.dimension) - 1}, "
-                             f"got {echo(self.flips)}")
+        _integer(self.rotation, "rotation", 0, self.dimension - 1)
+        _integer(self.flips, "flips", 0, (1 << self.dimension) - 1)
 
     @classmethod
     def identity(cls, dimension: int) -> "OrientationState":
@@ -218,10 +212,9 @@ class CellAddress:
 
     def __post_init__(self):
         _check_cell(self.dimension, self.depth)
-        hi = 1 << self.dimension
+        high = (1 << self.dimension) - 1
         for j in self.digits:
-            if not 0 <= j < hi:
-                raise RangeError(f"digit {echo(j)} out of range 0..{hi - 1}")
+            _integer(j, "digit", 0, high)
 
     @property
     def depth(self) -> int:
@@ -240,11 +233,8 @@ class SegmentInterval:
     index: int
 
     def __post_init__(self):
-        _check_cell(self.dimension, self.depth)
-        if not 0 <= self.index < (1 << (self.dimension * self.depth)):
-            raise RangeError(
-                f"index {echo(self.index)} out of range at depth {self.depth}"
-            )
+        d, depth = _check_cell(self.dimension, self.depth)
+        _integer(self.index, "index", 0, (1 << d * depth) - 1)
 
     def left(self) -> UnitScalar:
         return UnitScalar(self.index, self.dimension * self.depth)
@@ -313,8 +303,7 @@ def forward_map(pt: CubePoint, depth: int) -> UnitScalar:
     the result; refining the depth never moves the output by that much
     or more.
     """
-    d = pt.dimension
-    _check_cell(d, depth)
+    d, depth = _check_cell(pt.dimension, depth)
     cell = 0
     for axis, c in enumerate(pt.coords):
         cell |= (c.mantissa << depth) >> c.precision << axis * depth
@@ -326,8 +315,7 @@ def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
 
     t of any precision is read by value, in cell floor(t * 2**(d*depth)).
     """
-    d = dimension
-    _check_cell(d, depth)
+    d, depth = _check_cell(dimension, depth)
     cell = _inverse_cell((t.mantissa << d * depth) >> t.precision, depth, d)
     mask = (1 << depth) - 1
     return CubePoint(tuple([UnitScalar(cell >> axis * depth & mask, depth)
@@ -353,7 +341,7 @@ def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoin
     is floor(n*depth / m), so source and image cells have equal measure at
     matched depths.
     """
-    _check_cell(target_dimension, depth)
+    target_dimension, depth = _check_cell(target_dimension, depth)
     n = pt.dimension
     target_depth = (n * depth) // target_dimension
     if target_depth < 1:
@@ -433,7 +421,8 @@ def _walk(src: np.ndarray, acc: np.ndarray, kernel: tuple) -> np.ndarray:
 
 def _cell_array(cells) -> np.ndarray:
     """`cells` as an array of integers >= 0, or RangeError naming the
-    first that is not one.  An unsigned array passes as it is."""
+    first that is not one.  An unsigned array passes as it is; a bool is
+    no cell, as a mask was almost surely meant."""
     x = np.asarray(cells)
     if x.dtype.kind == "u" or x.size == 0:
         return x
@@ -445,9 +434,13 @@ def _cell_array(cells) -> np.ndarray:
         # numpy reads a list mixing ints of 63 and 64 bits as floats:
         # look at each value as given
         x = np.asarray(cells, dtype=object)
-        bad = next((c for c in x.flat if not isinstance(c, (int, np.integer)) or c < 0), None)
-        if bad is None:
+        for bad in x.flat:
+            if isinstance(bad, bool) or not isinstance(bad, (int, np.integer)) or bad < 0:
+                break
+        else:
             return x
+        if not isinstance(bad, (int, np.integer)):
+            bad = repr(bad)
     raise RangeError(f"cell index {echo(bad)} is not an integer >= 0")
 
 
@@ -482,8 +475,7 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     above dimension * depth are ignored.  An index that is not an integer
     >= 0 raises RangeError.
     """
-    d = dimension
-    _check_cell(d, depth)
+    d, depth = _check_cell(dimension, depth)
     indices = _cell_array(indices)
     if d * depth > 64:
         return _each_cell(_inverse_cell, indices, depth, d)
@@ -509,8 +501,7 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     both are Python ints in object arrays.  A cell that is not an integer
     >= 0 raises RangeError.
     """
-    d = dimension
-    _check_cell(d, depth)
+    d, depth = _check_cell(dimension, depth)
     cells = _cell_array(cells)
     if d * depth > 64:
         return _each_cell(_forward_cell, cells, depth, d)

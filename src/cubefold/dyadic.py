@@ -8,6 +8,7 @@ representable point belongs to exactly one cell.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -39,6 +40,16 @@ def echo(value) -> str:
     return text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH - 3] + "..."
 
 
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """`operator.index(value)`, which raises TypeError on a float or a
+    str, or RangeError naming `name` if it is below low or above high."""
+    value = operator.index(value)
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in {low}..{echo(high)}"
+        raise RangeError(f"{name} must be {bound}, got {echo(value)}")
+    return value
+
+
 @total_ordering
 @dataclass(frozen=True, eq=False)
 class UnitScalar:
@@ -52,10 +63,10 @@ class UnitScalar:
     precision: int
 
     def __post_init__(self):
-        if self.precision < 0:
-            raise RangeError(f"precision must be >= 0, got {echo(self.precision)}")
+        precision = _integer(self.precision, "precision", 0)
+        mantissa = operator.index(self.mantissa)
         # bit_length, not 1 << precision: a huge precision costs nothing
-        if self.mantissa < 0 or self.mantissa.bit_length() > self.precision:
+        if mantissa < 0 or mantissa.bit_length() > precision:
             raise RangeError(
                 f"mantissa {echo(self.mantissa)} out of range for precision "
                 f"{echo(self.precision)}: need 0 <= m < 2^{echo(self.precision)}"
@@ -151,8 +162,7 @@ class DyadicRect:
         if len(self.side_exponents) != self.lower.dimension:
             raise RangeError("one side exponent per axis required")
         for c, k in zip(self.lower.coords, self.side_exponents):
-            if k < 0:
-                raise RangeError(f"side exponent {k} must be >= 0")
+            k = _integer(k, "side exponent", 0)
             # x + 2^-k > 1, in integers: m * 2^k + 2^p > 2^(p + k)
             if (c.mantissa << k) + (1 << c.precision) > 1 << (c.precision + k):
                 raise RangeError("box must be contained in [0,1)^d")

@@ -22,7 +22,6 @@ counted by one sort per side.
 from __future__ import annotations
 
 import json
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .curve import (
     forward_map_batch,
     inverse_map_batch,
 )
-from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, echo
+from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, _integer, echo
 from .stats import chi2_threshold, chi_squared
 
 CUBE = "cube"
@@ -72,16 +71,16 @@ class CellUnion:
     def __post_init__(self):
         if self.space not in (CUBE, SEGMENT):
             raise RangeError(f"unknown space {self.space!r}")
-        _check_cell(self.dimension, self.depth)
+        d, depth = _check_cell(self.dimension, self.depth)
         # the types first: a float passes the range check, a str or a
-        # tuple breaks it
+        # tuple breaks it, and a bool was almost surely meant as a mask
         for kind in set(map(type, self.members)):
-            if not issubclass(kind, (int, np.integer)):
+            if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool):
                 bad = next(m for m in self.members if type(m) is kind)
                 raise RangeError(f"cell index {bad!r} is not an integer")
-        total = 1 << (self.dimension * self.depth)
+        total = 1 << d * depth
         if self.members and not 0 <= min(self.members) <= max(self.members) < total:
-            raise RangeError(f"cell index out of range at depth {self.depth}")
+            raise RangeError(f"cell index out of range at depth {depth}")
 
     @classmethod
     def of_cube(cls, dimension: int, depth: int, addresses) -> "CellUnion":
@@ -153,6 +152,7 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     The box's cells * d must stay within `MAX_CELL_COORDS`, checked
     before any cell is built.
     """
+    depth = _integer(depth, "depth", 0)
     for k in rect.side_exponents:
         if k > depth:
             raise RangeError(f"side 2^-{k} is not a multiple of the depth-{depth} grid")
@@ -179,7 +179,7 @@ def _corner_blocks(d: int, depth: int):
     packed grid indices: the inverse map's output for each `BLOCK` of
     indices, computed as it is read.  d and depth are checked at the
     call; the callers keep d * depth within the kernel's 64 bits."""
-    _check_cell(d, depth)
+    d, depth = _check_cell(d, depth)
     total = 1 << (d * depth)
     return (inverse_map_batch(
                 np.arange(lo, min(lo + BLOCK, total), dtype=np.uint64), depth, d)
@@ -226,20 +226,17 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     folded onto the grid, each cell mapped once; chunk i of `_CHUNK`
     draws takes child i of the seed, spawned when the loop reaches it, so
     counts are reproducible under any partitioning.  The three arguments
-    are integers (`operator.index`), and seed is >= 0.
+    are integers (`dyadic._integer`), and seed is >= 0.
     """
-    sample_count, grid_k, seed = map(operator.index, (sample_count, grid_k, seed))
-    if grid_k < 1:
-        raise RangeError(f"grid must be at least 1x1, got k={echo(grid_k)}")
-    if grid_k > 1 << 31:  # before k*k is printed; keeps 2*depth <= 62
-        raise RangeError(f"grid must have k <= 2^31, got k={echo(grid_k)}")
+    # k <= 2^31 before k*k is printed; it keeps 2*depth <= 62
+    grid_k = _integer(grid_k, "grid", 1, 1 << 31)
+    sample_count = _integer(sample_count, "N", 0)
     if sample_count < 100 * grid_k * grid_k:
         raise RangeError(
             f"need at least {100 * grid_k * grid_k} samples for a "
             f"{grid_k}x{grid_k} grid, got N={echo(sample_count)}"
         )
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {echo(seed)}")
+    seed = _integer(seed, "seed", 0)
     if grid_k == 1:
         return VerificationReport.from_statistic(
             "uniformity", f"N={sample_count} grid=1x1", 0.0, 0.0, seed)

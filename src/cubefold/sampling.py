@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._shortest import repr_bytes
 from .curve import MAX_DIMENSION, inverse_map, inverse_map_batch
-from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar, echo
+from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar, _integer, echo
 
 
 class SpecValidationError(ValueError):
@@ -346,24 +345,19 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     CDF element is chosen from the integer cell; only the interpolation
     inside it is float, so a midpoint that rounds to 1.0 is still valid.
     Chunk i of `_CHUNK` rows draws from child i of the seed, spawned in turn.
-    seed, count and depth are integers (`operator.index`), and seed is >= 0.
+    seed, count and depth are integers (`dyadic._integer`), and seed is >= 0.
     """
-    seed, count = operator.index(seed), operator.index(count)
     specs = tuple(specs)
     n = len(specs)
     if not 1 <= n <= MAX_DIMENSION:
         raise RangeError(f"need 1..{MAX_DIMENSION} distributions, got {n}")
-    if count < 0:
-        raise RangeError(f"count must be >= 0, got {echo(count)}")
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {echo(seed)}")
-    depth = 64 // n if depth is None else operator.index(depth)
+    count = _integer(count, "count", 0)
+    seed = _integer(seed, "seed", 0)
+    depth = _integer(64 // n if depth is None else depth, "depth", 1)
     if n * depth > 64:
         raise PrecisionError(
             f"{n}*{echo(depth)} bits per draw exceeds the 64-bit uniform source"
         )
-    if depth < 1:
-        raise RangeError(f"depth must be >= 1, got {echo(depth)}")
 
     mask = np.uint64((1 << depth) - 1)
     half_cell = 0.5 ** (depth + 1)

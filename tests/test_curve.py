@@ -102,8 +102,8 @@ def test_rejects_unsupported_dimension():
 
 @pytest.mark.parametrize("args,message", [
     ((9, 0, 0), "dimension must be in 1..8, got 9"),
-    ((2, 2, 0), "rotation out of range 0..1, got 2"),
-    ((2, 0, 4), "flips out of range 0..3, got 4"),
+    ((2, 2, 0), "rotation must be in 0..1, got 2"),
+    ((2, 0, 4), "flips must be in 0..3, got 4"),
 ], ids=["dimension", "rotation", "flips"])
 def test_orientation_state_guards_raise_their_message(args, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
@@ -505,11 +505,32 @@ def test_forward_batch_keeps_the_kernel_limits():
 @pytest.mark.parametrize("cells,bad", [
     ([1.5], "1.5"), ([-1], "-1"), (np.array([0, -3]), "-3"),
     (np.array([2.0]), "2.0"), ([1, 2**63, 0.5], "0.5"),
-], ids=["float", "negative", "negative-int64", "float-array", "mixed"])
+    # a bool is no cell: a mask was almost surely meant
+    ([True], "True"), (np.array([True, False]), "True"),
+    # None is named, not read by int(); a str shows quoted
+    ([None], "None"), (["3"], "'3'"),
+], ids=["float", "negative", "negative-int64", "float-array", "mixed", "bool",
+        "bool-array", "none", "str"])
 def test_batch_maps_reject_a_cell_that_is_no_integer_or_negative(depth, batch_map, cells, bad):
     # on both sides of the kernels' 64 bits (d * depth = 4 and 80)
     with pytest.raises(RangeError, match=f"^cell index {re.escape(bad)} is not an integer >= 0$"):
         batch_map(cells, depth, 2)
+
+
+@pytest.mark.parametrize("depth", [8, 40])
+def test_maps_read_a_numpy_depth_as_the_equal_int(depth):
+    # the checked int is the one the walks use: an int64 depth of 40 once
+    # overflowed in the shifts, so forward_map raised ValueError,
+    # inverse_map returned the origin and SegmentInterval's bound read -1
+    pt, t = make_point([1, 3], 2), UnitScalar(5, 3)
+    assert forward_map(pt, np.int64(depth)) == forward_map(pt, depth)
+    assert inverse_map(t, np.int64(depth), np.int64(2)) == inverse_map(t, depth, 2)
+    assert compose_n_to_m(pt, np.int64(depth), np.int64(3)) == compose_n_to_m(pt, depth, 3)
+    SegmentInterval(2, np.int64(depth), 5)
+    cells = [0, 5, 7]
+    for batch_map in (inverse_map_batch, forward_map_batch):
+        assert batch_map(cells, np.int64(depth), np.int64(2)).tolist() == \
+            batch_map(cells, depth, 2).tolist()
 
 
 def test_batch_maps_read_a_list_of_63_and_64_bit_ints_exactly():

@@ -159,7 +159,7 @@ def test_rect_must_fit_in_cube():
     (lambda: DyadicRect(make_point([0, 0], 1), (1,)),
      "one side exponent per axis required"),
     (lambda: DyadicRect(make_point([0], 1), (-1,)),
-     "side exponent -1 must be >= 0"),
+     "side exponent must be >= 0, got -1"),
     (lambda: DyadicRect(make_point([3], 2), (1,)),
      "box must be contained in [0,1)^d"),
 ], ids=["no-coords", "arity", "negative-exponent", "leaves-cube"])
@@ -203,3 +203,43 @@ def test_errors_echo_a_huge_int_cut(call, error, shown):
     message = str(info.value)
     assert f"{shown}..." in message
     assert max(map(len, re.findall(r"[-\d.]+", message))) <= 40
+
+
+RECT = DyadicRect(make_point([0, 0], 1), (1, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: UnitScalar(1.5, 4),
+    lambda: UnitScalar(1, 2.0),
+    lambda: curve.SegmentInterval(2, 2, 1.5),
+    lambda: curve.OrientationState(2, 0.5, 0),
+    lambda: curve.CellAddress(2, (1.0,)),
+    lambda: curve.forward_map(RECT.lower, 2.0),
+    lambda: curve.inverse_map_batch([1], 2.0, 2),
+    lambda: DyadicRect(make_point([0], 1), (1.5,)),
+    lambda: measure.rect_measure_check(RECT, 2.0),
+], ids=["mantissa", "precision", "index", "rotation", "digit", "forward-depth",
+        "batch-depth", "side-exponent", "rect-depth"])
+def test_every_integer_argument_rejects_a_float(call):
+    # each once raised AttributeError or an arithmetic TypeError further
+    # on, or built; operator.index names the type at the call
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: curve.OrientationState(2, 2, 0), "rotation must be in 0..1, got 2"),
+    (lambda: curve.OrientationState(2, 0, 4), "flips must be in 0..3, got 4"),
+    (lambda: curve.CellAddress(2, (0, 4)), "digit must be in 0..3, got 4"),
+    (lambda: curve.SegmentInterval(2, 2, 16), "index must be in 0..15, got 16"),
+    # a bound of 1807 digits shows its first 37, as a value does
+    (lambda: curve.SegmentInterval(2, 3000, -1),
+     "index must be in 0..1513470582304237072513410067329391955..., got -1"),
+    (lambda: DyadicRect(make_point([0], 1), (-1,)), "side exponent must be >= 0, got -1"),
+    (lambda: measure.monte_carlo_uniformity(100, 0, 0),
+     "grid must be in 1..2147483648, got 0"),
+], ids=["rotation", "flips", "digit", "index", "index-bound-cut", "side-exponent",
+        "grid"])
+def test_every_integer_argument_names_its_range(call, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        call()

@@ -144,9 +144,12 @@ def test_pushforward_lands_on_brute_force_cells(d, depth):
     lambda: CellUnion(SEGMENT, 2, 2, frozenset({(0, 1)})),
     lambda: CellUnion(CUBE, 2, 2, frozenset({"3"})),
     lambda: CellUnion(SEGMENT, 2, 2, frozenset({2, np.float64(3.0)})),
+    lambda: CellUnion(SEGMENT, 2, 2, frozenset({True})),
+    lambda: CellUnion(CUBE, 2, 2, frozenset({np.True_})),
 ], ids=["index-16", "index-neg", "segment-index-8", "digit-4", "short-path",
         "long-path", "d0", "d9", "depth-1", "unknown-space", "float-member",
-        "tuple-member", "str-member", "numpy-float-member"])
+        "tuple-member", "str-member", "numpy-float-member", "bool-member",
+        "numpy-bool-member"])
 def test_cell_union_rejects_bad_cells(build):
     with pytest.raises(RangeError):
         build()
@@ -161,6 +164,8 @@ def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
     # grid cells (3, 0), (2, 0) and (3, 3) at depth 2 have the digit paths
     # (3, 3), (3, 2) and (2, 2) in helpers.brute_force_cells
     assert pushforward(cu).members == {15, 14, 10}
+    # the bound 4^40 is taken in Python ints from an int64 depth
+    assert CellUnion(SEGMENT, 2, np.int64(40), frozenset({5})).members == {5}
 
 
 @pytest.mark.parametrize("indices,bad", [([1.5, 3], "1.5"), ([1, "3"], "'3'"),
@@ -330,7 +335,7 @@ def test_monte_carlo_rejects_undersampling():
 
 
 def test_monte_carlo_rejects_an_empty_grid():
-    with pytest.raises(RangeError, match=r"^grid must be at least 1x1, got k=0$"):
+    with pytest.raises(RangeError, match=r"^grid must be in 1..2147483648, got 0$"):
         monte_carlo_uniformity(100, 0, 0)
 
 
@@ -437,7 +442,7 @@ def test_monte_carlo_maps_each_cell_once_whatever_n(monkeypatch, sample_count):
 def test_monte_carlo_names_the_grid_bound(grid_k):
     # 2*depth > 63 once named neither the grid nor its bound; the check
     # comes before the k*k sample count, which could not be printed
-    with pytest.raises(RangeError, match=r"^grid must have k <= 2\^31, got k=\d"):
+    with pytest.raises(RangeError, match=r"^grid must be in 1..2147483648, got \d"):
         monte_carlo_uniformity(10 ** 6, grid_k, 0)
     with pytest.raises(RangeError, match=r"^need at least \d+ samples for a 2147483648x"):
         monte_carlo_uniformity(10 ** 6, 1 << 31, 0)
