@@ -5,7 +5,9 @@ order, so consecutive children (and, by the orientation bookkeeping,
 consecutive cells globally) share a (d-1)-face.  The matching split of
 the segment into 2**d equal parts gives the digit-level forward and
 inverse maps between [0,1)**d and [0,1); cells map to intervals of equal
-measure at every depth.
+measure at every depth.  A cell has one name on each side: on the
+segment its index q (`SegmentInterval`), whose base-2**d digits are its
+digit path, and in the cube its packed grid index or lower corner.
 
 For d=2 the root-level order is lower-left, upper-left, upper-right,
 lower-right (the classical U order), with child orientations
@@ -84,7 +86,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import CubePoint, DyadicRect, PrecisionError, RangeError, UnitScalar, _integer, echo
+from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar, _integer, echo
 
 MAX_DIMENSION = 8
 # indices per batch-kernel call of measure._corner_blocks
@@ -133,9 +135,11 @@ class OrientationState:
     flips: int
 
     def __post_init__(self):
-        _check_cell(self.dimension, 0)
-        _integer(self.rotation, "rotation", 0, self.dimension - 1)
-        _integer(self.flips, "flips", 0, (1 << self.dimension) - 1)
+        # the checked ints are the ones kept: a numpy int would shift in int64
+        d = _check_cell(self.dimension, 0)[0]
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "rotation", _integer(self.rotation, "rotation", 0, d - 1))
+        object.__setattr__(self, "flips", _integer(self.flips, "flips", 0, (1 << d) - 1))
 
     @classmethod
     def identity(cls, dimension: int) -> "OrientationState":
@@ -204,27 +208,6 @@ def _plan(d: int, depth: int, forward: bool) -> tuple:
 
 
 @dataclass(frozen=True)
-class CellAddress:
-    """Digit path j_1..j_n into the recursive subdivision, zero-based."""
-
-    dimension: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_cell(self.dimension, self.depth)
-        high = (1 << self.dimension) - 1
-        for j in self.digits:
-            _integer(j, "digit", 0, high)
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    def prefix(self, depth: int) -> "CellAddress":
-        return CellAddress(self.dimension, self.digits[:depth])
-
-
-@dataclass(frozen=True)
 class SegmentInterval:
     """Half-open segment cell [q * b**-n, (q+1) * b**-n) with b = 2**d."""
 
@@ -234,27 +217,12 @@ class SegmentInterval:
 
     def __post_init__(self):
         d, depth = _check_cell(self.dimension, self.depth)
-        _integer(self.index, "index", 0, (1 << d * depth) - 1)
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "index", _integer(self.index, "index", 0, (1 << d * depth) - 1))
 
     def left(self) -> UnitScalar:
         return UnitScalar(self.index, self.dimension * self.depth)
-
-
-def address_to_interval(a: CellAddress) -> SegmentInterval:
-    """Positional base-2**d reading of the digit path."""
-    q = 0
-    for j in a.digits:
-        q = (q << a.dimension) | j
-    return SegmentInterval(a.dimension, a.depth, q)
-
-
-def interval_to_address(iv: SegmentInterval) -> CellAddress:
-    """Exact inverse of address_to_interval."""
-    d = iv.dimension
-    mask = (1 << d) - 1
-    digits = [(iv.index >> (d * (iv.depth - 1 - k))) & mask
-              for k in range(iv.depth)]
-    return CellAddress(d, tuple(digits))
 
 
 def _forward_cell(cell: int, depth: int, d: int) -> int:
@@ -320,18 +288,6 @@ def inverse_map(t: UnitScalar, depth: int, dimension: int) -> CubePoint:
     mask = (1 << depth) - 1
     return CubePoint(tuple([UnitScalar(cell >> axis * depth & mask, depth)
                             for axis in range(d)]))
-
-
-def point_to_address(pt: CubePoint, depth: int) -> CellAddress:
-    """Locate the unique depth-n half-open cell containing the point."""
-    q = forward_map(pt, depth).mantissa
-    return interval_to_address(SegmentInterval(pt.dimension, depth, q))
-
-
-def address_to_rect(a: CellAddress) -> DyadicRect:
-    """The half-open cube cell named by the address; side 2**-depth."""
-    lower = inverse_map(address_to_interval(a).left(), a.depth, a.dimension)
-    return DyadicRect(lower, (a.depth,) * a.dimension)
 
 
 def compose_n_to_m(pt: CubePoint, depth: int, target_dimension: int) -> CubePoint:

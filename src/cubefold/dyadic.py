@@ -71,12 +71,16 @@ class UnitScalar:
                 f"mantissa {echo(self.mantissa)} out of range for precision "
                 f"{echo(self.precision)}: need 0 <= m < 2^{echo(self.precision)}"
             )
+        # the checked ints are the ones kept: a numpy int would shift in int64
+        object.__setattr__(self, "mantissa", mantissa)
+        object.__setattr__(self, "precision", precision)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.precision)
 
     def refine(self, new_precision: int) -> "UnitScalar":
         """Same value re-expressed with at least as many bits."""
+        new_precision = operator.index(new_precision)
         if new_precision < self.precision:
             raise PrecisionError(
                 f"cannot refine from {self.precision} to {new_precision} bits"
@@ -161,11 +165,12 @@ class DyadicRect:
     def __post_init__(self):
         if len(self.side_exponents) != self.lower.dimension:
             raise RangeError("one side exponent per axis required")
-        for c, k in zip(self.lower.coords, self.side_exponents):
-            k = _integer(k, "side exponent", 0)
+        sides = tuple(_integer(k, "side exponent", 0) for k in self.side_exponents)
+        for c, k in zip(self.lower.coords, sides):
             # x + 2^-k > 1, in integers: m * 2^k + 2^p > 2^(p + k)
             if (c.mantissa << k) + (1 << c.precision) > 1 << (c.precision + k):
                 raise RangeError("box must be contained in [0,1)^d")
+        object.__setattr__(self, "side_exponents", sides)
 
     @property
     def dimension(self) -> int:

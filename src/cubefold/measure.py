@@ -7,7 +7,8 @@ bit-exactly.  Statistical checks push uniform segment draws through the
 inverse map and test the image for uniformity.
 
 `SUITES` holds the five `verify` suites and their bounds.  Cube cells
-are packed grid indices throughout, the batch inverse kernel's output.
+are packed grid indices throughout, the batch inverse kernel's output;
+`CellUnion.of_cube` names them by the segment indices they pair with.
 One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
 a time to `cells`, `adjacency` and the uniformity audit's fold of its
 per-cell counts onto the grid.
@@ -28,14 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import (
-    BLOCK,
-    CellAddress,
-    _check_cell,
-    address_to_interval,
-    forward_map_batch,
-    inverse_map_batch,
-)
+from .curve import BLOCK, _check_cell, forward_map_batch, inverse_map_batch
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, _integer, echo
 from .stats import chi2_threshold, chi_squared
 
@@ -72,6 +66,8 @@ class CellUnion:
         if self.space not in (CUBE, SEGMENT):
             raise RangeError(f"unknown space {self.space!r}")
         d, depth = _check_cell(self.dimension, self.depth)
+        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "depth", depth)
         # the types first: a float passes the range check, a str or a
         # tuple breaks it, and a bool was almost surely meant as a mask
         for kind in set(map(type, self.members)):
@@ -83,17 +79,13 @@ class CellUnion:
             raise RangeError(f"cell index out of range at depth {depth}")
 
     @classmethod
-    def of_cube(cls, dimension: int, depth: int, addresses) -> "CellUnion":
-        """Cube union of digit paths, each a sequence of digits; the
-        inverse map finds each path's cell, all paths in one call."""
-        indices = []
-        for digits in addresses:
-            a = CellAddress(dimension, tuple(digits))
-            if a.depth != depth:
-                raise RangeError("member depth mismatch")
-            indices.append(address_to_interval(a).index)
-        return cls(CUBE, dimension, depth,
-                   frozenset(inverse_map_batch(indices, depth, dimension).tolist()))
+    def of_cube(cls, dimension: int, depth: int, indices) -> "CellUnion":
+        """Cube union of the cells the inverse map pairs with the segment
+        cells `indices`, all in one call.  The indices are checked as a
+        segment union first: the map would drop bits above d*depth."""
+        segment = cls.of_segment(dimension, depth, indices)
+        cells = inverse_map_batch(list(segment.members), segment.depth, segment.dimension)
+        return cls(CUBE, segment.dimension, segment.depth, frozenset(cells.tolist()))
 
     @classmethod
     def of_segment(cls, dimension: int, depth: int, indices) -> "CellUnion":

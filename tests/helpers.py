@@ -8,7 +8,8 @@ library.  The one exception is `stream_bin_counts`, the differential
 oracle of the uniformity audit's fold of per-cell counts: it runs the
 batch kernel on every draw, where the audit maps each cell once.
 `unpack_corners` reads the kernel's packed grid indices as (N, d)
-corners for every test.
+corners for every test, and `path_index` reads a brute-force digit path
+as its segment index.
 """
 
 import math
@@ -76,6 +77,15 @@ def brute_force_corner(d: int, depth: int, q: int) -> tuple:
         octant, state = child_order(state)[digit]
         corner = [(c << 1) | ((octant >> a) & 1) for a, c in enumerate(corner)]
     return tuple(corner)
+
+
+def path_index(digits, d: int) -> int:
+    """Segment cell index of a digit path: its digits read positionally
+    in base 2**d, first highest."""
+    q = 0
+    for j in digits:
+        q = q << d | j
+    return q
 
 
 def packed_cell(corner, depth: int) -> int:

@@ -10,18 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from cubefold.curve import (
-    CellAddress,
-    SegmentInterval,
-    address_to_interval,
-    address_to_rect,
-    compose_n_to_m,
-    forward_map,
-    interval_to_address,
-    inverse_map,
-    point_to_address,
-)
-from cubefold.dyadic import UnitScalar
+from cubefold.curve import compose_n_to_m, forward_map, inverse_map
+from cubefold.dyadic import DyadicRect, UnitScalar
 from cubefold.measure import CellUnion, monte_carlo_uniformity, pushforward
 from cubefold.sampling import DistributionSpec, sample_independent, split_uniform
 from cubefold.stats import chi2_threshold, chi_squared_contingency
@@ -37,13 +27,13 @@ def test_criterion_1_cell_bijection():
     t0 = time.time()
     failures = 0
     for depth in range(7):
-        seen = set()
+        corners = set()
         for q in range(4 ** depth):
-            addr = interval_to_address(SegmentInterval(2, depth, q))
-            if address_to_interval(addr).index != q:
+            pt = inverse_map(UnitScalar(q, 2 * depth), depth, 2)
+            if forward_map(pt, depth) != UnitScalar(q, 2 * depth):
                 failures += 1
-            seen.add(addr.digits)
-        if len(seen) != 4 ** depth:
+            corners.add(tuple(c.mantissa for c in pt.coords))
+        if len(corners) != 4 ** depth:
             failures += 1
     elapsed = time.time() - t0
     _report(1, "cell bijection", failures == 0 and elapsed < 10,
@@ -54,18 +44,14 @@ def test_criterion_2_exact_measure_preservation():
     failures = 0
     for depth in range(7):
         for q in range(4 ** depth):
-            addr = interval_to_address(SegmentInterval(2, depth, q))
-            if address_to_rect(addr).volume() != Fraction(1, 4 ** depth):
+            rect = DyadicRect(inverse_map(UnitScalar(q, 2 * depth), depth, 2), (depth, depth))
+            if rect.volume() != Fraction(1, 4 ** depth):
                 failures += 1
     rng = random.Random(2024)
     for _ in range(1000):
         count = rng.randint(0, 100)
-        digits = {
-            interval_to_address(
-                SegmentInterval(2, 8, rng.randrange(4 ** 8))).digits
-            for _ in range(count)
-        }
-        cu = CellUnion.of_cube(2, 8, digits)
+        indices = {rng.randrange(4 ** 8) for _ in range(count)}
+        cu = CellUnion.of_cube(2, 8, indices)
         if pushforward(cu).measure() != cu.measure():
             failures += 1
     _report(2, "exact measure preservation", failures == 0,
@@ -120,8 +106,9 @@ def test_criterion_6_composition_roundtrip():
             pt = inverse_map(UnitScalar(q, 2 * depth), depth, 2)
             mid = compose_n_to_m(pt, depth, 3)
             back = compose_n_to_m(mid, t3, 2)
-            original = point_to_address(pt, depth)
-            if point_to_address(back, t2).prefix(matched) != original.prefix(matched):
+            # the first `matched` digits of each cell's segment index
+            original = forward_map(pt, depth).mantissa >> 2 * (depth - matched)
+            if forward_map(back, t2).mantissa >> 2 * (t2 - matched) != original:
                 failures += 1
     _report(6, "cube-to-cube composition round trip", failures == 0,
             f"failures={failures}")

@@ -9,19 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cubefold import curve
 from cubefold.curve import (
-    CellAddress,
     OrientationState,
     SegmentInterval,
-    address_to_interval,
-    address_to_rect,
     child_order,
     compose_n_to_m,
     forward_map,
     forward_map_batch,
-    interval_to_address,
     inverse_map,
     inverse_map_batch,
-    point_to_address,
 )
 from cubefold.dyadic import (
     CubePoint,
@@ -36,6 +31,7 @@ from helpers import (
     brute_force_locate,
     make_point,
     packed_cell,
+    path_index,
     unpack_corners,
 )
 
@@ -110,21 +106,12 @@ def test_orientation_state_guards_raise_their_message(args, message):
         OrientationState(*args)
 
 
-def test_point_to_address_depth1():
-    pt = make_point([1, 1], 2)  # (1/4, 1/4): lower-left quadrant
-    assert point_to_address(pt, 1).digits == (0,)
-
-
-def test_point_to_address_depth0():
-    assert point_to_address(make_point([3, 5], 4), 0).digits == ()
-
-
-def test_point_to_address_matches_brute_force_depth2():
+def test_forward_map_matches_brute_force_depth2():
     cells = brute_force_cells(2, 2)
     pt = make_point([3, 7], 3)  # (3/8, 7/8)
-    digits = point_to_address(pt, 2).digits
-    assert digits == brute_force_locate(cells, (Fraction(3, 8), Fraction(7, 8)), 2)
+    digits = brute_force_locate(cells, (Fraction(3, 8), Fraction(7, 8)), 2)
     assert digits == (1, 2)  # one-based (2, 3), frozen from the oracle
+    assert forward_map(pt, 2) == UnitScalar(path_index(digits, 2), 4)
 
 
 def _no_walk(monkeypatch):
@@ -133,55 +120,18 @@ def _no_walk(monkeypatch):
     monkeypatch.setattr(curve, "_plan", walked)
 
 
-def test_point_to_address_needs_precision(monkeypatch):
+def test_forward_map_needs_precision(monkeypatch):
     # a point with fewer bits than the depth reads as its value: (1/4, 1/4)
     # lies in the depth-3 cell the brute-force oracle finds for it
     digits = brute_force_locate(brute_force_cells(2, 3), (Fraction(1, 4),) * 2, 3)
-    assert point_to_address(make_point([1, 1], 2), 3).digits == digits
+    assert forward_map(make_point([1, 1], 2), 3) == UnitScalar(path_index(digits, 2), 6)
     assert forward_map(make_point([1, 1, 1], 4), 5) == \
         forward_map(make_point([2, 2, 2], 5), 5)
     _no_walk(monkeypatch)
-    with pytest.raises(RangeError):
-        point_to_address(make_point([0] * 9, 1), 1)
     with pytest.raises(RangeError, match="dimension must be in 1..8"):
         forward_map(make_point([0] * 9, 1), 1)
-    for fn in (forward_map, point_to_address):
-        with pytest.raises(RangeError, match=r"^depth must be >= 0, got -1$"):
-            fn(make_point([1, 1], 2), -1)
-
-
-def test_address_to_rect_examples():
-    root = address_to_rect(CellAddress(2, ()))
-    assert root.volume() == 1
-    first = address_to_rect(CellAddress(2, (0,)))
-    assert [c.as_fraction() for c in first.lower.coords] == [0, 0]
-    assert first.side_exponents == (1, 1)
-    for digits in [(0, 3, 2), (1, 1, 1), (3, 2, 0)]:
-        assert address_to_rect(CellAddress(2, digits)).volume() == Fraction(1, 64)
-
-
-def test_address_to_interval_examples():
-    assert address_to_interval(CellAddress(2, (0, 0, 0))).index == 0
-    iv = address_to_interval(CellAddress(2, (3,)))
-    assert iv.index == 3 and iv.left().as_fraction() == Fraction(3, 4)
-    iv = address_to_interval(CellAddress(2, (1, 2)))
-    assert (iv.dimension, iv.depth, iv.index) == (2, 2, 6)
-
-
-def test_interval_to_address_examples():
-    assert interval_to_address(SegmentInterval(2, 3, 0)).digits == (0, 0, 0)
-    assert interval_to_address(SegmentInterval(2, 2, 6)).digits == (1, 2)
-
-
-@pytest.mark.parametrize("d,max_depth", [(1, 8), (2, 6), (3, 4)])
-def test_address_interval_exhaustive_roundtrip(d, max_depth):
-    for depth in range(max_depth + 1):
-        seen = set()
-        for q in range((1 << d) ** depth):
-            addr = interval_to_address(SegmentInterval(d, depth, q))
-            assert address_to_interval(addr).index == q
-            seen.add(addr.digits)
-        assert len(seen) == (1 << d) ** depth
+    with pytest.raises(RangeError, match=r"^depth must be >= 0, got -1$"):
+        forward_map(make_point([1, 1], 2), -1)
 
 
 def test_cells_match_brute_force_enumeration():
@@ -191,11 +141,11 @@ def test_cells_match_brute_force_enumeration():
                      (6, 2), (7, 1), (8, 1)]:
         cells = brute_force_cells(d, depth)
         for digits, corner in cells.items():
-            rect = address_to_rect(CellAddress(d, digits))
-            assert tuple(c.mantissa for c in rect.lower.coords) == corner
-            assert point_to_address(rect.lower, depth).digits == digits
-        indices = [sum(j << (d * (depth - 1 - k)) for k, j in enumerate(digits))
-                   for digits in cells]
+            cell = UnitScalar(path_index(digits, d), d * depth)
+            pt = inverse_map(cell, depth, d)
+            assert tuple(c.mantissa for c in pt.coords) == corner
+            assert forward_map(pt, depth) == cell
+        indices = [path_index(digits, d) for digits in cells]
         batch = inverse_map_batch(np.array(indices, dtype=np.uint64), depth, d)
         assert list(map(tuple, unpack_corners(batch, depth, d).tolist())) == \
             list(cells.values())
@@ -220,20 +170,20 @@ def test_adjacency_consecutive_cells_share_a_face(d, depth):
     assert np.all(diff.max(axis=1) == 1)
 
 
-def test_nesting_addresses_extend_by_one_digit():
+def test_nesting_cells_extend_by_one_digit():
     rng = random.Random(5)
     for _ in range(200):
         d = rng.randint(1, 3)
         depth = rng.randint(1, 6)
         pt = make_point([rng.getrandbits(8) for _ in range(d)], 8)
-        full = point_to_address(pt, depth)
-        assert point_to_address(pt, depth - 1).digits == full.digits[:-1]
-        # intervals nest accordingly
-        inner = address_to_interval(full)
-        outer = address_to_interval(full.prefix(depth - 1))
-        assert outer.left().as_fraction() <= inner.left().as_fraction()
-        assert (inner.left().as_fraction() + Fraction(1, (1 << d) ** depth)
-                <= outer.left().as_fraction() + Fraction(1, (1 << d) ** (depth - 1)))
+        inner = forward_map(pt, depth)
+        outer = forward_map(pt, depth - 1)
+        # the coarser index is the finer one less its last digit ...
+        assert outer.mantissa == inner.mantissa >> d
+        # ... so the intervals nest accordingly
+        assert outer.as_fraction() <= inner.as_fraction()
+        assert (inner.as_fraction() + Fraction(1, (1 << d) ** depth)
+                <= outer.as_fraction() + Fraction(1, (1 << d) ** (depth - 1)))
 
 
 def test_forward_map_first_quadrant():
@@ -245,9 +195,7 @@ def test_forward_map_matches_brute_force():
     cells = brute_force_cells(2, 4)
     pt = make_point([3 << 1, 7 << 1], 4)  # (3/8, 7/8) at precision 4
     digits = brute_force_locate(cells, (Fraction(3, 8), Fraction(7, 8)), 4)
-    q = 0
-    for j in digits:
-        q = q * 4 + j
+    q = path_index(digits, 2)
     assert q == 104  # frozen from the oracle
     assert forward_map(pt, 4) == UnitScalar(q, 8)
 
@@ -267,8 +215,9 @@ def test_forward_map_refinement_cauchy_bound():
 def test_inverse_map_examples():
     pt = inverse_map(UnitScalar(1, 4), 1, 2)  # t = 1/16 in [0, 1/4)
     assert [c.as_fraction() for c in pt.coords] == [0, 0]
+    # the README's unmap example, the corner child_order gives cell 6
     pt = inverse_map(UnitScalar(6, 4), 2, 2)
-    assert pt == address_to_rect(CellAddress(2, (1, 2))).lower
+    assert pt == make_point([1, 3], 2) == make_point(brute_force_corner(2, 2, 6), 2)
 
 
 def test_inverse_map_cell_roundtrip_exhaustive():
@@ -276,8 +225,8 @@ def test_inverse_map_cell_roundtrip_exhaustive():
         for q in range(4 ** depth):
             t = UnitScalar(q, 2 * depth)
             pt = inverse_map(t, depth, 2)
-            expect = interval_to_address(SegmentInterval(2, depth, q))
-            assert point_to_address(pt, depth) == expect
+            out = forward_map(pt, depth)
+            assert (out.mantissa, out.precision) == (q, 2 * depth)
 
 
 def test_inverse_map_needs_precision(monkeypatch):
@@ -395,13 +344,13 @@ def test_batch_scalar_and_forward_maps_agree(case):
     for q, row in zip(indices, batch.tolist()):
         pt = inverse_map(UnitScalar(q, bits), depth, d)
         assert [c.mantissa for c in pt.coords] == row
-        cell = interval_to_address(SegmentInterval(d, depth, q))
-        assert point_to_address(pt, depth) == cell
+        cell = UnitScalar(q, bits)
+        assert forward_map(pt, depth) == cell
         # a point inside the cell, off its lower corner, lies in it too
         low = random.Random(q).getrandbits
         inner = CubePoint(tuple(UnitScalar((m << 5) | low(5), depth + 5)
                                 for m in row))
-        assert point_to_address(inner, depth) == cell
+        assert forward_map(inner, depth) == cell
 
 
 def _deep_segment_cells():
@@ -474,7 +423,7 @@ def test_forward_batch_matches_child_order_cells(d, depth):
     cells = brute_force_cells(d, depth)
     paths = sorted(cells)
     packed = np.array([packed_cell(cells[p], depth) for p in paths], dtype=np.uint64)
-    expected = [sum(j << d * (depth - 1 - k) for k, j in enumerate(p)) for p in paths]
+    expected = [path_index(p, d) for p in paths]
     assert forward_map_batch(packed, depth, d).tolist() == expected
 
 
@@ -696,7 +645,7 @@ def test_compose_identity_at_cell_level():
         for q in range(4 ** depth):
             pt = inverse_map(UnitScalar(q, 2 * depth), depth, 2)
             back = compose_n_to_m(pt, depth, 2)
-            assert point_to_address(back, depth) == point_to_address(pt, depth)
+            assert forward_map(back, depth) == forward_map(pt, depth) == UnitScalar(q, 2 * depth)
 
 
 def test_compose_2_to_1_equals_forward_map():
@@ -708,12 +657,14 @@ def test_compose_2_to_1_equals_forward_map():
 
 
 def test_compose_2_to_3_preserves_cell_volume():
-    # depth 3 in the square -> depth 2 in the cube: 4^-3 == 8^-2 exactly
+    # depth 3 in the square -> depth 2 in the cube: 4^-3 == 8^-2 exactly,
+    # and the 64 square cells land on the 64 cube cells, one each
+    cells = set()
     for q in range(4 ** 3):
-        pt = inverse_map(UnitScalar(q, 6), 3, 2)
-        out = compose_n_to_m(pt, 3, 3)
-        cell = address_to_rect(point_to_address(out, 2))
-        assert cell.volume() == Fraction(1, 64)
+        out = compose_n_to_m(inverse_map(UnitScalar(q, 6), 3, 2), 3, 3)
+        assert [c.precision for c in out.coords] == [2] * 3
+        cells.add(forward_map(out, 2).mantissa)
+    assert cells == set(range(64))
 
 
 def test_compose_rejects_insufficient_precision():

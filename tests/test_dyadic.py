@@ -2,6 +2,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -192,9 +193,8 @@ COIN = sampling.DistributionSpec(atoms=[("0", "1/2"), ("1", "1/2")], name="coin"
     (lambda: curve.inverse_map_batch([0], 3, HUGE), RangeError, "1" + "0" * 36),
     (lambda: curve.SegmentInterval(2, 3, 10 ** 60), RangeError, "1" + "0" * 36),
     (lambda: curve.SegmentInterval(2, 3, HUGE), RangeError, "1" + "0" * 36),
-    (lambda: curve.CellAddress(2, (0, HUGE)), RangeError, "1" + "0" * 36),
 ], ids=["grid", "sample-depth", "mantissa", "precision", "dimension",
-        "index-61-digits", "index", "digit"])
+        "index-61-digits", "index"])
 def test_errors_echo_a_huge_int_cut(call, error, shown):
     # str() of an int of over 4300 digits raised Python's digit-limit
     # ValueError in place of the intended error, and shorter ints showed whole
@@ -213,12 +213,11 @@ RECT = DyadicRect(make_point([0, 0], 1), (1, 1))
     lambda: UnitScalar(1, 2.0),
     lambda: curve.SegmentInterval(2, 2, 1.5),
     lambda: curve.OrientationState(2, 0.5, 0),
-    lambda: curve.CellAddress(2, (1.0,)),
     lambda: curve.forward_map(RECT.lower, 2.0),
     lambda: curve.inverse_map_batch([1], 2.0, 2),
     lambda: DyadicRect(make_point([0], 1), (1.5,)),
     lambda: measure.rect_measure_check(RECT, 2.0),
-], ids=["mantissa", "precision", "index", "rotation", "digit", "forward-depth",
+], ids=["mantissa", "precision", "index", "rotation", "forward-depth",
         "batch-depth", "side-exponent", "rect-depth"])
 def test_every_integer_argument_rejects_a_float(call):
     # each once raised AttributeError or an arithmetic TypeError further
@@ -230,7 +229,6 @@ def test_every_integer_argument_rejects_a_float(call):
 @pytest.mark.parametrize("call,message", [
     (lambda: curve.OrientationState(2, 2, 0), "rotation must be in 0..1, got 2"),
     (lambda: curve.OrientationState(2, 0, 4), "flips must be in 0..3, got 4"),
-    (lambda: curve.CellAddress(2, (0, 4)), "digit must be in 0..3, got 4"),
     (lambda: curve.SegmentInterval(2, 2, 16), "index must be in 0..15, got 16"),
     # a bound of 1807 digits shows its first 37, as a value does
     (lambda: curve.SegmentInterval(2, 3000, -1),
@@ -238,8 +236,37 @@ def test_every_integer_argument_rejects_a_float(call):
     (lambda: DyadicRect(make_point([0], 1), (-1,)), "side exponent must be >= 0, got -1"),
     (lambda: measure.monte_carlo_uniformity(100, 0, 0),
      "grid must be in 1..2147483648, got 0"),
-], ids=["rotation", "flips", "digit", "index", "index-bound-cut", "side-exponent",
+], ids=["rotation", "flips", "index", "index-bound-cut", "side-exponent",
         "grid"])
 def test_every_integer_argument_names_its_range(call, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: UnitScalar(1, n(70)) == UnitScalar(1, 70),
+    lambda n: UnitScalar(1, n(70)).as_fraction(),
+    lambda n: UnitScalar(n(3), 70).refine(140),
+    lambda n: UnitScalar(3, 70).refine(n(140)).mantissa,
+    lambda n: curve.SegmentInterval(2, n(40), 5).left().as_fraction(),
+    lambda n: DyadicRect(make_point([0, 0], 0), (n(40),) * 2).volume(),
+    lambda n: measure.CellUnion.of_segment(n(8), n(8), [1]).measure(),
+    lambda n: measure.CellUnion.of_cube(n(2), n(40), [5]).measure(),
+], ids=["scalar-equality", "scalar-fraction", "scalar-refine", "refine-precision",
+        "interval-left", "rect-volume", "segment-union-measure", "cube-union-measure"])
+def test_a_numpy_int_field_acts_as_the_equal_int(call):
+    # each value once kept the numpy int it was given, so a later shift
+    # ran in int64: a wrong value or a ZeroDivisionError
+    assert call(np.int64) == call(int)
+
+
+def test_frozen_values_keep_the_python_int_their_reader_returns():
+    n = np.int64
+    union = measure.CellUnion.of_segment(n(8), n(8), [1])
+    rect = DyadicRect(make_point([0], 0), [n(40)])
+    assert rect.side_exponents == (40,) and type(rect.side_exponents) is tuple
+    kept = [*vars(UnitScalar(n(3), n(70))).values(),
+            *vars(curve.SegmentInterval(n(2), n(40), n(5))).values(),
+            *vars(curve.OrientationState(n(3), n(2), n(5))).values(),
+            *rect.side_exponents, union.dimension, union.depth]
+    assert len(kept) == 11 and all(type(v) is int for v in kept)

@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from cubefold import measure
-from cubefold.curve import (
-    BLOCK,
-    SegmentInterval,
-    forward_map_batch,
-    interval_to_address,
-    inverse_map_batch,
-)
-from cubefold.dyadic import DyadicRect, RangeError
+from cubefold.curve import BLOCK, forward_map_batch, inverse_map, inverse_map_batch
+from cubefold.dyadic import DyadicRect, RangeError, UnitScalar
 from cubefold.measure import (
     CUBE,
     SEGMENT,
@@ -31,18 +25,15 @@ from helpers import (
     brute_force_corner,
     make_point,
     packed_cell,
+    path_index,
     stream_bin_counts,
     unpack_corners,
 )
 
 
 def _random_cube_union(rng, d, depth, count):
-    digits = {
-        interval_to_address(
-            SegmentInterval(d, depth, rng.randrange((1 << d) ** depth))).digits
-        for _ in range(count)
-    }
-    return CellUnion.of_cube(d, depth, digits)
+    indices = {rng.randrange((1 << d) ** depth) for _ in range(count)}
+    return CellUnion.of_cube(d, depth, indices)
 
 
 def test_pushforward_empty():
@@ -53,10 +44,7 @@ def test_pushforward_empty():
 
 def test_pushforward_total_mass():
     depth = 3
-    everything = CellUnion.of_cube(
-        2, depth,
-        [interval_to_address(SegmentInterval(2, depth, q)).digits
-         for q in range(4 ** depth)])
+    everything = CellUnion.of_cube(2, depth, range(4 ** depth))
     out = pushforward(everything)
     assert out.measure() == 1
     assert out.members == frozenset(range(4 ** depth))
@@ -64,11 +52,10 @@ def test_pushforward_total_mass():
 
 def test_pushforward_random_37_cells_depth4():
     rng = random.Random(37)
-    digits = set()
-    while len(digits) < 37:
-        q = rng.randrange(4 ** 4)
-        digits.add(interval_to_address(SegmentInterval(2, 4, q)).digits)
-    cu = CellUnion.of_cube(2, 4, digits)
+    indices = set()
+    while len(indices) < 37:
+        indices.add(rng.randrange(4 ** 4))
+    cu = CellUnion.of_cube(2, 4, indices)
     out = pushforward(cu)
     assert len(out.members) == 37
     assert cu.measure() == out.measure() == Fraction(37, 256)
@@ -77,15 +64,11 @@ def test_pushforward_random_37_cells_depth4():
 def test_pushforward_exhaustive_small_depths():
     # every union is measure-preserving; check all singletons and all pairs
     for depth in range(4):
-        cells = [interval_to_address(SegmentInterval(2, depth, q)).digits
-                 for q in range(4 ** depth)]
-        for c in cells:
-            cu = CellUnion.of_cube(2, depth, [c])
+        for q in range(4 ** depth):
+            cu = CellUnion.of_cube(2, depth, [q])
             assert pushforward(cu).measure() == cu.measure()
-    pair_cells = [interval_to_address(SegmentInterval(2, 2, q)).digits
-                  for q in range(16)]
-    for i, a in enumerate(pair_cells):
-        for b in pair_cells[i + 1:]:
+    for a in range(16):
+        for b in range(a + 1, 16):
             cu = CellUnion.of_cube(2, 2, [a, b])
             assert pushforward(cu).measure() == Fraction(2, 16)
 
@@ -104,10 +87,10 @@ def test_disjoint_unions_have_disjoint_images():
         a = _random_cube_union(rng, 2, 4, 20)
         b_members = set()
         while len(b_members) < 10:
-            path = interval_to_address(SegmentInterval(2, 4, rng.randrange(256))).digits
+            q = rng.randrange(256)
             # cube members are grid cells: compare a and b in the cube
-            if not CellUnion.of_cube(2, 4, [path]).members & a.members:
-                b_members.add(path)
+            if not CellUnion.of_cube(2, 4, [q]).members & a.members:
+                b_members.add(q)
         b = CellUnion.of_cube(2, 4, b_members)
         assert not (pushforward(a).members & pushforward(b).members)
 
@@ -122,7 +105,7 @@ def test_pushforward_lands_on_brute_force_cells(d, depth):
     rng = random.Random(d * 100 + depth)
     for _ in range(5):
         chosen = rng.sample(paths, rng.randint(0, min(len(paths), 40)))
-        image = pushforward(CellUnion.of_cube(d, depth, chosen))
+        image = pushforward(CellUnion.of_cube(d, depth, [path_index(p, d) for p in chosen]))
         indices = np.array(sorted(image.members), dtype=np.uint64)
         corners = unpack_corners(inverse_map_batch(indices, depth, d), depth, d)
         assert sorted(map(tuple, corners.tolist())) == \
@@ -133,9 +116,13 @@ def test_pushforward_lands_on_brute_force_cells(d, depth):
     lambda: CellUnion(CUBE, 2, 2, frozenset({16})),
     lambda: CellUnion(SEGMENT, 2, 2, frozenset({-1})),
     lambda: CellUnion.of_segment(3, 1, [8]),
-    lambda: CellUnion.of_cube(2, 2, [(0, 4)]),
-    lambda: CellUnion.of_cube(2, 2, [(0,)]),
-    lambda: CellUnion.of_cube(2, 2, [(0, 1, 2)]),
+    # of_cube checks its indices as segment cells: the inverse map ignores
+    # bits above d*depth, so 64 at d=2 depth 3 would fold into cell 0
+    lambda: CellUnion.of_cube(2, 3, [64]),
+    lambda: CellUnion.of_cube(2, 3, [0, 2**64]),
+    lambda: CellUnion.of_cube(2, 3, [-1]),
+    lambda: CellUnion.of_cube(2, 3, [True]),
+    lambda: CellUnion.of_cube(2, 3, [1.0]),
     lambda: CellUnion(CUBE, 0, 1, frozenset()),
     lambda: CellUnion(SEGMENT, 9, 1, frozenset()),
     lambda: CellUnion(CUBE, 2, -1, frozenset()),
@@ -146,10 +133,10 @@ def test_pushforward_lands_on_brute_force_cells(d, depth):
     lambda: CellUnion(SEGMENT, 2, 2, frozenset({2, np.float64(3.0)})),
     lambda: CellUnion(SEGMENT, 2, 2, frozenset({True})),
     lambda: CellUnion(CUBE, 2, 2, frozenset({np.True_})),
-], ids=["index-16", "index-neg", "segment-index-8", "digit-4", "short-path",
-        "long-path", "d0", "d9", "depth-1", "unknown-space", "float-member",
-        "tuple-member", "str-member", "numpy-float-member", "bool-member",
-        "numpy-bool-member"])
+], ids=["index-16", "index-neg", "segment-index-8", "cube-index-64",
+        "cube-index-2^64", "cube-index-neg", "cube-bool", "cube-float", "d0", "d9",
+        "depth-1", "unknown-space", "float-member", "tuple-member", "str-member",
+        "numpy-float-member", "bool-member", "numpy-bool-member"])
 def test_cell_union_rejects_bad_cells(build):
     with pytest.raises(RangeError):
         build()
@@ -188,15 +175,25 @@ def test_of_segment_takes_a_uint64_array_as_the_equal_ints():
         CellUnion.of_segment(8, 8, top)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_of_cube_of_every_index_is_every_cell(d):
+    for depth in range(max(1, 12 // d) + 1):
+        total = 1 << d * depth
+        cu = CellUnion.of_cube(d, depth, range(total))
+        assert len(cu.members) == total and max(cu.members) < total
+        assert pushforward(cu).members == frozenset(range(total))
+
+
 def test_pushforward_rejects_segment_union():
     with pytest.raises(RangeError, match="cube-side"):
         pushforward(CellUnion.of_segment(2, 2, [0, 1]))
 
 
 def test_cube_members_are_packed_grid_cells():
-    # of_cube finds each digit path's cell; pushforward sends it back
+    # of_cube finds the cell of each digit path's index; pushforward
+    # sends it back
     cells = brute_force_cells(3, 2)
-    cu = CellUnion.of_cube(3, 2, cells)
+    cu = CellUnion.of_cube(3, 2, [path_index(p, 3) for p in cells])
     assert cu.members == {packed_cell(c, 2) for c in cells.values()}
     assert pushforward(cu).members == frozenset(range(64))
 
@@ -215,8 +212,7 @@ def test_cell_helpers_take_the_scalar_maps_beyond_64_bits(d, depth):
     back = forward_map_batch(cells, depth, d)
     assert back.dtype == object and back.shape == (2, 4)
     assert back.ravel().tolist() == indices
-    paths = [interval_to_address(SegmentInterval(d, depth, q)).digits for q in indices]
-    assert pushforward(CellUnion.of_cube(d, depth, paths)).members == set(indices)
+    assert pushforward(CellUnion.of_cube(d, depth, indices)).members == set(indices)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 6, 8, 9, 33, 64, 65, 200])
@@ -252,9 +248,8 @@ def test_rect_measure_check_half_square():
 
 def test_rect_measure_check_single_cell():
     for depth in (1, 2, 3):
-        cell = SegmentInterval(2, depth, 5 % 4 ** depth)
-        from cubefold.curve import address_to_rect
-        rect = address_to_rect(interval_to_address(cell))
+        lower = inverse_map(UnitScalar(5 % 4 ** depth, 2 * depth), depth, 2)
+        rect = DyadicRect(lower, (depth, depth))
         report = rect_measure_check(rect, depth)
         assert report.passed
 
