@@ -1,14 +1,16 @@
 """Command-line front door: map, unmap, verify, sample.
 
 It reads values, parses flags and dispatches; the `verify` suites live in
-`measure`.  Each command is parsed by its own subparser.  The root parser
-handles only no command, an unknown command, `-h` and arguments the
-subparser leaves over, so every message and help text reads as it would
-if the root parser had parsed the whole command line.  Each flag is
-checked once, by the one integer reader `dyadic._integer`: `-d`, `-n` and
-`--seed` through their argparse type, the plain ints `verify -N`/`-k`
-inside `monte_carlo_uniformity` and `sample -N`/`--depth` inside
-`sample_independent`; `d*n` has its own bound.
+`measure`.  `_read` parses the plain form of each command line: the
+command, options each spelt in full with a value after it, and one run of
+positionals.  It returns the namespace the root parser would, or None,
+and then the root parser reads the line itself; so every message, usage
+line and help text is argparse's.  Each flag is defined once, in
+`_build_parser`, and `_read` works from the argparse actions it adds.
+Each flag is checked once, by the one integer reader `dyadic._integer`:
+`-d`, `-n` and `--seed` through their argparse type, the plain ints
+`verify -N`/`-k` inside `monte_carlo_uniformity` and `sample
+-N`/`--depth` inside `sample_independent`; `d*n` has its own bound.
 `verify` calls `measure.SUITES[suite]` with the `SUITE_FLAGS` values its
 parameters name and rejects any other flag given.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error or an output too large to
@@ -134,68 +136,136 @@ def _cmd_sample(args) -> int:
 
 
 def _build_parser():
-    """The root parser, and each command's parser by name."""
+    """The root parser, and the reader's table of each command by name."""
     parser = argparse.ArgumentParser(
         prog="cubefold",
         description="Measure-preserving folding of the unit cube onto the "
                     "unit segment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}
 
     def command(name, handler, help):
-        """A subcommand run by `handler`."""
+        """A subcommand run by `handler`, and its `add_argument`, which
+        also enters each action in the command's table."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        return p
+        actions = []
+        tables[name] = p, actions
 
-    p_map = command("map", _cmd_map, "map a cube point to the segment")
-    p_map.add_argument("coords", nargs="+",
-                       help="d coordinates, each m/b^p (b = 2, 4, 8, ...) or 0b0.bits")
-    p_unmap = command("unmap", _cmd_unmap, "map a segment value to the cube")
-    p_unmap.add_argument("value", help="segment value, m/b^p (b = 2, 4, ...) or 0b0.bits")
-    for p in (p_map, p_unmap):
-        p.add_argument("-d", "--dimension", type=_dimension, default=2)
-        p.add_argument("-n", "--depth", type=_depth, default=1)
-    p_verify = command("verify", _cmd_verify, "run a verification suite")
-    p_verify.add_argument("suite", choices=measure.SUITES)
+        def add(*args, **kwargs):
+            actions.append(p.add_argument(*args, **kwargs))
+        return add
+
+    add_map = command("map", _cmd_map, "map a cube point to the segment")
+    add_map("coords", nargs="+",
+            help="d coordinates, each m/b^p (b = 2, 4, 8, ...) or 0b0.bits")
+    add_unmap = command("unmap", _cmd_unmap, "map a segment value to the cube")
+    add_unmap("value", help="segment value, m/b^p (b = 2, 4, ...) or 0b0.bits")
+    for add in (add_map, add_unmap):
+        add("-d", "--dimension", type=_dimension, default=2)
+        add("-n", "--depth", type=_depth, default=1)
+    add_verify = command("verify", _cmd_verify, "run a verification suite")
+    add_verify("suite", choices=measure.SUITES)
     for dest, (flags, type_, default) in SUITE_FLAGS.items():
         suites = [name for name, parameters in _PARAMETERS.items() if dest in parameters]
-        p_verify.add_argument(
-            *flags, dest=dest, type=type_, metavar=flags[-1][2:].upper(),
-            help=f"default {default}; taken by {', '.join(suites)} only")
+        add_verify(*flags, dest=dest, type=type_, metavar=flags[-1][2:].upper(),
+                   help=f"default {default}; taken by {', '.join(suites)} only")
 
-    p_sample = command("sample", _cmd_sample, "draw variates from a spec file")
-    p_sample.add_argument("--spec", required=True, help="JSON distribution file")
-    p_sample.add_argument("-N", "--draws", type=_int, default=100)
-    p_sample.add_argument("--seed", type=_seed, default=0)
-    p_sample.add_argument("--depth", type=_int, default=None)
-    p_sample.add_argument("-o", "--output", default=None,
-                          help="CSV output path (default stdout)")
-    return parser, sub.choices
+    add_sample = command("sample", _cmd_sample, "draw variates from a spec file")
+    add_sample("--spec", required=True, help="JSON distribution file")
+    add_sample("-N", "--draws", type=_int, default=100)
+    add_sample("--seed", type=_seed, default=0)
+    add_sample("--depth", type=_int, default=None)
+    add_sample("-o", "--output", default=None,
+               help="CSV output path (default stdout)")
+    return parser, {name: _table(name, p, actions)
+                    for name, (p, actions) in tables.items()}
 
 
-# built once per process, with each command's parser by name;
-# parsing leaves them unchanged
-PARSER, COMMANDS = _build_parser()
+def _table(name, parser, actions):
+    """What `_read` needs of one command: the namespace before any token
+    is read (command, handler and the default of each optional action),
+    its actions by option string, its positional action or None, and the
+    dests a namespace must hold."""
+    start = {"command": name, "handler": parser.get_default("handler")}
+    options, positional, required = {}, None, set()
+    for action in actions:
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positional = action
+        if action.required:
+            required.add(action.dest)
+        else:
+            start[action.dest] = action.default
+    return start, options, positional, frozenset(required)
+
+
+# built once per process; parsing leaves them unchanged
+PARSER, _TABLES = _build_parser()
+
+
+def _value(action, text):
+    """`text` read by `action`'s type and checked against its choices, as
+    argparse does; any failure raises."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read(argv) -> argparse.Namespace | None:
+    """The namespace `PARSER.parse_args(argv)` returns, if `argv` is in
+    the plain form; else None.
+
+    The plain form is a command name, then tokens of two kinds: an
+    option string of the command followed by a value that does not start
+    with '-', and positionals that do not start with '-', in one unbroken
+    run of a count the positional takes.  Anything else returns None: any
+    other token starting with '-' (`-h`, `--`, `-`, an abbreviation, `-d2`,
+    `--depth=3`, a negative number), an option without a value, a value
+    its type or choices reject, a missing required option.
+    """
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    start, options, positional, required = table
+    values, run, closed = dict(start), [], False
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token.startswith("-"):
+                action = options.get(token)
+                text = next(tokens, "-")  # no value: declined as one starting with '-'
+                if action is None or text.startswith("-"):
+                    return None
+                values[action.dest] = _value(action, text)  # the last one holds
+                closed = bool(run)
+            elif closed or positional is None:
+                return None
+            else:
+                run.append(_value(positional, token))
+    except (argparse.ArgumentTypeError, ValueError, TypeError):
+        return None
+    if run:
+        if positional.nargs is None and len(run) > 1:
+            return None
+        values[positional.dest] = run if positional.nargs else run[0]
+    if not required.issubset(values):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv=None) -> argparse.Namespace:
-    """Parse `argv` (default `sys.argv[1:]`) as `PARSER.parse_args` does.
-
-    When `argv[0]` names a command, that command's parser reads the rest
-    itself, at about half the cost of going through `PARSER`; its
-    namespace lacks only `command`, which no handler reads.  No command,
-    `-h`, an unknown command or arguments the command's parser leaves over
-    go to `PARSER`, which reports them as it always has.
-    """
+    """Parse `argv` (default `sys.argv[1:]`) as `PARSER.parse_args` does:
+    through `_read`, which skips argparse's pattern matching, and through
+    `PARSER` for every line `_read` declines, which argparse then reads,
+    reports or helps with as it always has."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = COMMANDS.get(argv[0]) if argv else None
-    if parser is not None:
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return PARSER.parse_args(argv)
+    args = _read(argv)
+    return PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -108,7 +108,8 @@ class UnitScalar:
         return format_scalar(self)
 
 
-_RATIONAL_RE = re.compile(r"^(\d+)/(\d+)\^(\d+)$")
+# ASCII digits only: \d and int() would read any Unicode decimal digit
+_RATIONAL_RE = re.compile(r"^([0-9]+)/([0-9]+)\^([0-9]+)$")
 _BINARY_RE = re.compile(r"^0b0\.([01]*)$")
 
 

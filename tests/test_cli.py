@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cubefold
 from cubefold import cli, curve, measure, sampling
@@ -75,7 +78,9 @@ def test_unmap_malformed_value_exits_2(capsys):
     # a base that is not a power of two is not a segment value
     ("1/3^2", "cannot parse unit scalar from '1/3^2'"),
     ("1/1^2", "cannot parse unit scalar from '1/1^2'"),
-    ("1/0^2", "cannot parse unit scalar from '1/0^2'")])
+    ("1/0^2", "cannot parse unit scalar from '1/0^2'"),
+    # an Arabic-Indic one: only ASCII digits spell a value
+    ("\u0661/2^1", "cannot parse unit scalar from '\u0661/2^1'")])
 def test_unmap_bad_value_keeps_its_own_error(capsys, value, message):
     code, out, err = run(capsys, "unmap", "-d", "2", "-n", "2", value)
     assert code == 2 and out == ""
@@ -945,10 +950,26 @@ def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
 
 
 SPEC_FILE = ["--spec", COIN_UNIFORM]
-# the argument lists the tests above run to an error, and the cases where a
-# command's parser and the root parser could part: help, no or an unknown
-# command, flag spellings, and arguments a command's parser leaves over
+# every command shape the three benchmark workloads send
+WORKLOAD_ARGVS = [
+    *(["map", "-d", str(d), "-n", str(depth), *[f"{2 * a + 1}/2^{depth + 8}"
+                                                 for a in range(d)]]
+      for d, depth in ((2, 32), (3, 21), (8, 8))),
+    *(["unmap", "-d", str(d), "-n", str(depth), f"12345/{1 << d}^{depth}"]
+      for d, depth in ((2, 32), (3, 21), (8, 8))),
+    ["verify", "cells", "-d", "2", "-n", "4"],
+    ["verify", "adjacency", "-d", "3", "-n", "5"],
+    ["verify", "measure", "-d", "2", "-n", "3", "--seed", "1785"],
+    ["verify", "roundtrip", "-d", "2", "-n", "8", "--seed", "92"],
+    ["verify", "uniformity", "-N", "250000", "-k", "16", "--seed", "7"],
+    ["sample", *SPEC_FILE, "-N", "20000", "--seed", "40", "-o", os.devnull],
+]
+# the argument lists the tests above run to an error, the workload shapes
+# `cli._read` accepts, and the cases where it and the root parser could
+# part: help, no or an unknown command, flag spellings, and arguments a
+# command's parser leaves over
 ROUTE_ARGVS = [
+    *WORKLOAD_ARGVS,
     ["map", "-d", "2", "-n", "2", "1/2^1"],
     ["frobnicate"],
     ["unmap", "-d", "2", "-n", "1", "nonsense"],
@@ -1020,18 +1041,88 @@ def _route_id(argv):
 
 @pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=_route_id)
 def test_each_command_parses_as_the_root_parser_does(capsys, monkeypatch, argv):
-    # main gives the exit code, stdout, stderr and namespace (less the
-    # command name) that PARSER.parse_args followed by the handler gives
+    # main gives the exit code, stdout, stderr and namespace that
+    # PARSER.parse_args followed by the handler gives
     def namespace():
         try:
             args = vars(cli._parse(list(argv)))
         except SystemExit:
             args = None
         capsys.readouterr()
-        if args is not None:
-            args.pop("command", None)
         return args
 
     direct = run_exit(capsys, *argv), namespace()
     monkeypatch.setattr(cli, "_parse", cli.PARSER.parse_args)
     assert (run_exit(capsys, *argv), namespace()) == direct
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGVS, ids=_route_id)
+def test_workload_commands_parse_without_argparse(monkeypatch, argv):
+    expected = vars(cli.PARSER.parse_args(argv))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert vars(cli._parse(list(argv))) == expected
+
+
+# tokens of every kind `cli._read` meets: commands and suites, each option
+# string and spellings it leaves to argparse, integers that int() reads or
+# refuses, values, and the spec file
+COMMAND_OPTIONS = {
+    "map": ["-d", "--dimension", "-n", "--depth"],
+    "unmap": ["-d", "--dimension", "-n", "--depth"],
+    "verify": ["-d", "--dimension", "-n", "--depth", "-N", "--samples", "-k", "--grid",
+               "--seed"],
+    "sample": ["--spec", "-N", "--draws", "--seed", "--depth", "-o", "--output"]}
+OPTION_STRINGS = sorted({flag for flags in COMMAND_OPTIONS.values() for flag in flags})
+SCALARS = ["1/2^1", "0b0.1", "3/2^2", "-1/2", "1/3^2", "1/2^\u0661", "", "x"]
+VALUE_TOKENS = ["0", "1", "2", "3", "8", "9", "-1", "1_0", " 2", "+2", "\u0662", "x",
+                *SCALARS, COIN_UNIFORM]
+TOKENS = [*COMMAND_OPTIONS, *measure.SUITES, "nonsense", *OPTION_STRINGS,
+          "--dim", "--depth=3", "-d2", "--", "-", "-h", *VALUE_TOKENS]
+POSITIONALS = {"map": SCALARS, "unmap": SCALARS, "verify": [*measure.SUITES, "nonsense"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A command name or any token; options of the command, each with a
+    value, around one run of positionals; at times one token of any kind
+    anywhere after the first."""
+    first = draw(st.sampled_from(TOKENS if draw(st.integers(0, 3)) == 0
+                                 else [*COMMAND_OPTIONS]))
+    # mostly values any option takes, at times a token of any kind
+    value = st.sampled_from(["2", "3", "1", "0"] * 16 + TOKENS)
+    options = st.lists(st.tuples(st.sampled_from(COMMAND_OPTIONS.get(first, TOKENS)),
+                                 value), max_size=3)
+    before, run, after = (draw(options),
+                          draw(st.lists(st.sampled_from(POSITIONALS.get(first, TOKENS)),
+                                        max_size=3)),
+                          draw(options))
+    argv = [first, *(token for pair in before for token in pair), *run,
+            *(token for pair in after for token in pair)]
+    if draw(st.integers(0, 2)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+# a line for each rule of the plain form: `--`, a value starting with '-',
+# a missing value, a broken run, a choice, a count, a required option
+@example(["map", "--", "1/2^1"])
+@example(["sample", "--spec", "--draws"])
+@example(["unmap", "1/2^1", "-n"])
+@example(["map", "1/2^1", "-d", "2", "1/2^1"])
+@example(["verify", "nonsense"])
+@example(["unmap", "1/2^1", "1/2^1"])
+@example(["sample", "-N", "2"])
+def test_read_accepts_only_what_the_root_parser_reads_alike(argv):
+    # parsing only: a drawn suite may be far too large to run
+    args = cli._read(argv)
+    if args is not None:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            expected = cli.PARSER.parse_args(argv)
+        assert vars(args) == vars(expected)

@@ -105,6 +105,13 @@ def test_parse_scalar_rejects_garbage():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["\u0661/2^1", "1/\uff12^1", "1/2^\u0661"])
+def test_parse_scalar_reads_ascii_digits_only(text):
+    # Arabic-Indic one and fullwidth two: Unicode decimal digits that int() reads
+    with pytest.raises(ValueError, match="cannot parse unit scalar from"):
+        parse_scalar(text)
+
+
 @given(st.integers(1, 70), st.integers(0, 12), st.data())
 def test_parse_scalar_reads_any_power_of_two_base(s, p, data):
     m = data.draw(st.integers(0, (1 << s * p) - 1))
