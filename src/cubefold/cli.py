@@ -7,6 +7,8 @@ positionals.  It returns the namespace the root parser would, or None,
 and then the root parser reads the line itself; so every message, usage
 line and help text is argparse's.  Each flag is defined once, in
 `_build_parser`, and `_read` works from the argparse actions it adds.
+Each integer flag is spelt as `parse_scalar` spells a number, in ASCII
+digits with no whitespace, after an optional '-': `_int` reads it whole.
 Each flag is checked once, by the one integer reader `dyadic._integer`:
 `-d`, `-n` and `--seed` through their argparse type, the plain ints
 `verify -N`/`-k` inside `monte_carlo_uniformity` and `sample
@@ -38,11 +40,16 @@ MAX_INDEX_BITS = 14284
 
 
 def _int(text):
-    """argparse type: an int, its error echoing the text cut."""
-    try:
-        return int(text)
-    except ValueError:  # not an int, or more digits than int() reads
-        raise argparse.ArgumentTypeError(f"invalid int value: {echo(repr(text))}") from None
+    """argparse type: an int spelt in ASCII digits after an optional '-',
+    as `parse_scalar` spells one, its error echoing the text cut."""
+    # -?[0-9]+ whole: int() alone would also read Unicode digits, '_', '+'
+    # and whitespace
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {echo(repr(text))}")
 
 
 def _int_in(name, low, high=None):

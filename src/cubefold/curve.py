@@ -48,15 +48,17 @@ which each walk writes once through binary digit strings; they use no
 numpy.  `forward_map` and `inverse_map` only convert between exact
 values and that index.
 
-Up to d * depth = 64 bits the batch maps run numpy kernels on uint64,
-both through one loop, `_walk`, which starts at the plan's start key.
-`_kernel` turns the plan's lists into arrays once, and each step into an
-int64 `comb` table under the same key, built from out << shift | adds
-repeated over every later octant.  Every step shares one `nxt` array,
-but the last, and every step at d = 1, where the rotation stays 0, has
-None.  A step is one mask, one add, one XOR and two gathers on one key.
-Beyond 64 bits both batch maps run the scalar walk once per distinct
-cell and return Python ints in an object array, so they take any depth.
+Both batch maps run one function, `_batch`, and one rule picks its walk.
+Beyond d * depth = 64 bits it runs the scalar walk once per distinct cell
+and returns Python ints in an object array, so it takes any depth.  Up
+to 64 bits it runs a numpy kernel on uint64, reading a Python int of 64
+bits or more modulo 2**64, since every bit above the cell is ignored, and
+walks from the plan's start key.  `_kernel` turns the plan's lists into
+arrays once, and each step into an int64 `comb` table under the same
+key, built from out << shift | adds repeated over every later octant.
+Every step shares one `nxt` array, but the last, and every step at
+d = 1, where the rotation stays 0, has None.  A step is one mask, one
+add, one XOR and two gathers on one key.
 
 The inverse kernel `inverse_map_batch` transposes each `comb` entry into
 axis order with `_transpose` (axis a's bits at bit a * depth), so the
@@ -361,20 +363,6 @@ def _kernel(d: int, depth: int, forward: bool) -> tuple:
     return start, tuple(steps)
 
 
-def _walk(src: np.ndarray, acc: np.ndarray, kernel: tuple) -> np.ndarray:
-    """XOR each step's `comb` entries into `acc`, keyed by the step's word
-    of `src`: int64 arrays, which may be the same one.  `kernel` is a
-    `_kernel` result.  Returns `acc` as uint64."""
-    key_rot, steps = kernel
-    for shift, mask, comb, nxt in steps:
-        key = (src >> shift) & mask
-        key += key_rot
-        acc ^= comb[key]
-        if nxt is not None:
-            key_rot = nxt[key]
-    return acc.view(np.uint64)
-
-
 def _cell_array(cells) -> np.ndarray:
     """`cells` as an array of integers >= 0, or RangeError naming the
     first that is not one.  An unsigned array passes as it is; a bool is
@@ -400,23 +388,35 @@ def _cell_array(cells) -> np.ndarray:
     raise RangeError(f"cell index {echo(bad)} is not an integer >= 0")
 
 
-def _uint64(cells: np.ndarray) -> np.ndarray:
-    """`_cell_array`'s cells as uint64 for the kernels; Python ints of 64
-    bits or more are read modulo 2**64, as bits above the cell are."""
+def _batch(cells, depth: int, d: int, forward: bool) -> np.ndarray:
+    """`forward_map_batch` if `forward`, else `inverse_map_batch`: the
+    walk of the module docstring's one rule, on `_cell_array`'s cells."""
+    d, depth = _check_cell(d, depth)
+    cells = _cell_array(cells)
+    if d * depth > 64:
+        core = _forward_cell if forward else _inverse_cell
+        flat = [int(c) for c in cells.flat]
+        images = {c: core(c, depth, d) for c in dict.fromkeys(flat)}
+        return np.array([images[c] for c in flat], dtype=object).reshape(cells.shape)
     if cells.dtype == object:
         cells = np.array([int(c) & (1 << 64) - 1 for c in cells.flat],
                          dtype=np.uint64).reshape(cells.shape)
-    return np.asarray(cells, dtype=np.uint64)
-
-
-def _each_cell(core, cells, depth: int, d: int) -> np.ndarray:
-    """`core` over an array of cells beyond the kernels' 64 bits: Python
-    ints in an object array of the cells' shape, one call per distinct
-    cell."""
-    cells = np.asarray(cells, dtype=object)
-    flat = [int(c) for c in cells.flat]
-    images = {c: core(c, depth, d) for c in dict.fromkeys(flat)}
-    return np.array([images[c] for c in flat], dtype=object).reshape(cells.shape)
+    # A signed view keeps the table keys in intp; an arithmetic shift
+    # followed by the mask still reads the right digits, also on the
+    # first step when d * depth = 64 or a bit above the index is set.
+    if forward:  # the walk rewrites the octants in place
+        src = acc = _transpose(cells, d, depth).view(np.int64)
+    else:
+        src = np.asarray(cells, dtype=np.uint64).view(np.int64)
+        acc = np.zeros(src.shape, dtype=np.int64)
+    key_rot, steps = _kernel(d, depth, forward)
+    for shift, mask, comb, nxt in steps:
+        key = (src >> shift) & mask
+        key += key_rot
+        acc ^= comb[key]
+        if nxt is not None:
+            key_rot = nxt[key]
+    return acc.view(np.uint64)
 
 
 def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.ndarray:
@@ -431,15 +431,7 @@ def inverse_map_batch(indices: np.ndarray, depth: int, dimension: int) -> np.nda
     above dimension * depth are ignored.  An index that is not an integer
     >= 0 raises RangeError.
     """
-    d, depth = _check_cell(dimension, depth)
-    indices = _cell_array(indices)
-    if d * depth > 64:
-        return _each_cell(_inverse_cell, indices, depth, d)
-    # A signed view keeps the table keys in intp; an arithmetic shift
-    # followed by the mask still reads the right digits, also on the
-    # first step when d * depth = 64 or a bit above the index is set.
-    q = _uint64(indices).view(np.int64)
-    return _walk(q, np.zeros(q.shape, dtype=np.int64), _kernel(d, depth, False))
+    return _batch(indices, depth, dimension, False)
 
 
 def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarray:
@@ -457,9 +449,4 @@ def forward_map_batch(cells: np.ndarray, depth: int, dimension: int) -> np.ndarr
     both are Python ints in object arrays.  A cell that is not an integer
     >= 0 raises RangeError.
     """
-    d, depth = _check_cell(dimension, depth)
-    cells = _cell_array(cells)
-    if d * depth > 64:
-        return _each_cell(_forward_cell, cells, depth, d)
-    q = _transpose(_uint64(cells), d, depth).view(np.int64)
-    return _walk(q, q, _kernel(d, depth, True))
+    return _batch(cells, depth, dimension, True)

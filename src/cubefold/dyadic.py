@@ -88,35 +88,56 @@ class UnitScalar:
         return UnitScalar(self.mantissa << (new_precision - self.precision),
                           new_precision)
 
+    def _lowest(self) -> tuple:
+        """(mantissa, precision) of the value with an odd mantissa, or (0, 0):
+        one form per value, built without 2**precision."""
+        m = self.mantissa
+        zeros = (m & -m).bit_length() - 1 if m else self.precision
+        return m >> zeros, self.precision - zeros
+
     def __eq__(self, other):
         if not isinstance(other, UnitScalar):
             return NotImplemented
-        return (self.mantissa << other.precision) == (other.mantissa << self.precision)
+        return self._lowest() == other._lowest()
 
     def __lt__(self, other):
         if not isinstance(other, UnitScalar):
             return NotImplemented
-        return (self.mantissa << other.precision) < (other.mantissa << self.precision)
+        a, p, b, q = self.mantissa, self.precision, other.mantissa, other.precision
+        if not a or not b:
+            return a < b
+        # m > 0 of bit length n lies in [2^(n-1-p), 2^(n-p)): unequal n - p
+        # order the values, and equal ones keep each shift below n
+        ea, eb = a.bit_length() - p, b.bit_length() - q
+        if ea != eb:
+            return ea < eb
+        low = min(p, q)
+        return a << q - low < b << p - low
 
     def __hash__(self):
-        return hash(self.as_fraction())
+        return hash(self._lowest())
 
     def __float__(self):
+        # below 2^-1076 the value rounds to 0.0; above, 1 << precision has at
+        # most 1076 bits more than the mantissa
+        if self.mantissa.bit_length() - self.precision < -1075:
+            return 0.0
         return self.mantissa / (1 << self.precision)
 
     def __str__(self):
         return format_scalar(self)
 
 
-# ASCII digits only: \d and int() would read any Unicode decimal digit
-_RATIONAL_RE = re.compile(r"^([0-9]+)/([0-9]+)\^([0-9]+)$")
-_BINARY_RE = re.compile(r"^0b0\.([01]*)$")
+# ASCII digits only, matched whole: \d and int() would read any Unicode
+# decimal digit, and `$` would let a trailing newline through
+_RATIONAL_RE = re.compile(r"([0-9]+)/([0-9]+)\^([0-9]+)")
+_BINARY_RE = re.compile(r"0b0\.([01]*)")
 
 
 def parse_scalar(text: str) -> UnitScalar:
-    """Parse `m/b^p` (b any power of two >= 2) or `0b0.101`, bit-exactly."""
-    text = text.strip()
-    m = _RATIONAL_RE.match(text)
+    """Parse `m/b^p` (b any power of two >= 2) or `0b0.101`, bit-exactly;
+    no whitespace."""
+    m = _RATIONAL_RE.fullmatch(text)
     if m:
         try:
             mant, base, power = map(int, m.groups())
@@ -125,7 +146,7 @@ def parse_scalar(text: str) -> UnitScalar:
                              f"{sys.get_int_max_str_digits()} digits") from None
         if base > 1 and base & (base - 1) == 0:  # b = 2^s: m/2^(s*p)
             return UnitScalar(mant, (base.bit_length() - 1) * power)
-    m = _BINARY_RE.match(text)
+    m = _BINARY_RE.fullmatch(text)
     if m:
         bits = m.group(1)
         mant = int(bits, 2) if bits else 0

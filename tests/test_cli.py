@@ -861,6 +861,28 @@ def test_non_integer_depth_keeps_argparse_message(capsys):
     assert "argument -n/--depth: invalid int value: 'abc'" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "cells", "-d", " +2", "-n", "3"], "-d/--dimension"),
+    (["verify", "cells", "-d", "2", "-n", "\u0663"], "-n/--depth"),
+    (["map", "-d", "2", "-n", "1_0", "1/2^1", "1/2^1"], "-n/--depth"),
+    (["verify", "uniformity", "-N", "\u0661" + "\u0660" * 6], "-N/--samples"),
+    (["sample", "--spec", "unread.json", "-N", "1_0"], "-N/--draws")],
+    ids=["space-plus", "arabic-indic", "underscore", "arabic-indic-N", "sample-N"])
+def test_integer_flags_read_ascii_digits_only(capsys, argv, flag):
+    # int() alone reads each of these as 2, 3, 10 or 1000000
+    code, out, err = run_exit(capsys, *argv)
+    value = argv[argv.index(flag.split("/")[0]) + 1]
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
+@pytest.mark.parametrize("value", [" 6/4^2", "6/4^2\n", "6/4^2 "])
+def test_values_take_no_whitespace(capsys, value):
+    assert run_exit(capsys, "unmap", "-d", "2", "-n", "2", "6/4^2")[0] == 0
+    assert run_exit(capsys, "unmap", "-d", "2", "-n", "2", value) == \
+        (2, "", f"error: cannot parse unit scalar from {value!r}\n")
+
+
 LONG = "1" + "0" * 5000  # more digits than int() reads from text
 COIN_UNIFORM = str(Path(__file__).parent / "data" / "coin_uniform.json")
 

@@ -519,13 +519,18 @@ def test_inverse_maps_ignore_bits_above_the_index(d, depth):
         [curve._inverse_cell(q, depth, d) for q in qs]
 
 
-@pytest.mark.parametrize("d,depth", [(2, 2), (1, 64)])
+@pytest.mark.parametrize("d,depth", [(2, 2), (1, 64), (3, 21), (4, 16), (5, 12),
+                                     (6, 10), (7, 9), (8, 8)])
 def test_kernel_maps_read_ints_of_64_bits_or_more_modulo_2_to_the_64(d, depth):
     # bits above the cell are ignored, as they are in a uint64 array
     for batch_map in (inverse_map_batch, forward_map_batch):
-        assert batch_map([2**64 + 5], depth, d).tolist() == batch_map([5], depth, d).tolist()
-        assert batch_map(np.array([2**70 + 1], dtype=object), depth, d).tolist() == \
-            batch_map([1], depth, d).tolist()
+        for big, small in [([2**64 + 5], [5]),
+                           (np.array([[2**70 + 1, 2**64 - 1]], dtype=object),
+                            [[1, 2**64 - 1]])]:
+            got = batch_map(big, depth, d)
+            assert got.dtype == np.uint64 and got.shape == np.shape(small)
+            assert got.tolist() == batch_map(np.array(small, dtype=np.uint64),
+                                             depth, d).tolist()
 
 
 @pytest.mark.parametrize("d,depth", [(1, 100), (2, 40), (3, 30), (8, 9),

@@ -133,6 +133,48 @@ def test_huge_precision_is_checked_without_building_2_to_the_precision():
     assert peak < 1 << 20
 
 
+# about 50 values at precisions 0..11, each also at a higher precision,
+# and the float edges 2^-1074 (the least subnormal) to 2^-1077
+VALUES = sorted({UnitScalar(m % (1 << p), p) for p in range(12)
+                 for m in (0, 1, 3, 5, (1 << p) - 1, (1 << p) // 3)}
+                | {UnitScalar(m << 2, p + 2) for m, p in [(1, 3), (5, 4), (0, 0)]}
+                | {UnitScalar(m, p) for p in range(1074, 1078) for m in (1, 2, 3)},
+                key=UnitScalar.as_fraction)
+
+
+def test_unit_scalar_compares_hashes_and_converts_as_its_fraction():
+    assert len(VALUES) >= 50
+    for a in VALUES:
+        fa = a.as_fraction()
+        assert float(a) == float(fa)
+        for b in VALUES:
+            fb = b.as_fraction()
+            assert ((a == b), (a < b), (a <= b), (a > b)) == \
+                ((fa == fb), (fa < fb), (fa <= fb), (fa > fb))
+            if fa == fb:
+                assert hash(a) == hash(b)
+    assert [float(UnitScalar(m, p)) for m, p in [(1, 1074), (1, 1075), (3, 1076),
+                                                  (1, 1076), (1, 1077)]] == \
+        [5e-324, 0.0, 5e-324, 0.0, 0.0]
+
+
+def test_huge_precision_compares_hashes_and_converts_without_building_it():
+    # each once shifted a mantissa by the other's precision, or divided by
+    # 1 << precision, and raised MemoryError under a 1.5 GB address-space cap
+    tracemalloc.start()
+    try:
+        tiny, half = UnitScalar(1, 10**15), UnitScalar(1, 1)
+        assert tiny != half and tiny < half and not half <= tiny
+        assert tiny == UnitScalar(2, 10**15 + 1) < UnitScalar(3, 10**15 + 1)
+        assert UnitScalar(0, 10**15) == UnitScalar(0, 0) < tiny
+        assert hash(tiny) == hash(UnitScalar(4, 10**15 + 2))
+        assert float(tiny) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 10
+
+
 def test_cube_point_requires_shared_precision():
     # coordinates keep their own precisions; points compare by value
     pt = CubePoint((UnitScalar(1, 2), UnitScalar(1, 3)))
