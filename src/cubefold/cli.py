@@ -131,11 +131,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    with open(args.spec) as fh:
+    # json.load reads UTF-8, -16 or -32 bytes (RFC 8259), whatever the locale
+    with open(args.spec, "rb") as fh:
         specs = load_specs(fh)
     batch = sample_independent(args.seed, args.draws, specs, depth=args.depth)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
+        with open(args.output, "w", newline="", encoding="utf-8") as fh:
             batch.write_csv(fh)
     else:
         batch.write_csv(sys.stdout)

@@ -363,29 +363,28 @@ def _kernel(d: int, depth: int, forward: bool) -> tuple:
     return start, tuple(steps)
 
 
-def _cell_array(cells) -> np.ndarray:
-    """`cells` as an array of integers >= 0, or RangeError naming the
-    first that is not one.  An unsigned array passes as it is; a bool is
-    no cell, as a mask was almost surely meant."""
-    x = np.asarray(cells)
-    if x.dtype.kind == "u" or x.size == 0:
-        return x
-    if x.dtype.kind == "i":
-        if x.min() >= 0:
-            return x
-        bad = x[x < 0][0].item()
-    else:
-        # numpy reads a list mixing ints of 63 and 64 bits as floats:
-        # look at each value as given
-        x = np.asarray(cells, dtype=object)
-        for bad in x.flat:
-            if isinstance(bad, bool) or not isinstance(bad, (int, np.integer)) or bad < 0:
-                break
-        else:
-            return x
-        if not isinstance(bad, (int, np.integer)):
-            bad = repr(bad)
-    raise RangeError(f"cell index {echo(bad)} is not an integer >= 0")
+def _cell_array(cells, high: int | None = None) -> np.ndarray:
+    """`cells` as an array of cell indices, integers in 0..high, or
+    RangeError naming one that is not.  An integer array passes on its
+    dtype, an unsigned one with no `high` at once; anything else is read
+    value by value as given, and a bool, numpy's too, is no cell, as a
+    mask was almost surely meant."""
+    if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "ui"):
+        cells = np.asarray(cells, dtype=object)
+        wrong = {kind for kind in set(map(type, cells.flat))
+                 if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)}
+        if wrong:
+            bad = next(c for c in cells.flat if type(c) in wrong)
+            shown = bad if isinstance(bad, (bool, np.bool_)) else repr(bad)
+            raise RangeError(f"cell index {echo(shown)} is not an integer >= 0")
+    elif cells.dtype.kind == "u" and high is None:
+        return cells
+    low = cells.min(initial=0)
+    if low < 0:
+        raise RangeError(f"cell index {echo(low)} is not an integer >= 0")
+    if high is not None and cells.max(initial=0) > high:
+        raise RangeError(f"cell index must be in 0..{echo(high)}, got {echo(cells.max())}")
+    return cells
 
 
 def _batch(cells, depth: int, d: int, forward: bool) -> np.ndarray:

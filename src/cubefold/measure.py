@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import BLOCK, _check_cell, forward_map_batch, inverse_map_batch
+from .curve import BLOCK, _cell_array, _check_cell, forward_map_batch, inverse_map_batch
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, _integer, echo
 from .stats import chi2_threshold, chi_squared
 
@@ -49,7 +49,8 @@ MAX_CELL_COORDS = 1 << 24
 class CellUnion:
     """Finite union of distinct same-depth cells of one space.
 
-    Members are cell indices below 2**(d*depth), Python or numpy integers.
+    Members are cell indices below 2**(d*depth), Python or numpy integers,
+    each read by `curve._cell_array` as one cell.
     On the segment, q is the cell [q, q+1) * b**-depth with b = 2**d.  In
     the cube, a member is a packed grid index: axis a's coordinate x_a
     (scale 2**depth) in bits a*depth .. (a+1)*depth - 1, so the cell is
@@ -68,15 +69,7 @@ class CellUnion:
         d, depth = _check_cell(self.dimension, self.depth)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "depth", depth)
-        # the types first: a float passes the range check, a str or a
-        # tuple breaks it, and a bool was almost surely meant as a mask
-        for kind in set(map(type, self.members)):
-            if not issubclass(kind, (int, np.integer)) or issubclass(kind, bool):
-                bad = next(m for m in self.members if type(m) is kind)
-                raise RangeError(f"cell index {bad!r} is not an integer")
-        total = 1 << d * depth
-        if self.members and not 0 <= min(self.members) <= max(self.members) < total:
-            raise RangeError(f"cell index out of range at depth {depth}")
+        _cell_array(np.fromiter(self.members, object, len(self.members)), (1 << d * depth) - 1)
 
     @classmethod
     def of_cube(cls, dimension: int, depth: int, indices) -> "CellUnion":
@@ -156,9 +149,11 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
         raise RangeError(
             f"box has 2^{bits} cells of {d} coordinates; rect_measure_check "
             f"takes cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
-    cells = [0]  # packed grid indices, as in CellUnion
+    # packed grid indices, as in CellUnion, in the batch maps' array types
+    cells = np.zeros(1, dtype=np.uint64 if d * depth <= 64 else object)
     for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
-        cells = [c | x << axis * depth for c in cells for x in range(b, b + (1 << depth - k))]
+        xs = np.arange(b, b + (1 << depth - k), dtype=cells.dtype) << axis * depth
+        cells = (cells[:, None] | xs).ravel()
     exact = _distinct(forward_map_batch(cells, depth, d)) == len(cells)
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -38,13 +39,22 @@ class SpecValidationError(ValueError):
 MAX_EXPONENT = 999
 
 
+# A number str is ASCII digits with an optional sign and either one "/"
+# or a decimal point and an exponent, each optional: no whitespace, "_" or
+# other digits, which Decimal and Fraction read on some Python versions
+# and not on others.
+_SPELLING = re.compile(r"[+-]?([0-9]+/[0-9]+|([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)")
+
+
 def _as_fraction(value, field: str) -> Fraction:
     """A number's exact value; a str or JSON number reads as its decimal."""
     number = None if isinstance(value, bool) else value  # Fraction(True) is 1
-    if isinstance(value, str) and "/" not in value:
+    if isinstance(value, str) and not _SPELLING.fullmatch(value):
+        number = None
+    elif isinstance(value, str) and "/" not in value:
         try:
             number = Decimal(value)
-        except InvalidOperation:  # not a decimal, or too large for Decimal
+        except InvalidOperation:  # too large for Decimal
             number = None
     if isinstance(number, Decimal) and number.is_finite():
         low = number.as_tuple().exponent  # the place of its last digit
@@ -208,7 +218,7 @@ class DistributionSpec:
         f_hi, f_lo, loc, slope = self._batch_tables
         u = np.asarray(u, dtype=float)
         if element is None:
-            if np.any(u <= 0) or np.any(u >= 1):
+            if not np.all((u > 0) & (u < 1)):  # NaN fails both
                 raise RangeError("quantile arguments must be in (0, 1)")
             element = np.searchsorted(f_hi, u, side="left")
         return loc[element] + (u - f_lo[element]) * slope[element]
@@ -273,9 +283,12 @@ def split_uniform(u: UnitScalar, n: int, depth: int) -> CubePoint:
     return inverse_map(u, depth, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Per-coordinate sample columns plus the provenance to rebuild them."""
+    """Per-coordinate sample columns plus the provenance to rebuild them.
+
+    Compared and hashed by identity, as `DistributionSpec` is: generated
+    over the array, `==` and `hash` would raise."""
 
     samples: np.ndarray  # float64, shape (count, n)
     seed: int

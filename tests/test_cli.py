@@ -918,10 +918,11 @@ def test_sample_output_too_large_to_allocate_exits_2(capsys):
     assert err.startswith("error: Unable to allocate")
 
 
-def _fresh(*argv):
-    """stdout and exit code of the command in a new interpreter."""
+def _fresh(*argv, **env):
+    """stdout and exit code of the command in a new interpreter, with
+    `env` added to its environment."""
     env = dict(os.environ,
-               PYTHONPATH=str(Path(cubefold.__file__).resolve().parents[1]))
+               PYTHONPATH=str(Path(cubefold.__file__).resolve().parents[1]), **env)
     proc = subprocess.run([sys.executable, "-m", "cubefold.cli", *argv],
                           capture_output=True, env=env, check=False)
     return proc.returncode, proc.stdout.decode()  # CSV rows keep their CRLF
@@ -1148,3 +1149,43 @@ def test_read_accepts_only_what_the_root_parser_reads_alike(argv):
                 contextlib.redirect_stderr(io.StringIO()):
             expected = cli.PARSER.parse_args(argv)
         assert vars(args) == vars(expected)
+
+
+@pytest.mark.parametrize("name", ["m\u00fc", "m\\u00fc"], ids=["utf-8", "json-escape"])
+def test_sample_files_are_utf_8_in_the_c_locale(tmp_path, name):
+    # the spec is read and the CSV written as UTF-8 whatever the locale:
+    # in the C locale without UTF-8 mode both were once ASCII, exit 2
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(('{"name": "%s", "atoms": [{"at": "0", "mass": "1"}]}' % name).encode())
+    out = tmp_path / "out.csv"
+    code, _ = _fresh("sample", "--spec", str(spec), "-N", "2", "-o", str(out),
+                     LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (code, out.read_bytes()) == (0, b"m\xc3\xbc\r\n0.0\r\n0.0\r\n")
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32-be"])
+def test_sample_spec_may_be_utf_16_or_32(tmp_path, capsys, encoding):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes('{"name": "\u00fc", "atoms": [{"at": "1/2", "mass": "1"}]}'.encode(encoding))
+    assert run(capsys, "sample", "--spec", str(spec), "-N", "1") == (0, "\u00fc\r\n0.5\r\n", "")
+
+
+@pytest.mark.parametrize("mass", [" 1/2 ", "0.5\n", "\u0661/\u0662", "\u0660.\u0665", "0.5_0",
+                                  "1_0/20", "1 / 2", "1/-2", "0x1", "inf", "NaN", "1e", ""])
+def test_sample_number_strings_take_one_spelling(tmp_path, capsys, mass):
+    # Decimal and Fraction read some of these on one Python version and
+    # not on another; a spec file loads alike on every version
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"atoms": [{"at": "0", "mass": mass}]}))
+    assert run(capsys, "sample", "--spec", str(spec), "-N", "1") == \
+        (2, "", f"error: mass: not an exact number: {mass!r}\n")
+
+
+@pytest.mark.parametrize("at,value", [("1/3", "0.3333333333333333"), ("-0.5", "-0.5"),
+                                      ("1e-3", "0.001"), (".5", "0.5"), ("+1/2", "0.5"),
+                                      ("5.", "5.0"), ("-2E+1", "-20.0")])
+def test_sample_number_strings_spelt_in_ascii_load(tmp_path, capsys, at, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"atoms": [{"at": at, "mass": "1"}]}))
+    assert run(capsys, "sample", "--spec", str(spec), "-N", "1") == \
+        (0, f"coord1\r\n{value}\r\n", "")

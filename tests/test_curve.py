@@ -458,8 +458,14 @@ def test_forward_batch_keeps_the_kernel_limits():
     ([True], "True"), (np.array([True, False]), "True"),
     # None is named, not read by int(); a str shows quoted
     ([None], "None"), (["3"], "'3'"),
+    # a bool among ints is read as given, not as the int numpy makes of it
+    ([True, 2], "True"), ([2, False], "False"), ([np.True_, 3], "True"),
+    ([[1, 2], [3, True]], "True"),
+    # a tuple among ints is one bad cell
+    ([1, (0, 1)], "(0, 1)"),
 ], ids=["float", "negative", "negative-int64", "float-array", "mixed", "bool",
-        "bool-array", "none", "str"])
+        "bool-array", "none", "str", "bool-first", "bool-last", "numpy-bool",
+        "nested-bool", "tuple"])
 def test_batch_maps_reject_a_cell_that_is_no_integer_or_negative(depth, batch_map, cells, bad):
     # on both sides of the kernels' 64 bits (d * depth = 4 and 80)
     with pytest.raises(RangeError, match=f"^cell index {re.escape(bad)} is not an integer >= 0$"):

@@ -143,7 +143,7 @@ def test_cell_union_rejects_bad_cells(build):
 
 
 def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
-    with pytest.raises(RangeError, match=r"^cell index '3' is not an integer$"):
+    with pytest.raises(RangeError, match=r"^cell index '3' is not an integer >= 0$"):
         CellUnion(SEGMENT, 2, 2, frozenset({0, "3"}))
     members = frozenset({np.int64(3), np.uint8(2), 15})
     cu = CellUnion(CUBE, 2, 2, members)
@@ -160,8 +160,26 @@ def test_cell_union_names_a_non_integer_member_and_takes_numpy_ints():
                          ids=["float", "str", "numpy-float"])
 def test_of_segment_rejects_indices_that_are_not_integers(indices, bad):
     # int() would truncate 1.5 and parse "3"; the constructor's check names them
-    with pytest.raises(RangeError, match=rf"^cell index {re.escape(bad)} is not an integer$"):
+    with pytest.raises(RangeError, match=rf"^cell index {re.escape(bad)} is not an integer >= 0$"):
         CellUnion.of_segment(2, 2, indices)
+
+
+def test_cell_union_messages_name_the_member_cut_short():
+    # the batch maps' reader and its messages: a long member is echoed
+    # cut, and one above the depth's last cell names itself and the range
+    long = r"^cell index 'xxx.*\.\.\. is not an integer >= 0$"
+    with pytest.raises(RangeError, match=long) as err:
+        CellUnion.of_segment(2, 2, [1, "x" * 300])
+    assert len(str(err.value)) < 80
+    with pytest.raises(RangeError, match=r"^cell index must be in 0\.\.15, got 16$"):
+        CellUnion.of_segment(2, 2, [3, 16])
+    with pytest.raises(RangeError, match=r"^cell index must be in 0\.\.15, got 16$"):
+        CellUnion(CUBE, 2, 2, frozenset({np.uint64(16)}))
+    with pytest.raises(RangeError, match=r"^cell index -1 is not an integer >= 0$"):
+        CellUnion.of_segment(2, 2, [np.int8(-1), 2])
+    # a tuple member is one bad member, not a row of two cells
+    with pytest.raises(RangeError, match=r"^cell index \(0, 1\) is not an integer >= 0$"):
+        CellUnion(SEGMENT, 2, 2, frozenset({(0, 1)}))
 
 
 def test_of_segment_takes_a_uint64_array_as_the_equal_ints():

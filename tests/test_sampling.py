@@ -437,17 +437,29 @@ def test_sample_independent_takes_numpy_integer_arguments():
      "distribution: expected an object"),
     (lambda: UNIFORM.quantile_batch([0.0]), RangeError,
      "quantile arguments must be in (0, 1)"),
+    # NaN fails every comparison: searchsorted once put it past the end
+    (lambda: UNIFORM.quantile_batch([0.5, math.nan]), RangeError,
+     "quantile arguments must be in (0, 1)"),
     (lambda: sampling.SampleBatch(np.zeros((3, 2)), 0, 8, (UNIFORM,)),
      RangeError, "one sample column per distribution required"),
     (lambda: sampling.SampleBatch(np.zeros((3, 1), dtype=np.float32), 0, 8,
                                   (UNIFORM,)),
      RangeError, "samples must be float64, got float32"),
 ], ids=["no-specs", "nine-specs", "count-1", "depth0", "no-elements",
-        "cdf-decreases", "from-dict-list", "quantile-batch-0", "columns",
+        "cdf-decreases", "from-dict-list", "quantile-batch-0", "quantile-batch-nan",
+        "columns",
         "float32"])
 def test_sampling_guards_raise_their_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_sample_batches_compare_and_hash_by_identity():
+    # generated over the samples array, == raised ValueError and hash TypeError
+    a = sample_independent(1, 4, [UNIFORM])
+    b = sample_independent(1, 4, [UNIFORM])
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_quantile_batch_at_a_breakpoint_that_is_not_dyadic():
