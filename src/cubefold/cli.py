@@ -15,8 +15,9 @@ Each flag is checked once, by the one integer reader `dyadic._integer`:
 -N`/`--depth` inside `sample_independent`; `d*n` has its own bound.
 `verify` calls `measure.SUITES[suite]` with the `SUITE_FLAGS` values its
 parameters name and rejects any other flag given.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error or an output too large to
-allocate (`MemoryError`); an error echoes each value cut by `dyadic.echo`.
+1 verification failure, 2 usage or parse error, an output too large to
+allocate (`MemoryError`) or a `sample` column name stdout's encoding
+cannot spell; an error echoes each value cut by `dyadic.echo`.
 Exact values are read by `parse_scalar` and printed as `m/2^p` or `q/4^n`;
 decimals appear only as annotations, each the nearest float except that a
 value below 1 which rounds up to 1.0 shows the float just below it.
@@ -134,6 +135,16 @@ def _cmd_sample(args) -> int:
     # json.load reads UTF-8, -16 or -32 bytes (RFC 8259), whatever the locale
     with open(args.spec, "rb") as fh:
         specs = load_specs(fh)
+    # stdout keeps its stream's encoding: a column name it cannot spell
+    # exits 2 before any draw, and stdout stays empty
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding and not args.output:
+        for name in filter(None, (s.name for s in specs)):
+            try:
+                name.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+            except UnicodeEncodeError:
+                raise ValueError(f"column {echo(repr(name))} cannot be written to stdout "
+                                 f"in its encoding {encoding}; -o/--output writes UTF-8") from None
     batch = sample_independent(args.seed, args.draws, specs, depth=args.depth)
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:

@@ -66,11 +66,7 @@ accumulator it XORs them into, from zero, is its output: the packed grid
 index of the lower corner, axis a's coordinate at bit a * depth, which is
 the corner's flat index on the 2**depth grid, axis 0 varying fastest.
 Each reader takes out the axes it needs.  The tables of one (d, depth)
-take at most 144 KiB, at d=8 depth 8.  The one stream
-`measure._corner_blocks` calls the kernel per block of `BLOCK` indices
-for the exhaustive suites and the audit's fold onto its grid, so each
-uint64 temporary of a call (the key, the gathered entries, the
-accumulator) takes 128 KiB; the sampler calls it once per 2**15-row chunk.
+take at most 144 KiB, at d=8 depth 8.
 
 The forward kernel `forward_map_batch` takes packed grid indices, the
 inverse kernel's output, in an array of any shape.  It transposes them
@@ -91,8 +87,6 @@ import numpy as np
 from .dyadic import CubePoint, PrecisionError, RangeError, UnitScalar, _integer, echo
 
 MAX_DIMENSION = 8
-# indices per batch-kernel call of measure._corner_blocks
-BLOCK = 1 << 14
 
 
 def _check_cell(d: int, depth: int) -> tuple:

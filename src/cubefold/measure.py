@@ -11,7 +11,8 @@ are packed grid indices throughout, the batch inverse kernel's output;
 `CellUnion.of_cube` names them by the segment indices they pair with.
 One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
 a time to `cells`, `adjacency` and the uniformity audit's fold of its
-per-cell counts onto the grid.
+per-cell counts onto the grid.  The audit bins each coordinate through
+one per-axis table, `_axis_bins`, which also gives its expected counts.
 `roundtrip`, `measure`, `rect_measure_check` and `pushforward` map whole
 arrays of cells with one call of each batch map they need, at any depth;
 beyond d*depth = 64 bits the cells are Python ints in object arrays.
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import BLOCK, _cell_array, _check_cell, forward_map_batch, inverse_map_batch
+from .curve import _cell_array, _check_cell, forward_map_batch, inverse_map_batch
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, _integer, echo
 from .stats import chi2_threshold, chi_squared
 
@@ -50,7 +51,8 @@ class CellUnion:
     """Finite union of distinct same-depth cells of one space.
 
     Members are cell indices below 2**(d*depth), Python or numpy integers,
-    each read by `curve._cell_array` as one cell.
+    each read by `curve._cell_array` as one cell, in any sized collection;
+    `members` keeps them as a frozenset of Python ints.
     On the segment, q is the cell [q, q+1) * b**-depth with b = 2**d.  In
     the cube, a member is a packed grid index: axis a's coordinate x_a
     (scale 2**depth) in bits a*depth .. (a+1)*depth - 1, so the cell is
@@ -69,7 +71,10 @@ class CellUnion:
         d, depth = _check_cell(self.dimension, self.depth)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "depth", depth)
-        _cell_array(np.fromiter(self.members, object, len(self.members)), (1 << d * depth) - 1)
+        cells = _cell_array(np.fromiter(self.members, object, len(self.members)),
+                            (1 << d * depth) - 1)
+        # a repeated member is one cell; Python ints keep it hashable
+        object.__setattr__(self, "members", frozenset(map(int, cells)))
 
     @classmethod
     def of_cube(cls, dimension: int, depth: int, indices) -> "CellUnion":
@@ -161,6 +166,11 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     )
 
 
+# each uint64 temporary of a block takes 64 KiB, below glibc's default
+# 128 KiB mmap threshold
+BLOCK = 1 << 13
+
+
 def _corner_blocks(d: int, depth: int):
     """Lower corners of every depth-n cube cell, in segment order, as
     packed grid indices: the inverse map's output for each `BLOCK` of
@@ -173,24 +183,22 @@ def _corner_blocks(d: int, depth: int):
             for lo in range(0, total, BLOCK))
 
 
+def _axis_bins(grid_k: int, depth: int) -> np.ndarray:
+    """Bin of each coordinate x of the 2**depth grid along one axis of
+    the k-bin grid: x * k >> depth."""
+    return np.arange(1 << depth, dtype=np.int64) * grid_k >> depth
+
+
 def _bin_counts(cell_counts: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
     """Fold per-cell counts of the 4^n depth-n segment cells onto the flat
     k x k grid (d=2): each cell's count goes to the bin of its lower
-    corner."""
+    corner, two gathers from `_axis_bins`."""
     counts = np.zeros(grid_k * grid_k, dtype=np.int64)
-    k, shift = np.uint64(grid_k), np.uint64(depth)
-    mask = np.uint64((1 << depth) - 1)
+    axis_bin, mask = _axis_bins(grid_k, depth), (1 << depth) - 1
     for lo, cells in zip(range(0, len(cell_counts), BLOCK), _corner_blocks(2, depth)):
-        # in place: a fresh temporary per operation takes three times as long
-        x = cells & mask
-        x *= k
-        x >>= shift
-        x *= k
-        cells >>= shift
-        cells *= k
-        cells >>= shift
-        x += cells
-        np.add.at(counts, x.view(np.int64), cell_counts[lo:lo + BLOCK])
+        cells = cells.view(np.int64)  # gathers cast a uint64 index to intp first
+        bins = axis_bin[cells & mask] * grid_k + axis_bin[cells >> depth]
+        np.add.at(counts, bins, cell_counts[lo:lo + BLOCK])
     return counts
 
 
@@ -238,10 +246,10 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     counts = _bin_counts(cell_counts, grid_k, depth)
 
     # A bijection puts one corner on each point of the 2**depth grid, so
-    # every grid point is equally likely; along an axis bin i holds
-    # ceil((i+1) 2**depth / k) - ceil(i 2**depth / k) of them.  At k = 2**j
-    # every bin holds (2**depth / k)**2 and this is exactly N / k**2.
-    per_axis = np.diff(-(-np.arange(grid_k + 1) * (1 << depth) // grid_k))
+    # every grid point is equally likely; along an axis bin i holds the
+    # coordinates `_axis_bins` sends to it.  At k = 2**j every bin holds
+    # (2**depth / k)**2 and this is exactly N / k**2.
+    per_axis = np.bincount(_axis_bins(grid_k, depth), minlength=grid_k)
     expected = np.outer(per_axis, per_axis).ravel() * (sample_count / (1 << 2 * depth))
     stat, dof = chi_squared(counts, expected)
     threshold = chi2_threshold(dof, 0.999)
@@ -310,6 +318,7 @@ def _uniform_cells(rng: random.Random, shape, bits: int) -> np.ndarray:
 
 
 def _suite_roundtrip(d, depth, seed):
+    seed = _integer(seed, "seed", 0)
     indices = _uniform_cells(random.Random(seed), ROUNDTRIP_TRIALS, d * depth)
     back = forward_map_batch(inverse_map_batch(indices, depth, d), depth, d)
     failures = np.count_nonzero(back != indices)
@@ -324,6 +333,7 @@ def _suite_measure(d, depth, seed):
     # adds no cell.  A union keeps its measure iff its distinct cells have
     # as many distinct images.  Python's generator draws, as in roundtrip:
     # importing numpy.random would add 4 to 6 MiB to the command's RSS.
+    seed = _integer(seed, "seed", 0)
     rng = random.Random(seed)
     width = min(1 << d * depth, 64)
     counts = np.array([rng.randrange(width + 1) for _ in range(MEASURE_UNIONS)])

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from cubefold.curve import BLOCK, OrientationState, child_order, inverse_map_batch
+from cubefold.curve import OrientationState, child_order, inverse_map_batch
 from cubefold.dyadic import CubePoint, UnitScalar
+from cubefold.measure import BLOCK
 
 
 def make_point(mantissas, precision: int) -> CubePoint:

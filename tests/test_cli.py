@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cubefold
-from cubefold import cli, curve, measure, sampling
+from cubefold import cli, measure, sampling
 from cubefold.cli import main
 from cubefold.dyadic import RangeError
 
@@ -152,14 +152,14 @@ def test_exhaustive_suites_pass_within_cell_bound(capsys, suite, d, depth):
 @pytest.mark.parametrize("suite", ["cells", "adjacency"])
 def test_exhaustive_suites_see_the_first_cell_of_block_two(capsys, monkeypatch,
                                                            suite):
-    # -d 2 -n 8 has 4 blocks; cell BLOCK, the first of the second block,
+    # -d 2 -n 8 has 8 blocks; cell BLOCK, the first of the second block,
     # gets the corner of cell 0
     real = measure.inverse_map_batch
 
     def corrupted(indices, depth, dimension):
         corners = real(indices, depth, dimension)
-        corners[indices == curve.BLOCK] = real(np.zeros(1, np.uint64), depth,
-                                               dimension)[0]
+        corners[indices == measure.BLOCK] = real(np.zeros(1, np.uint64), depth,
+                                                 dimension)[0]
         return corners
 
     monkeypatch.setattr(measure, "inverse_map_batch", corrupted)
@@ -176,7 +176,7 @@ def test_adjacency_checks_the_step_between_blocks(capsys, monkeypatch):
 
     def shifted(indices, depth, dimension):
         cells = real(indices, depth, dimension)
-        cells[indices >= curve.BLOCK] += np.uint64(1 << dimension * depth)
+        cells[indices >= measure.BLOCK] += np.uint64(1 << dimension * depth)
         return cells
 
     monkeypatch.setattr(measure, "inverse_map_batch", shifted)
@@ -206,7 +206,7 @@ def test_adjacency_rejects_an_axis_wrapping_into_the_next(capsys, monkeypatch):
     lambda: measure._bin_counts(np.ones(4 ** 8, dtype=np.int64), 16, 8)],
     ids=["cells", "adjacency", "cell-bins"])
 def test_block_consumers_read_one_corner_stream(capsys, monkeypatch, consume):
-    # 4^8 cells: measure's kernel binding sees the four blocks in order
+    # 4^8 cells: measure's kernel binding sees the eight blocks in order
     calls = []
     real = measure.inverse_map_batch
 
@@ -216,7 +216,7 @@ def test_block_consumers_read_one_corner_stream(capsys, monkeypatch, consume):
 
     monkeypatch.setattr(measure, "inverse_map_batch", recording)
     consume()
-    assert calls == [(i * curve.BLOCK, curve.BLOCK) for i in range(4)]
+    assert calls == [(i * measure.BLOCK, measure.BLOCK) for i in range(4 ** 8 // measure.BLOCK)]
 
 
 @pytest.mark.parametrize("suite,depth", [("cells", "8000"), ("adjacency", "20000")])
@@ -919,13 +919,13 @@ def test_sample_output_too_large_to_allocate_exits_2(capsys):
 
 
 def _fresh(*argv, **env):
-    """stdout and exit code of the command in a new interpreter, with
-    `env` added to its environment."""
+    """Exit code, stdout and stderr of the command in a new interpreter,
+    with `env` added to its environment."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(cubefold.__file__).resolve().parents[1]), **env)
     proc = subprocess.run([sys.executable, "-m", "cubefold.cli", *argv],
                           capture_output=True, env=env, check=False)
-    return proc.returncode, proc.stdout.decode()  # CSV rows keep their CRLF
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()  # CSV rows keep their CRLF
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path,
@@ -959,7 +959,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path,
     assert later[1][1] == out_file.read_bytes().decode()
     assert later[2][1].split()[0].endswith("/4^2")
     for (_, second), result in zip(steps, later):
-        assert result == _fresh(*second)
+        assert result == _fresh(*second)[:2]
 
 
 def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
@@ -1158,9 +1158,25 @@ def test_sample_files_are_utf_8_in_the_c_locale(tmp_path, name):
     spec = tmp_path / "spec.json"
     spec.write_bytes(('{"name": "%s", "atoms": [{"at": "0", "mass": "1"}]}' % name).encode())
     out = tmp_path / "out.csv"
-    code, _ = _fresh("sample", "--spec", str(spec), "-N", "2", "-o", str(out),
-                     LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    code, _, _ = _fresh("sample", "--spec", str(spec), "-N", "2", "-o", str(out),
+                        LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     assert (code, out.read_bytes()) == (0, b"m\xc3\xbc\r\n0.0\r\n0.0\r\n")
+
+
+def test_sample_to_ascii_stdout_names_the_column_and_o(tmp_path):
+    # stdout keeps its stream's encoding: a name it cannot spell exits 2
+    # before any row, naming the column cut short, the encoding and -o
+    spec = tmp_path / "spec.json"
+    name = "m\u00fc" + "x" * 300
+    spec.write_text(json.dumps({"distributions": [
+        {"atoms": [{"at": "0", "mass": "1"}]},
+        {"name": name, "atoms": [{"at": "0", "mass": "1"}]}]}))
+    code, out, err = _fresh("sample", "--spec", str(spec), "-N", "2",
+                            LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column 'm\\xfcxxx") and "..." in err
+    assert err.endswith(" in its encoding ascii; -o/--output writes UTF-8\n")
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("encoding", ["utf-16", "utf-32-be"])

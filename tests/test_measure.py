@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tracemalloc
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from cubefold import measure
-from cubefold.curve import BLOCK, forward_map_batch, inverse_map, inverse_map_batch
+from cubefold.curve import forward_map_batch, inverse_map, inverse_map_batch
 from cubefold.dyadic import DyadicRect, RangeError, UnitScalar
 from cubefold.measure import (
+    BLOCK,
     CUBE,
     SEGMENT,
     CellUnion,
@@ -180,6 +182,19 @@ def test_cell_union_messages_name_the_member_cut_short():
     # a tuple member is one bad member, not a row of two cells
     with pytest.raises(RangeError, match=r"^cell index \(0, 1\) is not an integer >= 0$"):
         CellUnion(SEGMENT, 2, 2, frozenset({(0, 1)}))
+
+
+def test_cell_union_counts_a_repeated_member_once():
+    assert CellUnion(SEGMENT, 2, 2, [1, 1]).measure() == Fraction(1, 16)
+    # a correct map keeps the measure of a union given with a repeat
+    cu = CellUnion(CUBE, 2, 2, (3, 3, 5))
+    assert cu.measure() == pushforward(cu).measure() == Fraction(1, 8)
+    # built from a list or from numpy ints, a union hashes and equals the
+    # one built from a frozenset of Python ints
+    listed, ints = CellUnion(SEGMENT, 2, 2, [1, 2]), CellUnion(SEGMENT, 2, 2, frozenset({1, 2}))
+    numpy_ints = CellUnion(SEGMENT, 2, 2, frozenset({np.int64(1), np.uint8(2)}))
+    assert listed == numpy_ints == ints and hash(listed) == hash(ints)
+    assert all(type(m) is int for m in numpy_ints.members)
 
 
 def test_of_segment_takes_a_uint64_array_as_the_equal_ints():
@@ -487,6 +502,16 @@ def test_monte_carlo_names_a_negative_seed_before_any_draw(monkeypatch, grid_k, 
     monkeypatch.setattr(measure, "_draw_cells", no_draw)
     with pytest.raises(RangeError, match=r"^seed must be >= 0, got -\d"):
         monte_carlo_uniformity(250_000, grid_k, seed)
+
+
+@pytest.mark.parametrize("suite", ["roundtrip", "measure"])
+def test_random_suites_read_their_seed_as_an_integer(suite):
+    # random.Random would draw seed 1's cells for -1 and reject a numpy int
+    with pytest.raises(RangeError, match=r"^seed must be >= 0, got -1$"):
+        list(measure.SUITES[suite](2, 3, -1))
+    numpy_seed = [r.to_json() for r in measure.SUITES[suite](2, 3, np.int64(3))]
+    assert numpy_seed == [r.to_json() for r in measure.SUITES[suite](2, 3, 3)]
+    assert json.loads(numpy_seed[0])["seed"] == 3
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
