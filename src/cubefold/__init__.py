@@ -2,7 +2,6 @@
 
 from .curve import (
     OrientationState,
-    SegmentInterval,
     child_order,
     compose_n_to_m,
     forward_map,
@@ -29,8 +28,8 @@ from .sampling import (
     split_uniform,
 )
 
-__all__ = ["OrientationState", "SegmentInterval", "child_order",
-           "compose_n_to_m", "forward_map", "inverse_map", "CubePoint",
+__all__ = ["OrientationState", "child_order", "compose_n_to_m",
+           "forward_map", "inverse_map", "CubePoint",
            "DyadicRect", "PrecisionError", "RangeError", "UnitScalar",
            "CellUnion", "VerificationReport", "monte_carlo_uniformity",
            "pushforward", "rect_measure_check", "DistributionSpec",

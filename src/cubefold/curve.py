@@ -6,7 +6,7 @@ consecutive cells globally) share a (d-1)-face.  The matching split of
 the segment into 2**d equal parts gives the digit-level forward and
 inverse maps between [0,1)**d and [0,1); cells map to intervals of equal
 measure at every depth.  A cell has one name on each side: on the
-segment its index q (`SegmentInterval`), whose base-2**d digits are its
+segment its index q, whose base-2**d digits are its
 digit path, and in the cube its packed grid index or lower corner.
 
 For d=2 the root-level order is lower-left, upper-left, upper-right,
@@ -201,24 +201,6 @@ def _plan(d: int, depth: int, forward: bool) -> tuple:
     pad = len(steps) * width - depth
     return ((-pad % d) << bits, steps, ((1 << bits) - 1) // ((1 << d) - 1),
             *_step_lists(d, forward))
-
-
-@dataclass(frozen=True)
-class SegmentInterval:
-    """Half-open segment cell [q * b**-n, (q+1) * b**-n) with b = 2**d."""
-
-    dimension: int
-    depth: int
-    index: int
-
-    def __post_init__(self):
-        d, depth = _check_cell(self.dimension, self.depth)
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "index", _integer(self.index, "index", 0, (1 << d * depth) - 1))
-
-    def left(self) -> UnitScalar:
-        return UnitScalar(self.index, self.dimension * self.depth)
 
 
 def _forward_cell(cell: int, depth: int, d: int) -> int:

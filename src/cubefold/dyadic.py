@@ -28,16 +28,23 @@ class PrecisionError(ValueError):
 ECHO_WIDTH = 40
 
 
-def echo(value) -> str:
-    """str(value) for an error message, cut to ECHO_WIDTH with "..."."""
-    if isinstance(value, int) and value.bit_length() > 4 * ECHO_WIDTH:
+def echo(value, width: int = ECHO_WIDTH) -> str:
+    """str(value) for an error message, cut to `width` with "...".  A
+    Fraction shows as numerator/denominator, each cut to half the width
+    when the two do not fit whole."""
+    if isinstance(value, Fraction):  # str() would convert both ints whole
+        parts = [value.numerator] + [value.denominator] * (value.denominator != 1)
+        text = "/".join(echo(part, width) for part in parts)
+        return text if len(text) <= width else "/".join(
+            echo(part, (width - 1) // 2) for part in parts)
+    if isinstance(value, int) and value.bit_length() > 4 * width:
         # Only the leading digits show.  Dividing by 10^k, k at most the
-        # digit count less ECHO_WIDTH, keeps them without converting the
+        # digit count less `width`, keeps them without converting the
         # whole int, which str() refuses beyond 4300 digits by default.
-        k = (value.bit_length() - 1) * 3 // 10 - ECHO_WIDTH
+        k = (value.bit_length() - 1) * 3 // 10 - width
         value = value // 10 ** k if value > 0 else -(-value // 10 ** k)
     text = str(value)
-    return text if len(text) <= ECHO_WIDTH else text[:ECHO_WIDTH - 3] + "..."
+    return text if len(text) <= width else text[:width - 3] + "..."
 
 
 def _integer(value, name: str, low: int, high: int | None = None) -> int:
@@ -77,16 +84,6 @@ class UnitScalar:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.precision)
-
-    def refine(self, new_precision: int) -> "UnitScalar":
-        """Same value re-expressed with at least as many bits."""
-        new_precision = operator.index(new_precision)
-        if new_precision < self.precision:
-            raise PrecisionError(
-                f"cannot refine from {self.precision} to {new_precision} bits"
-            )
-        return UnitScalar(self.mantissa << (new_precision - self.precision),
-                          new_precision)
 
     def _lowest(self) -> tuple:
         """(mantissa, precision) of the value with an odd mantissa, or (0, 0):
@@ -166,15 +163,18 @@ class CubePoint:
     coords: tuple[UnitScalar, ...]
 
     def __post_init__(self):
-        if len(self.coords) < 1:
+        # kept as a tuple of UnitScalar, so a point hashes and compares as one
+        coords = tuple(self.coords)
+        if not coords:
             raise RangeError("need at least one coordinate")
+        for c in coords:
+            if not isinstance(c, UnitScalar):
+                raise TypeError(f"coordinate must be a UnitScalar, got {type(c).__name__}")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    def refine(self, new_precision: int) -> "CubePoint":
-        return CubePoint(tuple(c.refine(new_precision) for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,6 @@ class DyadicRect:
             if (c.mantissa << k) + (1 << c.precision) > 1 << (c.precision + k):
                 raise RangeError("box must be contained in [0,1)^d")
         object.__setattr__(self, "side_exponents", sides)
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.dimension
 
     def volume(self) -> Fraction:
         return Fraction(1, 1 << sum(self.side_exponents))

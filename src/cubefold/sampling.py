@@ -84,6 +84,15 @@ AT, MASS = SPEC_FIELDS["atoms"]
 FROM, TO, CDF_FROM, CDF_TO = SPEC_FIELDS["pieces"]
 
 
+def _row(row, key: str, fields) -> tuple:
+    """A row of the constructor's list `key`, one exact number per field."""
+    row = tuple(row)
+    if len(row) != len(fields):
+        raise SpecValidationError(key, "expected {} values per row, got {}",
+                                  len(fields), len(row))
+    return tuple(map(_as_fraction, row, fields))
+
+
 def _object(value, field: str, keys) -> dict:
     """value, which must be a JSON object holding no key outside `keys`."""
     if not isinstance(value, dict):
@@ -116,8 +125,8 @@ class DistributionSpec:
         if not isinstance(name, str):
             raise SpecValidationError("name", "expected a string, got {}", repr(name))
         self.name = name
-        atoms, pieces = ([tuple(map(_as_fraction, row, fields)) for row in rows]
-                         for rows, fields in zip((atoms, pieces), SPEC_FIELDS.values()))
+        atoms, pieces = ([_row(row, key, fields) for row in rows]
+                         for rows, (key, fields) in zip((atoms, pieces), SPEC_FIELDS.items()))
         self._elements = self._validate(atoms, pieces)
 
     @staticmethod
@@ -169,7 +178,7 @@ class DistributionSpec:
         """sup{t : F(t) < u} for u in (0, 1), exact."""
         u = Fraction(u)
         if not 0 < u < 1:
-            raise RangeError(f"quantile argument must be in (0, 1), got {u}")
+            raise RangeError(f"quantile argument must be in (0, 1), got {echo(u)}")
         for lo, hi, f_lo, f_hi in self._elements:
             if f_lo < u <= f_hi:
                 return lo + (u - f_lo) * (hi - lo) / (f_hi - f_lo)

@@ -33,22 +33,6 @@ def chi_squared(observed, expected) -> tuple[float, int]:
     return stat, obs.size - 1
 
 
-def chi_squared_contingency(table) -> tuple[float, int]:
-    """Contingency form: expected from margins, dof = (r-1)(c-1)."""
-    t = np.asarray(table, dtype=float)
-    if t.ndim != 2:
-        raise ValueError("contingency table must be 2-dimensional")
-    n = t.sum()
-    if n <= 0:
-        raise ValueError("empty table")
-    exp = np.outer(t.sum(axis=1), t.sum(axis=0)) / n
-    if np.any(exp <= 0):
-        raise ValueError("a margin is empty; expected count would be zero")
-    stat = float(((t - exp) ** 2 / exp).sum())
-    dof = (t.shape[0] - 1) * (t.shape[1] - 1)
-    return stat, dof
-
-
 def _gammainc_lower_reg(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a > 0 and x > 0."""
     if x < a + 1.0:

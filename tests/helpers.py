@@ -3,10 +3,11 @@
 Everything here avoids the code paths under test: cell enumeration and
 the single-cell walk use only child_order, never the digit tables or the
 maps, the quantile oracle only evaluates the CDF forward on mesh points,
-and the Kolmogorov-Smirnov statistic and threshold use only the standard
-library.  The one exception is `stream_bin_counts`, the differential
-oracle of the uniformity audit's fold of per-cell counts: it runs the
-batch kernel on every draw, where the audit maps each cell once.
+the Kolmogorov-Smirnov statistic and threshold use only the standard
+library, and the contingency chi-squared of the sampler's independence
+checks uses only numpy.  The one exception is `stream_bin_counts`, the
+differential oracle of the uniformity audit's fold of per-cell counts: it
+runs the batch kernel on every draw, where the audit maps each cell once.
 `unpack_corners` reads the kernel's packed grid indices as (N, d)
 corners for every test, and `path_index` reads a brute-force digit path
 as its segment index.
@@ -185,3 +186,19 @@ def ks_threshold(n: int, confidence: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi) / math.sqrt(n)
+
+
+def chi_squared_contingency(table) -> tuple[float, int]:
+    """Contingency form: expected from margins, dof = (r-1)(c-1)."""
+    t = np.asarray(table, dtype=float)
+    if t.ndim != 2:
+        raise ValueError("contingency table must be 2-dimensional")
+    n = t.sum()
+    if n <= 0:
+        raise ValueError("empty table")
+    exp = np.outer(t.sum(axis=1), t.sum(axis=0)) / n
+    if np.any(exp <= 0):
+        raise ValueError("a margin is empty; expected count would be zero")
+    stat = float(((t - exp) ** 2 / exp).sum())
+    dof = (t.shape[0] - 1) * (t.shape[1] - 1)
+    return stat, dof

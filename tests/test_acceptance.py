@@ -11,11 +11,11 @@ from fractions import Fraction
 import numpy as np
 
 from cubefold.curve import compose_n_to_m, forward_map, inverse_map
-from cubefold.dyadic import DyadicRect, UnitScalar
+from cubefold.dyadic import CubePoint, DyadicRect, UnitScalar
 from cubefold.measure import CellUnion, monte_carlo_uniformity, pushforward
 from cubefold.sampling import DistributionSpec, sample_independent, split_uniform
-from cubefold.stats import chi2_threshold, chi_squared_contingency
-from helpers import mesh_scan_quantile, unpack_corners
+from cubefold.stats import chi2_threshold
+from helpers import chi_squared_contingency, mesh_scan_quantile, unpack_corners
 
 
 def _report(num, label, ok, detail=""):
@@ -63,7 +63,8 @@ def test_criterion_3_uniform_cauchy_bound():
     for n in range(7):
         bound = Fraction(1, 4 ** n)
         for q in range(4 ** n):
-            pt = inverse_map(UnitScalar(q, 2 * n), n, 2).refine(10)
+            corner = inverse_map(UnitScalar(q, 2 * n), n, 2).coords
+            pt = CubePoint(tuple(UnitScalar(c.mantissa << (10 - n), 10) for c in corner))
             fn = forward_map(pt, n).as_fraction()
             for m in range(n + 1, 11):
                 if abs(forward_map(pt, m).as_fraction() - fn) >= bound:

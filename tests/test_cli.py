@@ -682,7 +682,13 @@ def test_sample_deeply_nested_spec_exits_2(tmp_path, capsys, depth):
     ('{"atoms": [{"at": "0", "mass": "1"}], "%s": 1}' % ("k" * 5000),
      "%s...: unknown key in distribution; expected one of atoms, pieces, name\n"
      % ("k" * 37)),
-], ids=["str-5000", "list-500", "json-1e999", "key-5000"])
+    # four masses over 2000-digit denominators sum to a Fraction of over
+    # 4300 digits, whose str() raised Python's digit-limit ValueError
+    ('{"atoms": [%s]}' % ", ".join('{"at": "%d", "mass": "1/%d"}' % (i, 10 ** 1999 + 2 * i + 1)
+                                   for i in range(4)),
+     "mass-sum: atom masses plus piece increments sum to %s.../%s..., expected 1\n"
+     % ("4" + "0" * 15, "1" + "0" * 15)),
+], ids=["str-5000", "list-500", "json-1e999", "key-5000", "fraction-8000"])
 def test_sample_spec_error_cuts_the_value_it_echoes(tmp_path, capsys, doc, message):
     spec = tmp_path / "spec.json"
     spec.write_text(doc)

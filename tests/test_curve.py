@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from cubefold import curve
 from cubefold.curve import (
     OrientationState,
-    SegmentInterval,
     child_order,
     compose_n_to_m,
     forward_map,
@@ -257,15 +256,18 @@ def test_forward_map_reads_values_at_any_precision(coords, depth, extra):
     # result of the point refined to one precision that covers the depth
     pt = CubePoint(tuple(coords))
     common = max([depth] + [c.precision for c in coords]) + extra
+    refined = CubePoint(tuple(UnitScalar(c.mantissa << (common - c.precision), common)
+                              for c in coords))
     out = forward_map(pt, depth)
-    assert out == forward_map(pt.refine(common), depth)
+    assert out == forward_map(refined, depth)
     assert out.precision == len(coords) * depth
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scalars(40), st.integers(1, 4), st.integers(0, 10), st.integers(0, 3))
 def test_inverse_map_reads_values_at_any_precision(t, d, depth, extra):
-    refined = t.refine(max(t.precision, d * depth) + extra)
+    common = max(t.precision, d * depth) + extra
+    refined = UnitScalar(t.mantissa << (common - t.precision), common)
     out = inverse_map(t, depth, d)
     assert out == inverse_map(refined, depth, d)
     assert [c.precision for c in out.coords] == [depth] * d
@@ -475,13 +477,12 @@ def test_batch_maps_reject_a_cell_that_is_no_integer_or_negative(depth, batch_ma
 @pytest.mark.parametrize("depth", [8, 40])
 def test_maps_read_a_numpy_depth_as_the_equal_int(depth):
     # the checked int is the one the walks use: an int64 depth of 40 once
-    # overflowed in the shifts, so forward_map raised ValueError,
-    # inverse_map returned the origin and SegmentInterval's bound read -1
+    # overflowed in the shifts, so forward_map raised ValueError and
+    # inverse_map returned the origin
     pt, t = make_point([1, 3], 2), UnitScalar(5, 3)
     assert forward_map(pt, np.int64(depth)) == forward_map(pt, depth)
     assert inverse_map(t, np.int64(depth), np.int64(2)) == inverse_map(t, depth, 2)
     assert compose_n_to_m(pt, np.int64(depth), np.int64(3)) == compose_n_to_m(pt, depth, 3)
-    SegmentInterval(2, np.int64(depth), 5)
     cells = [0, 5, 7]
     for batch_map in (inverse_map_batch, forward_map_batch):
         assert batch_map(cells, np.int64(depth), np.int64(2)).tolist() == \
@@ -697,6 +698,6 @@ def test_compose_rejects_an_unsupported_target_dimension_or_depth(depth, target,
 def test_interval_text_roundtrip():
     # `map` prints a segment cell as q/(2^d)^n; parse_scalar reads back its
     # left end, and reads any other power-of-two base by value
-    iv = SegmentInterval(2, 3, 17)
-    assert parse_scalar("17/4^3") == iv.left()
-    assert parse_scalar("17/8^3") == UnitScalar(17, 9) != iv.left()
+    left = UnitScalar(17, 6)
+    assert parse_scalar("17/4^3") == left
+    assert parse_scalar("17/8^3") == UnitScalar(17, 9) != left

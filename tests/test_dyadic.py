@@ -39,28 +39,6 @@ def test_make_scalar_rejects_negative():
         UnitScalar(0, -1)
 
 
-@pytest.mark.parametrize("m,p,q,expect", [
-    (1, 1, 3, (4, 3)),
-    (0, 0, 8, (0, 8)),
-    (5, 3, 6, (40, 6)),
-])
-def test_refine_examples(m, p, q, expect):
-    s = UnitScalar(m, p).refine(q)
-    assert (s.mantissa, s.precision) == expect
-
-
-def test_refine_rejects_precision_decrease():
-    with pytest.raises(PrecisionError):
-        UnitScalar(1, 3).refine(2)
-
-
-@given(st.integers(0, 2**12 - 1), st.integers(12, 40))
-def test_refine_preserves_value(m, q):
-    s = UnitScalar(m, 12)
-    assert s.refine(q) == s
-    assert s.refine(q).as_fraction() == s.as_fraction()
-
-
 def test_value_equality_across_precisions():
     assert UnitScalar(1, 1) == UnitScalar(2, 2) == UnitScalar(4, 3)
     assert hash(UnitScalar(1, 1)) == hash(UnitScalar(4, 3))
@@ -182,10 +160,23 @@ def test_cube_point_requires_shared_precision():
     assert pt == CubePoint((UnitScalar(2, 3), UnitScalar(1, 3)))
 
 
+def test_cube_point_keeps_its_coordinates_as_a_tuple():
+    # a list was kept as given: the point did not hash, and it was unequal
+    # to the same point built from a tuple
+    listed, point = CubePoint([UnitScalar(1, 1)]), CubePoint((UnitScalar(1, 1),))
+    assert type(listed.coords) is tuple
+    assert listed == point and hash(listed) == hash(point)
+
+
+def test_cube_point_rejects_a_coordinate_that_is_not_a_unit_scalar():
+    # a float was kept, and forward_map raised AttributeError on it
+    with pytest.raises(TypeError, match="^coordinate must be a UnitScalar, got float$"):
+        curve.forward_map(CubePoint((0.5, 0.25)), 3)
+
+
 def test_rect_volume_and_containment():
     r = DyadicRect(make_point([0, 2], 2), (1, 2))
     assert r.volume() == Fraction(1, 8)
-    assert r.dimension == 2
 
 
 def test_rect_must_fit_in_cube():
@@ -240,10 +231,7 @@ COIN = sampling.DistributionSpec(atoms=[("0", "1/2"), ("1", "1/2")], name="coin"
     (lambda: UnitScalar(HUGE, 3), RangeError, "1" + "0" * 36),
     (lambda: UnitScalar(0, -HUGE), RangeError, "-1" + "0" * 35),
     (lambda: curve.inverse_map_batch([0], 3, HUGE), RangeError, "1" + "0" * 36),
-    (lambda: curve.SegmentInterval(2, 3, 10 ** 60), RangeError, "1" + "0" * 36),
-    (lambda: curve.SegmentInterval(2, 3, HUGE), RangeError, "1" + "0" * 36),
-], ids=["grid", "sample-depth", "mantissa", "precision", "dimension",
-        "index-61-digits", "index"])
+], ids=["grid", "sample-depth", "mantissa", "precision", "dimension"])
 def test_errors_echo_a_huge_int_cut(call, error, shown):
     # str() of an int of over 4300 digits raised Python's digit-limit
     # ValueError in place of the intended error, and shorter ints showed whole
@@ -260,13 +248,12 @@ RECT = DyadicRect(make_point([0, 0], 1), (1, 1))
 @pytest.mark.parametrize("call", [
     lambda: UnitScalar(1.5, 4),
     lambda: UnitScalar(1, 2.0),
-    lambda: curve.SegmentInterval(2, 2, 1.5),
     lambda: curve.OrientationState(2, 0.5, 0),
     lambda: curve.forward_map(RECT.lower, 2.0),
     lambda: curve.inverse_map_batch([1], 2.0, 2),
     lambda: DyadicRect(make_point([0], 1), (1.5,)),
     lambda: measure.rect_measure_check(RECT, 2.0),
-], ids=["mantissa", "precision", "index", "rotation", "forward-depth",
+], ids=["mantissa", "precision", "rotation", "forward-depth",
         "batch-depth", "side-exponent", "rect-depth"])
 def test_every_integer_argument_rejects_a_float(call):
     # each once raised AttributeError or an arithmetic TypeError further
@@ -278,15 +265,14 @@ def test_every_integer_argument_rejects_a_float(call):
 @pytest.mark.parametrize("call,message", [
     (lambda: curve.OrientationState(2, 2, 0), "rotation must be in 0..1, got 2"),
     (lambda: curve.OrientationState(2, 0, 4), "flips must be in 0..3, got 4"),
-    (lambda: curve.SegmentInterval(2, 2, 16), "index must be in 0..15, got 16"),
     # a bound of 1807 digits shows its first 37, as a value does
-    (lambda: curve.SegmentInterval(2, 3000, -1),
-     "index must be in 0..1513470582304237072513410067329391955..., got -1"),
+    (lambda: measure.CellUnion.of_segment(2, 3000, [1 << 6001]),
+     "cell index must be in 0..1513470582304237072513410067329391955..., "
+     "got 3026941164608474145026820134658783910..."),
     (lambda: DyadicRect(make_point([0], 1), (-1,)), "side exponent must be >= 0, got -1"),
     (lambda: measure.monte_carlo_uniformity(100, 0, 0),
      "grid must be in 1..2147483648, got 0"),
-], ids=["rotation", "flips", "index", "index-bound-cut", "side-exponent",
-        "grid"])
+], ids=["rotation", "flips", "index-bound-cut", "side-exponent", "grid"])
 def test_every_integer_argument_names_its_range(call, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         call()
@@ -295,14 +281,11 @@ def test_every_integer_argument_names_its_range(call, message):
 @pytest.mark.parametrize("call", [
     lambda n: UnitScalar(1, n(70)) == UnitScalar(1, 70),
     lambda n: UnitScalar(1, n(70)).as_fraction(),
-    lambda n: UnitScalar(n(3), 70).refine(140),
-    lambda n: UnitScalar(3, 70).refine(n(140)).mantissa,
-    lambda n: curve.SegmentInterval(2, n(40), 5).left().as_fraction(),
     lambda n: DyadicRect(make_point([0, 0], 0), (n(40),) * 2).volume(),
     lambda n: measure.CellUnion.of_segment(n(8), n(8), [1]).measure(),
     lambda n: measure.CellUnion.of_cube(n(2), n(40), [5]).measure(),
-], ids=["scalar-equality", "scalar-fraction", "scalar-refine", "refine-precision",
-        "interval-left", "rect-volume", "segment-union-measure", "cube-union-measure"])
+], ids=["scalar-equality", "scalar-fraction", "rect-volume", "segment-union-measure",
+        "cube-union-measure"])
 def test_a_numpy_int_field_acts_as_the_equal_int(call):
     # each value once kept the numpy int it was given, so a later shift
     # ran in int64: a wrong value or a ZeroDivisionError
@@ -315,7 +298,6 @@ def test_frozen_values_keep_the_python_int_their_reader_returns():
     rect = DyadicRect(make_point([0], 0), [n(40)])
     assert rect.side_exponents == (40,) and type(rect.side_exponents) is tuple
     kept = [*vars(UnitScalar(n(3), n(70))).values(),
-            *vars(curve.SegmentInterval(n(2), n(40), n(5))).values(),
             *vars(curve.OrientationState(n(3), n(2), n(5))).values(),
             *rect.side_exponents, union.dimension, union.depth]
-    assert len(kept) == 11 and all(type(v) is int for v in kept)
+    assert len(kept) == 8 and all(type(v) is int for v in kept)

@@ -6,7 +6,7 @@ def test_public_surface_is_frozen():
     assert sorted(cubefold.__all__) == [
         "CellUnion", "CubePoint", "DistributionSpec",
         "DyadicRect", "OrientationState", "PrecisionError", "RangeError",
-        "SampleBatch", "SegmentInterval", "UnitScalar", "VerificationReport",
+        "SampleBatch", "UnitScalar", "VerificationReport",
         "child_order", "compose_n_to_m", "forward_map", "inverse_map",
         "monte_carlo_uniformity", "pushforward",
         "rect_measure_check", "sample_independent",

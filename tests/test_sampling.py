@@ -19,8 +19,8 @@ from cubefold.sampling import (
     sample_independent,
     split_uniform,
 )
-from cubefold.stats import chi_squared_contingency, chi2_threshold
-from helpers import ks_statistic, ks_threshold, mesh_scan_quantile
+from cubefold.stats import chi2_threshold
+from helpers import chi_squared_contingency, ks_statistic, ks_threshold, mesh_scan_quantile
 
 UNIFORM = DistributionSpec(pieces=[("0", "1", "0", "1")], name="uniform")
 COIN = DistributionSpec(atoms=[("0", "1/2"), ("1", "1/2")], name="coin")
@@ -435,6 +435,14 @@ def test_sample_independent_takes_numpy_integer_arguments():
      SpecValidationError, "cdf_to: CDF must be non-decreasing"),
     (lambda: DistributionSpec.from_dict([1]), SpecValidationError,
      "distribution: expected an object"),
+    # a longer row lost its extra value, a shorter one failed to unpack
+    (lambda: DistributionSpec(atoms=[(0, "1/2", 7), (1, "1/2")]), SpecValidationError,
+     "atoms: expected 2 values per row, got 3"),
+    (lambda: DistributionSpec(pieces=[(0, 1, 0)]), SpecValidationError,
+     "pieces: expected 4 values per row, got 3"),
+    # str() of the Fraction raised Python's digit-limit ValueError
+    (lambda: POINT_MASS.quantile(Fraction(10 ** 5000)), RangeError,
+     "quantile argument must be in (0, 1), got %s..." % ("1" + "0" * 36)),
     (lambda: UNIFORM.quantile_batch([0.0]), RangeError,
      "quantile arguments must be in (0, 1)"),
     # NaN fails every comparison: searchsorted once put it past the end
@@ -446,7 +454,8 @@ def test_sample_independent_takes_numpy_integer_arguments():
                                   (UNIFORM,)),
      RangeError, "samples must be float64, got float32"),
 ], ids=["no-specs", "nine-specs", "count-1", "depth0", "no-elements",
-        "cdf-decreases", "from-dict-list", "quantile-batch-0", "quantile-batch-nan",
+        "cdf-decreases", "from-dict-list", "long-row", "short-row", "quantile-huge",
+        "quantile-batch-0", "quantile-batch-nan",
         "columns",
         "float32"])
 def test_sampling_guards_raise_their_message(call, error, message):

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from cubefold import stats
-from cubefold.stats import (
-    chi2_cdf,
-    chi2_threshold,
-    chi_squared,
-    chi_squared_contingency,
-)
-from helpers import kolmogorov_cdf, ks_statistic, ks_threshold
+from cubefold.stats import chi2_cdf, chi2_threshold, chi_squared
+from helpers import chi_squared_contingency, kolmogorov_cdf, ks_statistic, ks_threshold
 
 
 def test_chi_squared_zero_when_exact():
