@@ -44,6 +44,14 @@ def test_value_equality_across_precisions():
     assert hash(UnitScalar(1, 1)) == hash(UnitScalar(4, 3))
 
 
+@given(st.integers(0, 2**12 - 1), st.integers(0, 28))
+def test_a_shifted_mantissa_keeps_value_and_hash(m, k):
+    # the same value at a higher precision, as the maps read it
+    s, shifted = UnitScalar(m, 12), UnitScalar(m << k, 12 + k)
+    assert shifted == s and hash(shifted) == hash(s)
+    assert shifted.as_fraction() == s.as_fraction()
+
+
 @given(st.integers(0, 255), st.integers(0, 8), st.integers(0, 255), st.integers(0, 8))
 def test_order_is_representation_independent(m1, e1, m2, e2):
     p1, p2 = 8 + e1, 8 + e2
@@ -231,7 +239,10 @@ COIN = sampling.DistributionSpec(atoms=[("0", "1/2"), ("1", "1/2")], name="coin"
     (lambda: UnitScalar(HUGE, 3), RangeError, "1" + "0" * 36),
     (lambda: UnitScalar(0, -HUGE), RangeError, "-1" + "0" * 35),
     (lambda: curve.inverse_map_batch([0], 3, HUGE), RangeError, "1" + "0" * 36),
-], ids=["grid", "sample-depth", "mantissa", "precision", "dimension"])
+    (lambda: measure.CellUnion.of_segment(2, 3, [10 ** 60]), RangeError, "1" + "0" * 36),
+    (lambda: measure.CellUnion.of_segment(2, 3, [HUGE]), RangeError, "1" + "0" * 36),
+], ids=["grid", "sample-depth", "mantissa", "precision", "dimension",
+        "index-61-digits", "index"])
 def test_errors_echo_a_huge_int_cut(call, error, shown):
     # str() of an int of over 4300 digits raised Python's digit-limit
     # ValueError in place of the intended error, and shorter ints showed whole
@@ -253,8 +264,10 @@ RECT = DyadicRect(make_point([0, 0], 1), (1, 1))
     lambda: curve.inverse_map_batch([1], 2.0, 2),
     lambda: DyadicRect(make_point([0], 1), (1.5,)),
     lambda: measure.rect_measure_check(RECT, 2.0),
+    lambda: measure.CellUnion.of_segment(2, 2.0, [1]),
+    lambda: curve.compose_n_to_m(RECT.lower, 2, 3.0),
 ], ids=["mantissa", "precision", "rotation", "forward-depth",
-        "batch-depth", "side-exponent", "rect-depth"])
+        "batch-depth", "side-exponent", "rect-depth", "union-depth", "compose-target"])
 def test_every_integer_argument_rejects_a_float(call):
     # each once raised AttributeError or an arithmetic TypeError further
     # on, or built; operator.index names the type at the call
@@ -265,6 +278,7 @@ def test_every_integer_argument_rejects_a_float(call):
 @pytest.mark.parametrize("call,message", [
     (lambda: curve.OrientationState(2, 2, 0), "rotation must be in 0..1, got 2"),
     (lambda: curve.OrientationState(2, 0, 4), "flips must be in 0..3, got 4"),
+    (lambda: measure.CellUnion.of_segment(2, 2, [16]), "cell index must be in 0..15, got 16"),
     # a bound of 1807 digits shows its first 37, as a value does
     (lambda: measure.CellUnion.of_segment(2, 3000, [1 << 6001]),
      "cell index must be in 0..1513470582304237072513410067329391955..., "
@@ -272,7 +286,7 @@ def test_every_integer_argument_rejects_a_float(call):
     (lambda: DyadicRect(make_point([0], 1), (-1,)), "side exponent must be >= 0, got -1"),
     (lambda: measure.monte_carlo_uniformity(100, 0, 0),
      "grid must be in 1..2147483648, got 0"),
-], ids=["rotation", "flips", "index-bound-cut", "side-exponent", "grid"])
+], ids=["rotation", "flips", "index", "index-bound-cut", "side-exponent", "grid"])
 def test_every_integer_argument_names_its_range(call, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         call()
@@ -284,8 +298,10 @@ def test_every_integer_argument_names_its_range(call, message):
     lambda n: DyadicRect(make_point([0, 0], 0), (n(40),) * 2).volume(),
     lambda n: measure.CellUnion.of_segment(n(8), n(8), [1]).measure(),
     lambda n: measure.CellUnion.of_cube(n(2), n(40), [5]).measure(),
+    lambda n: curve.forward_map(CubePoint((UnitScalar(n(3), n(70)),) * 2), n(40)),
+    lambda n: curve.inverse_map(UnitScalar(n(5), n(80)), n(40), n(2)),
 ], ids=["scalar-equality", "scalar-fraction", "rect-volume", "segment-union-measure",
-        "cube-union-measure"])
+        "cube-union-measure", "forward-map", "inverse-map"])
 def test_a_numpy_int_field_acts_as_the_equal_int(call):
     # each value once kept the numpy int it was given, so a later shift
     # ran in int64: a wrong value or a ZeroDivisionError
