@@ -185,6 +185,8 @@ class DyadicRect:
     side_exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.lower, CubePoint):
+            raise TypeError(f"lower corner must be a CubePoint, got {type(self.lower).__name__}")
         if len(self.side_exponents) != self.lower.dimension:
             raise RangeError("one side exponent per axis required")
         sides = tuple(_integer(k, "side exponent", 0) for k in self.side_exponents)

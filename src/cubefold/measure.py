@@ -11,7 +11,8 @@ are packed grid indices throughout, the batch inverse kernel's output;
 `CellUnion.of_cube` names them by the segment indices they pair with.
 One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
 a time to `cells`, `adjacency` and the uniformity audit's fold of its
-per-cell counts onto the grid.  The audit bins each coordinate through
+per-cell counts onto the grid, counted at the depth the grid needs (j
+at k = 2^j, else the draw depth).  The audit bins each coordinate through
 one per-axis table, `_axis_bins`, which also gives its expected counts.
 `roundtrip`, `measure`, `rect_measure_check` and `pushforward` map whole
 arrays of cells with one call of each batch map they need, at any depth;
@@ -192,7 +193,7 @@ def _axis_bins(grid_k: int, depth: int) -> np.ndarray:
 def _bin_counts(cell_counts: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
     """Fold per-cell counts of the 4^n depth-n segment cells onto the flat
     k x k grid (d=2): each cell's count goes to the bin of its lower
-    corner, two gathers from `_axis_bins`."""
+    corner, two gathers from `_axis_bins`, the identity at k = 2^n."""
     counts = np.zeros(grid_k * grid_k, dtype=np.int64)
     axis_bin, mask = _axis_bins(grid_k, depth), (1 << depth) - 1
     for lo, cells in zip(range(0, len(cell_counts), BLOCK), _corner_blocks(2, depth)):
@@ -217,8 +218,11 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     Draws uniform segment cells at depth n = max(8, bits of k - 1),
     inverts them into the square, bins the depth-n lower corners and
     compares against their exact expectation at 99.9% confidence.
-    The draws are counted per depth-n cell, then the 4^n cell counts are
-    folded onto the grid, each cell mapped once; chunk i of `_CHUNK`
+    The draws are counted per segment cell at depth j for k = 2^j (a bin
+    is one depth-j cell, and the cells nest), else at n; the 4^level cell
+    counts are folded onto the grid, each cell mapped once.  Trade-off:
+    at k = 2^j the chi-squared half runs the map at depth j, not n, and
+    the depth-n bijection is left to `verify cells`.  Chunk i of `_CHUNK`
     draws takes child i of the seed, spawned when the loop reaches it, so
     counts are reproducible under any partitioning.  The three arguments
     are integers (`dyadic._integer`), and seed is >= 0.
@@ -236,14 +240,19 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
         return VerificationReport.from_statistic(
             "uniformity", f"N={sample_count} grid=1x1", 0.0, 0.0, seed)
 
-    depth = max(8, (grid_k - 1).bit_length())
-    cell_counts = np.zeros(1 << (2 * depth), dtype=np.int64)
+    bits = (grid_k - 1).bit_length()
+    depth = max(8, bits)
+    # at k = 2^j bin (i0, i1) is one depth-j cube cell; the cells nest,
+    # so its preimage is the one depth-j segment cell q >> 2*(depth - j)
+    level = bits if grid_k & (grid_k - 1) == 0 else depth
+    shift = np.uint64(2 * (depth - level))
+    cell_counts = np.zeros(1 << (2 * level), dtype=np.int64)
     streams = np.random.SeedSequence(seed)
     for start in range(0, sample_count, _CHUNK):
         q = _draw_cells(np.random.default_rng(streams.spawn(1)[0]),
                         min(_CHUNK, sample_count - start), depth)
-        np.add.at(cell_counts, q.view(np.int64), 1)
-    counts = _bin_counts(cell_counts, grid_k, depth)
+        cell_counts += np.bincount((q >> shift).view(np.int64), minlength=len(cell_counts))
+    counts = _bin_counts(cell_counts, grid_k, level)
 
     # A bijection puts one corner on each point of the 2**depth grid, so
     # every grid point is equally likely; along an axis bin i holds the

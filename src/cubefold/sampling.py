@@ -176,8 +176,11 @@ class DistributionSpec:
 
     def quantile(self, u) -> Fraction:
         """sup{t : F(t) < u} for u in (0, 1), exact."""
-        u = Fraction(u)
-        if not 0 < u < 1:
+        try:
+            u = Fraction(u)
+        except (ValueError, OverflowError, ZeroDivisionError):  # NaN, inf, bad text
+            pass
+        if not (isinstance(u, Fraction) and 0 < u < 1):
             raise RangeError(f"quantile argument must be in (0, 1), got {echo(u)}")
         for lo, hi, f_lo, f_hi in self._elements:
             if f_lo < u <= f_hi:

@@ -182,6 +182,12 @@ def test_cube_point_rejects_a_coordinate_that_is_not_a_unit_scalar():
         curve.forward_map(CubePoint((0.5, 0.25)), 3)
 
 
+def test_rect_rejects_a_lower_corner_that_is_not_a_cube_point():
+    # a tuple of coordinates raised AttributeError on its missing dimension
+    with pytest.raises(TypeError, match="^lower corner must be a CubePoint, got tuple$"):
+        DyadicRect((UnitScalar(0, 1),), (1,))
+
+
 def test_rect_volume_and_containment():
     r = DyadicRect(make_point([0, 2], 2), (1, 2))
     assert r.volume() == Fraction(1, 8)

@@ -403,11 +403,13 @@ def test_monte_carlo_records_frozen(args):
     *(pytest.param(n, 4, id=str(n)) for n in
       (1600, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, measure._CHUNK + 7)),
     (3 * BLOCK + 5, 3), (measure._CHUNK + 7, 10), (1_000_000, 100),
-    (6_604_900, 257)])
+    (6_604_900, 257), (measure._CHUNK + 7, 2), (250_000, 16), (250_000, 32),
+    (409_600, 64)])
 def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
                                                              sample_count,
                                                              grid_k):
-    # the folded cell counts against the kernel run on every draw of each chunk
+    # the folded cell counts against the depth-n kernel run on every draw
+    # of each chunk; at k = 2^j the audit counts depth-j ancestor cells
     drawn, seen = [], []
     whole = np.zeros(grid_k * grid_k, dtype=np.int64)
 
@@ -439,6 +441,13 @@ def test_cell_bins_hold_the_exact_grid_law(grid_k):
     assert counts.tolist() == np.outer(per_axis, per_axis).ravel().tolist()
 
 
+@pytest.mark.parametrize("j", range(1, 9))
+def test_bin_counts_at_the_level_of_a_dyadic_grid_are_one_per_bin(j):
+    # at k = 2^j and level j each depth-j cell is one bin of its own
+    counts = _bin_counts(np.ones(4 ** j, dtype=np.int64), 2 ** j, j)
+    assert counts.tolist() == [1] * 4 ** j
+
+
 @pytest.mark.parametrize("grid_k", [3, 16, 100, 257])
 def test_bin_counts_match_the_kernel_run_on_every_draw(grid_k):
     # random per-cell counts, folded, against the streaming oracle run on
@@ -450,9 +459,16 @@ def test_bin_counts_match_the_kernel_run_on_every_draw(grid_k):
     assert folded.tolist() == stream_bin_counts(draws, grid_k, depth).tolist()
 
 
-@pytest.mark.parametrize("sample_count", [250_000, 1_000_000])
-def test_monte_carlo_maps_each_cell_once_whatever_n(monkeypatch, sample_count):
-    # the kernel maps the 4^8 cells once, to fold their counts, not each draw
+@pytest.mark.parametrize("sample_count, grid_k, cells", [
+    pytest.param(250_000, 16, 4 ** 4, id="250000"),
+    pytest.param(1_000_000, 16, 4 ** 4, id="1000000"),
+    pytest.param(250_000, 32, 4 ** 5, id="k32-250000"),
+    pytest.param(1_000_000, 32, 4 ** 5, id="k32-1000000"),
+    pytest.param(1_000_000, 100, 4 ** 8, id="k100-1000000")])
+def test_monte_carlo_maps_each_cell_once_whatever_n(monkeypatch, sample_count,
+                                                    grid_k, cells):
+    # the kernel maps the 4^level counted cells once, to fold their counts,
+    # not each draw: depth j at k = 2^j, the draw depth 8 otherwise
     mapped = []
     real = measure.inverse_map_batch
 
@@ -461,8 +477,8 @@ def test_monte_carlo_maps_each_cell_once_whatever_n(monkeypatch, sample_count):
         return real(indices, depth, dimension)
 
     monkeypatch.setattr(measure, "inverse_map_batch", counting)
-    assert monte_carlo_uniformity(sample_count, 16, seed=2).passed
-    assert sum(mapped) == 4 ** 8
+    assert monte_carlo_uniformity(sample_count, grid_k, seed=2).passed
+    assert sum(mapped) == cells
 
 
 @pytest.mark.parametrize("grid_k", [(1 << 31) + 1, 3_000_000_000, 10 ** 3000],
@@ -559,6 +575,36 @@ def test_monte_carlo_fails_a_map_that_merges_two_cells(monkeypatch):
     report = monte_carlo_uniformity(250_000, 16, seed=4)
     assert not report.passed
     assert report.statistic > 2 * report.threshold
+
+
+@pytest.mark.parametrize("grid_k", [16, 32])
+def test_monte_carlo_counts_follow_the_map_at_the_grid_level(monkeypatch, grid_k):
+    # a depth-j map that no longer nests in the depth-8 one: two outputs
+    # swapped at depth j only.  The audit reads the map at depth j, so its
+    # counts leave the depth-8 kernel's run on every draw
+    real, drawn, seen = measure.inverse_map_batch, [], []
+
+    def unnested(indices, depth, dimension):
+        if depth < 8:
+            indices = np.where(indices == 5, 200, np.where(indices == 200, 5, indices))
+        return real(indices, depth, dimension)
+
+    def recording_draw(rng, size, depth):
+        drawn.append(real_draw(rng, size, depth))
+        return drawn[-1]
+
+    def recording_chi_squared(counts, expected):
+        seen.append(counts.copy())
+        return chi_squared(counts, expected)
+
+    real_draw = measure._draw_cells
+    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
+    monkeypatch.setattr(measure, "inverse_map_batch", unnested)
+    monte_carlo_uniformity(250_000, grid_k, seed=grid_k)
+    whole = stream_bin_counts(np.concatenate(drawn), grid_k, 8)
+    assert len(seen) == 1 and seen[0].tolist() != whole.tolist()
+    assert seen[0].sum() == whole.sum() == 250_000
 
 
 def test_monte_carlo_chunk_i_draws_from_child_i_of_the_seed(monkeypatch):

@@ -56,6 +56,24 @@ def test_quantile_rejects_endpoints():
             UNIFORM.quantile(u)
 
 
+@pytest.mark.parametrize("u, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), ("x", "x"),
+    ("1/0", "1/0"), (2.0, "2"), ("3/2", "3/2")],
+    ids=["nan", "inf", "-inf", "text", "zero-denominator", "float-2", "text-3/2"])
+def test_quantile_names_an_argument_outside_the_unit_interval(u, shown):
+    # NaN and text raised ValueError, an infinity OverflowError, where
+    # quantile_batch answered NaN with RangeError; a value Fraction reads
+    # is echoed as that Fraction
+    with pytest.raises(RangeError, match=re.escape(
+            f"quantile argument must be in (0, 1), got {shown}") + "$"):
+        UNIFORM.quantile(u)
+
+
+@pytest.mark.parametrize("u", [0.25, "1/4", "0.25", Fraction(1, 4)])
+def test_quantile_reads_what_fraction_reads(u):
+    assert UNIFORM.quantile(u) == Fraction(1, 4)
+
+
 def _random_spec(rng):
     """Random rational CDF: a few atoms and affine pieces that tile [lo, hi]."""
     running = Fraction(0)
