@@ -138,7 +138,7 @@ def _cmd_sample(args) -> int:
     # stdout keeps its stream's encoding: a column name it cannot spell
     # exits 2 before any draw, and stdout stays empty
     encoding = getattr(sys.stdout, "encoding", None)
-    if encoding and not args.output:
+    if encoding and args.output is None:
         for name in filter(None, (s.name for s in specs)):
             try:
                 name.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
@@ -146,7 +146,7 @@ def _cmd_sample(args) -> int:
                 raise ValueError(f"column {echo(repr(name))} cannot be written to stdout "
                                  f"in its encoding {encoding}; -o/--output writes UTF-8") from None
     batch = sample_independent(args.seed, args.draws, specs, depth=args.depth)
-    if args.output:
+    if args.output is not None:  # "" is a path, which open rejects
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             batch.write_csv(fh)
     else:

@@ -341,10 +341,10 @@ def _kernel(d: int, depth: int, forward: bool) -> tuple:
 
 def _cell_array(cells, high: int | None = None) -> np.ndarray:
     """`cells` as an array of cell indices, integers in 0..high, or
-    RangeError naming one that is not.  An integer array passes on its
-    dtype, an unsigned one with no `high` at once; anything else is read
-    value by value as given, and a bool, numpy's too, is no cell, as a
-    mask was almost surely meant."""
+    RangeError naming one that is not.  An integer array is read on its
+    dtype, by one `min` (and one `max` given `high`); anything else is
+    read value by value as given, and a bool, numpy's too, is no cell,
+    as a mask was almost surely meant."""
     if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "ui"):
         cells = np.asarray(cells, dtype=object)
         wrong = {kind for kind in set(map(type, cells.flat))
@@ -353,8 +353,6 @@ def _cell_array(cells, high: int | None = None) -> np.ndarray:
             bad = next(c for c in cells.flat if type(c) in wrong)
             shown = bad if isinstance(bad, (bool, np.bool_)) else repr(bad)
             raise RangeError(f"cell index {echo(shown)} is not an integer >= 0")
-    elif cells.dtype.kind == "u" and high is None:
-        return cells
     low = cells.min(initial=0)
     if low < 0:
         raise RangeError(f"cell index {echo(low)} is not an integer >= 0")

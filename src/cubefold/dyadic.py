@@ -191,8 +191,7 @@ class DyadicRect:
             raise RangeError("one side exponent per axis required")
         sides = tuple(_integer(k, "side exponent", 0) for k in self.side_exponents)
         for c, k in zip(self.lower.coords, sides):
-            # x + 2^-k > 1, in integers: m * 2^k + 2^p > 2^(p + k)
-            if (c.mantissa << k) + (1 << c.precision) > 1 << (c.precision + k):
+            if c > UnitScalar((1 << k) - 1, k):
                 raise RangeError("box must be contained in [0,1)^d")
         object.__setattr__(self, "side_exponents", sides)
 

@@ -10,13 +10,15 @@ inverse map and test the image for uniformity.
 are packed grid indices throughout, the batch inverse kernel's output;
 `CellUnion.of_cube` names them by the segment indices they pair with.
 One stream, `_corner_blocks`, feeds the batch kernel `BLOCK` indices at
-a time to `cells`, `adjacency` and the uniformity audit's fold of its
-per-cell counts onto the grid, counted at the depth the grid needs (j
-at k = 2^j, else the draw depth).  The audit bins each coordinate through
-one per-axis table, `_axis_bins`, which also gives its expected counts.
-`roundtrip`, `measure`, `rect_measure_check` and `pushforward` map whole
-arrays of cells with one call of each batch map they need, at any depth;
-beyond d*depth = 64 bits the cells are Python ints in object arrays.
+a time and hands out (first index, int64 corners) to `cells`,
+`adjacency` and the uniformity audit's fold of its per-cell counts onto
+the grid, counted at the depth the grid needs (j at k = 2^j, else the
+draw depth).  The audit bins each coordinate through one per-axis
+table, `_axis_bins`, which also gives its expected counts.  `roundtrip`,
+`measure` and `pushforward` map whole arrays of cells with one call of
+each batch map they need, at any depth; `rect_measure_check` maps its
+box a `BLOCK` at a time over its own cell array and sorts that in place.
+Beyond d*depth = 64 bits the cells are Python ints in object arrays.
 `verify measure` draws its unions as the rows of one cell matrix and
 compares the distinct cells of each row with the distinct images,
 counted by one sort per side.
@@ -40,11 +42,14 @@ SEGMENT = "segment"
 ROUNDTRIP_TRIALS = 1000
 MEASURE_UNIONS = 200
 # cells * d bound of the exhaustive suites and of `rect_measure_check`,
-# checked before any allocation.  The suites stream the corners in blocks
-# of BLOCK cells; what grows with the cell count is the one-byte-per-cell
-# `seen` array of `cells`, 16 MiB at the bound (d=1 depth=24), where a
-# suite peaks below 50 MiB RSS
+# checked before any allocation.  All three map BLOCK cells at a time;
+# what grows with the cell count is the one-byte-per-cell `seen` array of
+# `cells`, 16 MiB at the bound (d=1 depth=24), where a suite peaks below
+# 50 MiB RSS, and the box's array of cells, sorted in place, 8 bytes each
 MAX_CELL_COORDS = 1 << 24
+# each uint64 temporary of a block takes 64 KiB, below glibc's default
+# 128 KiB mmap threshold
+BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,9 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     """Decompose a grid-aligned box into depth-n cells and push forward.
 
     The image measure equals the box volume exactly iff no two box cells
-    share an image cell, so the check counts the distinct images against
-    the box's cells; the statistic is the number of failures (0 or 1).
+    share an image cell.  The cells are mapped a `BLOCK` at a time, each
+    block's images written over its cells, and the images sorted in
+    place; the statistic is 1 if two neighbours are equal, else 0.
     The box's cells * d must stay within `MAX_CELL_COORDS`, checked
     before any cell is built.
     """
@@ -160,27 +166,24 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
         xs = np.arange(b, b + (1 << depth - k), dtype=cells.dtype) << axis * depth
         cells = (cells[:, None] | xs).ravel()
-    exact = _distinct(forward_map_batch(cells, depth, d)) == len(cells)
+    for lo in range(0, len(cells), BLOCK):
+        cells[lo:lo + BLOCK] = forward_map_batch(cells[lo:lo + BLOCK], depth, d)
+    cells.sort()
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
-        0 if exact else 1, 0,
+        int(np.any(cells[1:] == cells[:-1])), 0,
     )
-
-
-# each uint64 temporary of a block takes 64 KiB, below glibc's default
-# 128 KiB mmap threshold
-BLOCK = 1 << 13
 
 
 def _corner_blocks(d: int, depth: int):
     """Lower corners of every depth-n cube cell, in segment order, as
-    packed grid indices: the inverse map's output for each `BLOCK` of
-    indices, computed as it is read.  d and depth are checked at the
-    call; the callers keep d * depth within the kernel's 64 bits."""
+    packed grid indices: (first index, int64 corners, which gathers take
+    as intp) per `BLOCK` of indices, mapped as read.  d and depth are
+    checked at the call; the callers keep d * depth within 62 bits."""
     d, depth = _check_cell(d, depth)
     total = 1 << (d * depth)
-    return (inverse_map_batch(
-                np.arange(lo, min(lo + BLOCK, total), dtype=np.uint64), depth, d)
+    return ((lo, inverse_map_batch(np.arange(lo, min(lo + BLOCK, total), dtype=np.uint64),
+                                   depth, d).view(np.int64))
             for lo in range(0, total, BLOCK))
 
 
@@ -196,10 +199,9 @@ def _bin_counts(cell_counts: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
     corner, two gathers from `_axis_bins`, the identity at k = 2^n."""
     counts = np.zeros(grid_k * grid_k, dtype=np.int64)
     axis_bin, mask = _axis_bins(grid_k, depth), (1 << depth) - 1
-    for lo, cells in zip(range(0, len(cell_counts), BLOCK), _corner_blocks(2, depth)):
-        cells = cells.view(np.int64)  # gathers cast a uint64 index to intp first
+    for lo, cells in _corner_blocks(2, depth):
         bins = axis_bin[cells & mask] * grid_k + axis_bin[cells >> depth]
-        np.add.at(counts, bins, cell_counts[lo:lo + BLOCK])
+        np.add.at(counts, bins, cell_counts[lo:lo + len(cells)])
     return counts
 
 
@@ -283,8 +285,8 @@ def _suite_cells(d, depth):
     # between equal-measure cells.
     blocks = _exhaustive_blocks(d, depth)  # checks the bounds before `seen`
     seen = np.zeros(1 << (d * depth), dtype=bool)
-    for cells in blocks:
-        seen[cells.view(np.int64)] = True
+    for _, cells in blocks:
+        seen[cells] = True
     collisions = len(seen) - np.count_nonzero(seen)
     yield VerificationReport.from_statistic(
         "cells", f"exhaustive d={d} depth={depth}", collisions, 0)
@@ -298,8 +300,8 @@ def _suite_adjacency(d, depth):
     # The last cell of each block is carried into the next block's check.
     axes = sum(1 << a * depth for a in range(d))
     violations, last = 0, np.empty(0, dtype=np.int64)
-    for cells in _exhaustive_blocks(d, depth):
-        cells = np.concatenate((last, cells.view(np.int64)))
+    for _, cells in _exhaustive_blocks(d, depth):
+        cells = np.concatenate((last, cells))
         p1, p2 = cells[:-1], cells[1:]
         step = np.abs(p2 - p1)
         flipped = p1 ^ p2

@@ -124,6 +124,10 @@ class DistributionSpec:
     def __init__(self, atoms=(), pieces=(), name: str = ""):
         if not isinstance(name, str):
             raise SpecValidationError("name", "expected a string, got {}", repr(name))
+        try:  # a lone surrogate from a JSON escape; -o writes UTF-8
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SpecValidationError("name", "UTF-8 cannot encode {}", repr(name)) from None
         self.name = name
         atoms, pieces = ([_row(row, key, fields) for row in rows]
                          for rows, (key, fields) in zip((atoms, pieces), SPEC_FIELDS.items()))
@@ -308,6 +312,8 @@ class SampleBatch:
     specs: tuple[DistributionSpec, ...]
 
     def __post_init__(self):
+        if not isinstance(self.samples, np.ndarray):
+            raise TypeError(f"samples must be a numpy array, got {type(self.samples).__name__}")
         if self.samples.ndim != 2 or self.samples.shape[1] != len(self.specs):
             raise RangeError("one sample column per distribution required")
         if self.samples.dtype != np.float64:
@@ -373,6 +379,9 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     seed, count and depth are integers (`dyadic._integer`), and seed is >= 0.
     """
     specs = tuple(specs)
+    for spec in specs:
+        if not isinstance(spec, DistributionSpec):
+            raise TypeError(f"spec must be a DistributionSpec, got {type(spec).__name__}")
     n = len(specs)
     if not 1 <= n <= MAX_DIMENSION:
         raise RangeError(f"need 1..{MAX_DIMENSION} distributions, got {n}")

@@ -724,6 +724,31 @@ def test_sample_missing_file_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("flags", [["-o", ""], ["--output="]], ids=["o", "output="])
+def test_sample_to_an_empty_path_exits_2(tmp_path, capsys, flags):
+    # an empty path once meant stdout: the CSV went there and exit was 0
+    spec = _write_spec(tmp_path / "spec.json", {"atoms": [{"at": "0", "mass": "1"}]})
+    code, out, err = run(capsys, "sample", "--spec", spec, "-N", "2", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_sample_name_utf_8_cannot_encode_keeps_the_output_file(tmp_path, capsys, monkeypatch):
+    # a lone surrogate from a JSON escape once truncated the -o file, then
+    # exited 2 with a codec message that named no field
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(cli, "sample_independent", no_draw)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"name": "x\\udc80", "atoms": [{"at": "0", "mass": "1"}]}')
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old\n")
+    code, stdout, err = run(capsys, "sample", "--spec", str(spec), "-N", "2", "-o", str(out))
+    assert (code, stdout, out.read_bytes()) == (2, "", b"old\n")
+    assert err == "error: name: UTF-8 cannot encode 'x\\udc80'\n"
+
+
 def test_map_refines_coarse_coordinates(capsys):
     # 1-bit coordinates at depth 2; frozen from helpers.brute_force_cells
     code, out, _ = run(capsys, "map", "-d", "2", "-n", "2", "1/2^1", "1/2^1")

@@ -209,6 +209,22 @@ def test_rect_must_fit_in_cube():
         DyadicRect(make_point([7], 3), (2,))  # 7/8 + 1/4 > 1
 
 
+def test_rect_with_huge_corner_precision_fits_without_building_it():
+    # containment was once tested in integers, shifting 1 by the corner's
+    # precision: the valid box [0, 1/2) raised MemoryError
+    tracemalloc.start()
+    try:
+        half = DyadicRect(CubePoint((UnitScalar(0, 10**12),)), (1,))
+        assert half.volume() == Fraction(1, 2)
+        DyadicRect(CubePoint((UnitScalar(1, 10**12), UnitScalar(0, 10**12))), (1, 0))
+        with pytest.raises(RangeError, match=r"^box must be contained in \[0,1\)\^d$"):
+            DyadicRect(CubePoint((UnitScalar(1, 10**12),)), (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: CubePoint(()), "need at least one coordinate"),
     (lambda: DyadicRect(make_point([0, 0], 1), (1,)),

@@ -311,6 +311,37 @@ def test_rect_measure_check_bounds_the_cells_it_builds(monkeypatch):
         rect_measure_check(DyadicRect(make_point([0, 0], 1), (1, 1)), 3)
 
 
+def test_rect_measure_check_maps_the_box_a_block_at_a_time():
+    # the whole box went through one kernel call and its images were
+    # sorted in a copy: 20.1 MiB traced at this depth
+    half = DyadicRect(make_point([0, 0], 0), (1, 0))
+    tracemalloc.start()
+    try:
+        assert rect_measure_check(half, 10).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("depth", [7, 33], ids=["uint64-two-blocks", "object"])
+def test_rect_measure_check_fails_a_map_that_merges_two_cells(monkeypatch, depth):
+    # the box's last cell takes its first cell's image, across blocks at
+    # depth 7 (2^14 cells)
+    def merged(cells, depth, d):
+        images = forward_map_batch(cells, depth, d)
+        images[cells == last] = first
+        return images
+
+    box = DyadicRect(make_point([0, 0], 0), (0, 0) if depth == 7 else (32, 32))
+    last = (1 << 2 * depth) - 1 if depth == 7 else 1 << depth | 1
+    first = forward_map_batch([0], depth, 2)[0]
+    assert rect_measure_check(box, depth).passed
+    monkeypatch.setattr(measure, "forward_map_batch", merged)
+    report = rect_measure_check(box, depth)
+    assert (report.statistic, report.passed) == (1, False)
+
+
 def test_monte_carlo_uniformity_passes():
     report = monte_carlo_uniformity(200_000, 8, seed=123)
     assert report.passed

@@ -181,6 +181,29 @@ def test_spec_rejects_a_name_that_is_not_a_string(name):
     assert exc.value.field == "name"
 
 
+def test_spec_rejects_a_name_utf_8_cannot_encode():
+    # a lone surrogate, which a JSON escape gives, echoed by its repr
+    with pytest.raises(SpecValidationError, match=r"^name: UTF-8 cannot encode 'x\\udc80'$") as exc:
+        DistributionSpec(atoms=[("0", "1")], name="x\udc80")
+    assert exc.value.field == "name"
+
+
+def test_sample_independent_rejects_a_spec_that_is_not_one_before_drawing(monkeypatch):
+    # None was drawn for, then raised AttributeError on quantile_batch
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(sampling, "_draw_bits", no_draw)
+    with pytest.raises(TypeError, match="^spec must be a DistributionSpec, got NoneType$"):
+        sample_independent(0, 5, [UNIFORM, None])
+
+
+def test_sample_batch_rejects_samples_that_are_not_an_array():
+    # a list raised AttributeError on its missing ndim
+    with pytest.raises(TypeError, match="^samples must be a numpy array, got list$"):
+        sampling.SampleBatch([[0.5]], 0, 1, (UNIFORM,))
+
+
 def test_spec_dict_roundtrip():
     rng = random.Random(17)
     specs = [COIN, UNIFORM] + [_random_spec(rng) for _ in range(40)]
