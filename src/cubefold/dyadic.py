@@ -191,7 +191,10 @@ class DyadicRect:
             raise RangeError("one side exponent per axis required")
         sides = tuple(_integer(k, "side exponent", 0) for k in self.side_exponents)
         for c, k in zip(self.lower.coords, sides):
-            if c > UnitScalar((1 << k) - 1, k):
+            # m/2^p <= 1 - 2^-k, which always holds at k >= p; below p it
+            # holds iff ceil(m / 2^(p-k)) < 2^k.  Neither builds 2^k
+            m, p = c.mantissa, c.precision
+            if k < p and (-(-m >> p - k)).bit_length() > k:
                 raise RangeError("box must be contained in [0,1)^d")
         object.__setattr__(self, "side_exponents", sides)
 

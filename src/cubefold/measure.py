@@ -14,10 +14,13 @@ a time and hands out (first index, int64 corners) to `cells`,
 `adjacency` and the uniformity audit's fold of its per-cell counts onto
 the grid, counted at the depth the grid needs (j at k = 2^j, else the
 draw depth).  The audit bins each coordinate through one per-axis
-table, `_axis_bins`, which also gives its expected counts.  `roundtrip`,
+table, `_axis_bins`, which also gives its expected counts; it reads its
+draws from the generator's raw 64-bit words (`_draw_cells`), the values
+`Generator.integers` gives on their power-of-two range.  `roundtrip`,
 `measure` and `pushforward` map whole arrays of cells with one call of
-each batch map they need, at any depth; `rect_measure_check` maps its
-box a `BLOCK` at a time over its own cell array and sorts that in place.
+each batch map they need, at any depth; `rect_measure_check` builds its
+box a `BLOCK` at a time from the box indices, maps each block into its
+one cell array and sorts that in place.
 Beyond d*depth = 64 bits the cells are Python ints in object arrays.
 `verify measure` draws its unions as the rows of one cell matrix and
 compares the distinct cells of each row with the distinct images,
@@ -143,9 +146,10 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
     """Decompose a grid-aligned box into depth-n cells and push forward.
 
     The image measure equals the box volume exactly iff no two box cells
-    share an image cell.  The cells are mapped a `BLOCK` at a time, each
-    block's images written over its cells, and the images sorted in
-    place; the statistic is 1 if two neighbours are equal, else 0.
+    share an image cell.  The cells are built and mapped a `BLOCK` at a
+    time, each block's images written into one array, and the images
+    sorted in place; the statistic is 1 if two neighbours are equal,
+    else 0.
     The box's cells * d must stay within `MAX_CELL_COORDS`, checked
     before any cell is built.
     """
@@ -161,13 +165,17 @@ def rect_measure_check(rect: DyadicRect, depth: int) -> VerificationReport:
         raise RangeError(
             f"box has 2^{bits} cells of {d} coordinates; rect_measure_check "
             f"takes cells * d <= 2^{MAX_CELL_COORDS.bit_length() - 1}")
-    # packed grid indices, as in CellUnion, in the batch maps' array types
-    cells = np.zeros(1, dtype=np.uint64 if d * depth <= 64 else object)
-    for axis, (b, k) in enumerate(zip(base, rect.side_exponents)):
-        xs = np.arange(b, b + (1 << depth - k), dtype=cells.dtype) << axis * depth
-        cells = (cells[:, None] | xs).ravel()
+    # packed grid indices, as in CellUnion, in the batch maps' array types;
+    # axis a's offset in the box is bit field a of the cell's box index
+    cells = np.empty(1 << bits, dtype=np.uint64 if d * depth <= 64 else object)
+    corner = sum(b << axis * depth for axis, b in enumerate(base))
     for lo in range(0, len(cells), BLOCK):
-        cells[lo:lo + BLOCK] = forward_map_batch(cells[lo:lo + BLOCK], depth, d)
+        index = np.arange(lo, min(lo + BLOCK, len(cells)), dtype=cells.dtype)
+        block, field = corner, 0
+        for axis, k in enumerate(rect.side_exponents):
+            block = block + ((index >> field & (1 << depth - k) - 1) << axis * depth)
+            field += depth - k
+        cells[lo:lo + BLOCK] = forward_map_batch(block, depth, d)
     cells.sort()
     return VerificationReport.from_statistic(
         "rect_measure", f"depth={depth} sides={rect.side_exponents}",
@@ -209,8 +217,24 @@ _CHUNK = 1 << 17
 
 
 def _draw_cells(rng: np.random.Generator, size: int, depth: int) -> np.ndarray:
-    """`size` uniform depth-n segment cell indices of the square."""
-    return rng.integers(0, 1 << (2 * depth), size=size, dtype=np.uint64)
+    """`size` uniform depth-n segment cell indices of the square, 1 <= n <= 31.
+
+    The values of `rng.integers(0, 4**n, size, dtype=np.uint64)`, read
+    from the generator's raw 64-bit words without its per-draw step.
+    That call takes one word of 2n <= 32 bits, else 64, per draw and
+    keeps its top 2n bits: Lemire's bounded method never rejects on a
+    power-of-two range.  PCG64 hands out its 32-bit words as the low,
+    then the high half of each raw word, which a uint32 view of the raw
+    words reads in that order on a little-endian host.  A test holds
+    the two calls equal at every n.
+    """
+    bits = 2 * depth
+    if bits <= 32:
+        q = rng.bit_generator.random_raw(-(-size // 2)).view(np.uint32)[:size]
+    else:
+        q = rng.bit_generator.random_raw(size)
+    q >>= q.itemsize * 8 - bits
+    return q
 
 
 def monte_carlo_uniformity(sample_count: int, grid_k: int,
@@ -247,13 +271,13 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     # at k = 2^j bin (i0, i1) is one depth-j cube cell; the cells nest,
     # so its preimage is the one depth-j segment cell q >> 2*(depth - j)
     level = bits if grid_k & (grid_k - 1) == 0 else depth
-    shift = np.uint64(2 * (depth - level))
+    shift = 2 * (depth - level)
     cell_counts = np.zeros(1 << (2 * level), dtype=np.int64)
     streams = np.random.SeedSequence(seed)
     for start in range(0, sample_count, _CHUNK):
         q = _draw_cells(np.random.default_rng(streams.spawn(1)[0]),
                         min(_CHUNK, sample_count - start), depth)
-        cell_counts += np.bincount((q >> shift).view(np.int64), minlength=len(cell_counts))
+        cell_counts += np.bincount((q >> shift).astype(np.intp), minlength=len(cell_counts))
     counts = _bin_counts(cell_counts, grid_k, level)
 
     # A bijection puts one corner on each point of the 2**depth grid, so

@@ -225,6 +225,32 @@ def test_rect_with_huge_corner_precision_fits_without_building_it():
     assert peak < 64 << 10
 
 
+def test_rect_with_huge_side_exponent_fits_without_building_it():
+    # containment once compared the corner with UnitScalar(2^k - 1, k):
+    # the valid box [0, 2^-10^12) raised MemoryError
+    tracemalloc.start()
+    try:
+        tiny = DyadicRect(CubePoint((UnitScalar(0, 1),)), (10**12,))
+        DyadicRect(CubePoint((UnitScalar(1, 1), UnitScalar(5, 10**12))), (10**12, 10**12 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert tiny.side_exponents == (10**12,)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 64, 65])
+@pytest.mark.parametrize("extra", [0, 1, 9])
+def test_rect_corner_fits_up_to_one_minus_the_side(k, extra):
+    # a corner at 1 - 2^-k, at precision k + extra, ends exactly at 1;
+    # one unit of that precision more leaves the cube
+    top = ((1 << k) - 1) << extra
+    DyadicRect(CubePoint((UnitScalar(top, k + extra),)), (k,))
+    if top + 1 < 1 << k + extra:
+        with pytest.raises(RangeError, match=r"^box must be contained in \[0,1\)\^d$"):
+            DyadicRect(CubePoint((UnitScalar(top + 1, k + extra),)), (k,))
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: CubePoint(()), "need at least one coordinate"),
     (lambda: DyadicRect(make_point([0, 0], 1), (1,)),
