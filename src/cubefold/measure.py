@@ -15,8 +15,9 @@ a time and hands out (first index, int64 corners) to `cells`,
 the grid, counted at the depth the grid needs (j at k = 2^j, else the
 draw depth).  The audit bins each coordinate through one per-axis
 table, `_axis_bins`, which also gives its expected counts; it reads its
-draws from the generator's raw 64-bit words (`_draw_cells`), the values
-`Generator.integers` gives on their power-of-two range.  `roundtrip`,
+draws through the sampler's `sampling._draw_bits`, from the generator's
+raw words, the values `Generator.integers` gives on their power-of-two
+range.  `roundtrip`,
 `measure` and `pushforward` map whole arrays of cells with one call of
 each batch map they need, at any depth; `rect_measure_check` builds its
 box a `BLOCK` at a time from the box indices, maps each block into its
@@ -38,6 +39,7 @@ import numpy as np
 
 from .curve import _cell_array, _check_cell, forward_map_batch, inverse_map_batch
 from .dyadic import CubePoint, DyadicRect, RangeError, UnitScalar, _integer, echo
+from .sampling import _draw_bits
 from .stats import chi2_threshold, chi_squared
 
 CUBE = "cube"
@@ -216,27 +218,6 @@ def _bin_counts(cell_counts: np.ndarray, grid_k: int, depth: int) -> np.ndarray:
 _CHUNK = 1 << 17
 
 
-def _draw_cells(rng: np.random.Generator, size: int, depth: int) -> np.ndarray:
-    """`size` uniform depth-n segment cell indices of the square, 1 <= n <= 31.
-
-    The values of `rng.integers(0, 4**n, size, dtype=np.uint64)`, read
-    from the generator's raw 64-bit words without its per-draw step.
-    That call takes one word of 2n <= 32 bits, else 64, per draw and
-    keeps its top 2n bits: Lemire's bounded method never rejects on a
-    power-of-two range.  PCG64 hands out its 32-bit words as the low,
-    then the high half of each raw word, which a uint32 view of the raw
-    words reads in that order on a little-endian host.  A test holds
-    the two calls equal at every n.
-    """
-    bits = 2 * depth
-    if bits <= 32:
-        q = rng.bit_generator.random_raw(-(-size // 2)).view(np.uint32)[:size]
-    else:
-        q = rng.bit_generator.random_raw(size)
-    q >>= q.itemsize * 8 - bits
-    return q
-
-
 def monte_carlo_uniformity(sample_count: int, grid_k: int,
                            seed: int) -> VerificationReport:
     """Chi-squared uniformity audit of the inverse map on a k x k grid.
@@ -275,8 +256,8 @@ def monte_carlo_uniformity(sample_count: int, grid_k: int,
     cell_counts = np.zeros(1 << (2 * level), dtype=np.int64)
     streams = np.random.SeedSequence(seed)
     for start in range(0, sample_count, _CHUNK):
-        q = _draw_cells(np.random.default_rng(streams.spawn(1)[0]),
-                        min(_CHUNK, sample_count - start), depth)
+        q = _draw_bits(np.random.default_rng(streams.spawn(1)[0]),
+                       2 * depth, min(_CHUNK, sample_count - start))
         cell_counts += np.bincount((q >> shift).astype(np.intp), minlength=len(cell_counts))
     counts = _bin_counts(cell_counts, grid_k, level)
 

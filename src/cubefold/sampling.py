@@ -358,13 +358,24 @@ _CHUNK = 1 << 15
 
 
 def _draw_bits(rng: np.random.Generator, nbits: int, size: int) -> np.ndarray:
-    """`size` uniform nbits-wide integers, composed from 32-bit words."""
-    words = (nbits + 31) // 32
-    acc = np.zeros(size, dtype=np.uint64)
-    for _ in range(words):
-        acc = (acc << np.uint64(32)) | rng.integers(
-            0, 1 << 32, size=size, dtype=np.uint64)
-    return acc >> np.uint64(32 * words - nbits)
+    """`size` uniform nbits-wide integers from a fresh generator, 1 <= nbits
+    <= 64: uint32 up to 32 bits, else uint64.
+
+    The values of ceil(nbits/32) calls of `rng.integers(0, 2**32, size)`,
+    composed first-highest and shifted down to nbits, read from the raw
+    64-bit words: Lemire's method never rejects on a power-of-two range,
+    PCG64 hands out the low half of each raw word first (a little-endian
+    uint32 view), and a fresh generator holds no buffered half.  Up to 32
+    bits they are also `rng.integers(0, 2**nbits, size)`.  A test holds
+    the calls equal at every nbits.
+    """
+    words = -(-nbits // 32)
+    halves = rng.bit_generator.random_raw(-(-words * size // 2)).view(np.uint32)
+    q = halves[:size]
+    if words == 2:
+        q = q.astype(np.uint64) << 32 | halves[size:]
+    q >>= 32 * words - nbits
+    return q
 
 
 def sample_independent(seed: int, count: int, specs, depth: int | None = None) -> SampleBatch:
@@ -375,13 +386,16 @@ def sample_independent(seed: int, count: int, specs, depth: int | None = None) -
     at the open-cell midpoint so the argument stays inside (0, 1).  The
     CDF element is chosen from the integer cell; only the interpolation
     inside it is float, so a midpoint that rounds to 1.0 is still valid.
-    Chunk i of `_CHUNK` rows draws from child i of the seed, spawned in turn.
+    Chunk i of `_CHUNK` rows draws from child i of the seed, spawned in turn,
+    in one call of `_draw_bits`, the reader the uniformity audit shares.
     seed, count and depth are integers (`dyadic._integer`), and seed is >= 0.
+    A spec value no float64 holds raises before any draw, at any count.
     """
     specs = tuple(specs)
     for spec in specs:
         if not isinstance(spec, DistributionSpec):
             raise TypeError(f"spec must be a DistributionSpec, got {type(spec).__name__}")
+        spec._batch_tables  # built before any draw: a value no float64 holds raises
     n = len(specs)
     if not 1 <= n <= MAX_DIMENSION:
         raise RangeError(f"need 1..{MAX_DIMENSION} distributions, got {n}")

@@ -418,7 +418,7 @@ def test_verify_uniformity_single_bin_draws_nothing(capsys, monkeypatch):
     def fail(*args):
         raise RuntimeError("work done")
 
-    monkeypatch.setattr(measure, "_draw_cells", fail)
+    monkeypatch.setattr(measure, "_draw_bits", fail)
     monkeypatch.setattr(measure, "inverse_map_batch", fail)
     code, out, _ = run(capsys, "verify", "uniformity", "-N",
                        "1000000000000000", "-k", "1")
@@ -749,6 +749,17 @@ def test_sample_name_utf_8_cannot_encode_keeps_the_output_file(tmp_path, capsys,
     assert err == "error: name: UTF-8 cannot encode 'x\\udc80'\n"
 
 
+def test_sample_no_rows_of_a_spec_no_float_holds_keeps_the_output_file(tmp_path, capsys):
+    # -N 0 once exited 0 and overwrote -o with a header, where -N 5 exits 2
+    spec = _write_spec(tmp_path / "spec.json", {
+        "pieces": [{"from": "0", "to": "1e400", "cdf_from": "0", "cdf_to": "1"}]})
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old\n")
+    code, stdout, err = run(capsys, "sample", "--spec", spec, "-N", "0", "-o", str(out))
+    assert (code, stdout, out.read_bytes()) == (2, "", b"old\n")
+    assert err.startswith("error: to: ") and err.endswith(" does not fit a float64\n")
+
+
 def test_map_refines_coarse_coordinates(capsys):
     # 1-bit coordinates at depth 2; frozen from helpers.brute_force_cells
     code, out, _ = run(capsys, "map", "-d", "2", "-n", "2", "1/2^1", "1/2^1")
@@ -855,6 +866,21 @@ def test_wide_range_csv_bytes_frozen(tmp_path):
     assert main(["sample", "--spec", str(spec), "-N", "40000", "--seed", "5",
                  "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_RANGE_SHA256
+
+
+# sha256 of `cubefold sample --spec tests/data/coin_uniform.json -N 65539
+# --depth 12 --seed 5`: 24 bits per draw, each one 32-bit generator word,
+# and a last chunk of 3 rows.  CI checks the installed command against it too.
+COIN_UNIFORM_DEPTH_12_SHA256 = ("8ff902b88a95cb68001cb3171ef0d0bf"
+                                "cceffd11ce7f1f9a8bd9bf555daa4c53")
+
+
+def test_sample_csv_bytes_frozen_at_32_bits_or_fewer(tmp_path):
+    spec = Path(__file__).parent / "data" / "coin_uniform.json"
+    out = tmp_path / "out.csv"
+    assert main(["sample", "--spec", str(spec), "-N", "65539", "--depth", "12",
+                 "--seed", "5", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COIN_UNIFORM_DEPTH_12_SHA256
 
 
 def run_exit(capsys, *argv):

@@ -369,10 +369,10 @@ def test_monte_carlo_deterministic_for_seed():
 
 
 def test_monte_carlo_degenerate_draws_fail(monkeypatch):
-    def constant_draw(rng, size, depth):
+    def constant_draw(rng, nbits, size):
         return np.zeros(size, dtype=np.uint64)
 
-    monkeypatch.setattr(measure, "_draw_cells", constant_draw)
+    monkeypatch.setattr(measure, "_draw_bits", constant_draw)
     report = monte_carlo_uniformity(200_000, 8, seed=1)
     assert not report.passed
 
@@ -389,10 +389,10 @@ def test_monte_carlo_passes_at_non_dyadic_grids(grid_k, seed):
 def test_monte_carlo_expectation_is_the_exact_grid_law(monkeypatch, grid_k):
     # every depth-8 segment cell drawn once: the counts are the exact law
     # of the corners, so they must match the expectation to the last bit
-    def every_cell(rng, size, depth):
+    def every_cell(rng, nbits, size):
         return np.arange(size, dtype=np.uint64)
 
-    monkeypatch.setattr(measure, "_draw_cells", every_cell)
+    monkeypatch.setattr(measure, "_draw_bits", every_cell)
     report = monte_carlo_uniformity(4 ** 8, grid_k, seed=0)
     assert report.statistic == 0.0
 
@@ -458,10 +458,10 @@ def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
     drawn, seen = [], []
     whole = np.zeros(grid_k * grid_k, dtype=np.int64)
 
-    def draw(rng, size, depth):
-        q = rng.integers(0, 1 << (2 * depth), size=size, dtype=np.uint64)
+    def draw(rng, nbits, size):
+        q = rng.integers(0, 1 << nbits, size=size, dtype=np.uint64)
         drawn.append(len(q))
-        whole[:] += stream_bin_counts(q, grid_k, depth)
+        whole[:] += stream_bin_counts(q, grid_k, nbits // 2)
         return q
 
     def recording_chi_squared(counts, expected):
@@ -469,7 +469,7 @@ def test_monte_carlo_blocked_counts_match_one_call_per_chunk(monkeypatch,
         return chi_squared(counts, expected)
 
     monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
-    monkeypatch.setattr(measure, "_draw_cells", draw)
+    monkeypatch.setattr(measure, "_draw_bits", draw)
     monte_carlo_uniformity(sample_count, grid_k, seed=sample_count)
     assert sum(drawn) == sample_count
     assert len(seen) == 1 and seen[0].tolist() == whole.tolist()
@@ -557,10 +557,10 @@ def test_monte_carlo_rejects_non_integer_arguments(args):
 @pytest.mark.parametrize("seed", [-1, np.int64(-5), -10 ** 3000],
                          ids=["-1", "int64", "-10^3000"])
 def test_monte_carlo_names_a_negative_seed_before_any_draw(monkeypatch, grid_k, seed):
-    def no_draw(rng, size, depth):
+    def no_draw(rng, nbits, size):
         raise AssertionError("drew before checking the seed")
 
-    monkeypatch.setattr(measure, "_draw_cells", no_draw)
+    monkeypatch.setattr(measure, "_draw_bits", no_draw)
     with pytest.raises(RangeError, match=r"^seed must be >= 0, got -\d"):
         monte_carlo_uniformity(250_000, grid_k, seed)
 
@@ -582,16 +582,16 @@ def test_monte_carlo_dyadic_bins_are_the_drawn_cells_permuted(monkeypatch, j):
     # from the child_order enumeration, not from the kernel
     k, draws, seen = 1 << j, [], []
 
-    def recording_draw(rng, size, depth):
-        draws.append(real_draw(rng, size, depth))
+    def recording_draw(rng, nbits, size):
+        draws.append(real_draw(rng, nbits, size))
         return draws[-1]
 
     def recording_chi_squared(counts, expected):
         seen.append(counts.copy())
         return chi_squared(counts, expected)
 
-    real_draw = measure._draw_cells
-    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    real_draw = measure._draw_bits
+    monkeypatch.setattr(measure, "_draw_bits", recording_draw)
     monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
     monte_carlo_uniformity(250_000, k, seed=j)
     q = np.concatenate(draws)
@@ -634,16 +634,16 @@ def test_monte_carlo_counts_follow_the_map_at_the_grid_level(monkeypatch, grid_k
             indices = np.where(indices == 5, 200, np.where(indices == 200, 5, indices))
         return real(indices, depth, dimension)
 
-    def recording_draw(rng, size, depth):
-        drawn.append(real_draw(rng, size, depth))
+    def recording_draw(rng, nbits, size):
+        drawn.append(real_draw(rng, nbits, size))
         return drawn[-1]
 
     def recording_chi_squared(counts, expected):
         seen.append(counts.copy())
         return chi_squared(counts, expected)
 
-    real_draw = measure._draw_cells
-    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    real_draw = measure._draw_bits
+    monkeypatch.setattr(measure, "_draw_bits", recording_draw)
     monkeypatch.setattr(measure, "chi_squared", recording_chi_squared)
     monkeypatch.setattr(measure, "inverse_map_batch", unnested)
     monte_carlo_uniformity(250_000, grid_k, seed=grid_k)
@@ -656,14 +656,14 @@ def test_monte_carlo_chunk_i_draws_from_child_i_of_the_seed(monkeypatch):
     # the stream contract: chunk i reads the SeedSequence child of spawn
     # key (i,), whatever spawns it, so records do not depend on the loop
     drawn = []
-    real_draw = measure._draw_cells
+    real_draw = measure._draw_bits
 
-    def recording_draw(rng, size, depth):
+    def recording_draw(rng, nbits, size):
         seq = rng.bit_generator.seed_seq
         drawn.append((seq.entropy, seq.spawn_key, size))
-        return real_draw(rng, size, depth)
+        return real_draw(rng, nbits, size)
 
-    monkeypatch.setattr(measure, "_draw_cells", recording_draw)
+    monkeypatch.setattr(measure, "_draw_bits", recording_draw)
     monte_carlo_uniformity(3 * measure._CHUNK + 7, 16, seed=9)
     sizes = [measure._CHUNK] * 3 + [7]
     assert drawn == [(9, (i,), size) for i, size in enumerate(sizes)]
@@ -672,10 +672,10 @@ def test_monte_carlo_chunk_i_draws_from_child_i_of_the_seed(monkeypatch):
 def test_monte_carlo_spawns_no_stream_before_its_chunk(monkeypatch):
     # the streams of all chunks were once spawned before the first draw, a
     # list that grew with N: 7.0 MiB at 20000 chunks
-    def first_draw(rng, size, depth):
+    def first_draw(rng, nbits, size):
         raise RuntimeError("first draw")
 
-    monkeypatch.setattr(measure, "_draw_cells", first_draw)
+    monkeypatch.setattr(measure, "_draw_bits", first_draw)
     tracemalloc.start()
     try:
         with pytest.raises(RuntimeError, match="first draw"):
@@ -686,16 +686,25 @@ def test_monte_carlo_spawns_no_stream_before_its_chunk(monkeypatch):
     assert peak < 2 << 20
 
 
-@pytest.mark.parametrize("depth", range(1, 32))
-def test_draw_cells_is_the_integers_stream(depth):
-    # integers() keeps the top 2n bits of one word per draw (Lemire never
-    # rejects on a power-of-two range), 32-bit words up to 2n = 32 taken
-    # from PCG64 low half first; a numpy that changes either fails here
+@pytest.mark.parametrize("nbits", range(1, 65))
+def test_draw_bits_is_the_integers_stream(nbits):
+    # the sampler's frozen CSVs rest on ceil(nbits/32) integers(0, 2^32)
+    # calls composed first-highest, and FROZEN_UNIFORMITY on one
+    # integers(0, 2^nbits) call: integers() takes one 32-bit word per draw
+    # on these ranges (Lemire never rejects on a power of two), from PCG64
+    # low half first; a numpy that changes either fails here
+    def fresh():
+        return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+    words = -(-nbits // 32)
     for seed in (0, 1, 11, 2**64 + 5):
         for size in (0, 1, 2, 3, 7, measure._CHUNK, measure._CHUNK + 7):
-            child = np.random.SeedSequence(seed).spawn(1)[0]
-            got = measure._draw_cells(np.random.default_rng(child), size, depth)
-            child = np.random.SeedSequence(seed).spawn(1)[0]
-            want = np.random.default_rng(child).integers(
-                0, 1 << 2 * depth, size=size, dtype=np.uint64)
+            got = measure._draw_bits(fresh(), nbits, size)
+            rng, want = fresh(), np.zeros(size, dtype=np.uint64)
+            for _ in range(words):
+                want = want << np.uint64(32) | rng.integers(0, 1 << 32, size, np.uint64)
+            want >>= np.uint64(32 * words - nbits)
             assert len(got) == size and np.array_equal(got, want), (seed, size)
+            if nbits <= 32:
+                want = fresh().integers(0, 1 << nbits, size=size, dtype=np.uint64)
+                assert np.array_equal(got, want), (seed, size)

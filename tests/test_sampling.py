@@ -198,6 +198,22 @@ def test_sample_independent_rejects_a_spec_that_is_not_one_before_drawing(monkey
         sample_independent(0, 5, [UNIFORM, None])
 
 
+@pytest.mark.parametrize("count", [0, 5])
+@pytest.mark.parametrize("spec,field", [
+    (DistributionSpec(atoms=[("1e400", "1")]), "at"),
+    (DistributionSpec(pieces=[("0", "1e400", "0", "1")]), "to")], ids=["at", "to"])
+def test_sample_independent_rejects_a_spec_no_float_holds_before_drawing(
+        monkeypatch, count, spec, field):
+    # the float tables were built at the first chunk: N = 0 returned an
+    # empty batch, and N = 5 drew and mapped a chunk before it raised
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(sampling, "_draw_bits", no_draw)
+    with pytest.raises(SpecValidationError, match=f"^{field}: .* does not fit a float64$"):
+        sample_independent(0, count, [UNIFORM, spec])
+
+
 def test_sample_batch_rejects_samples_that_are_not_an_array():
     # a list raised AttributeError on its missing ndim
     with pytest.raises(TypeError, match="^samples must be a numpy array, got list$"):
